@@ -226,6 +226,14 @@ func BenchmarkKernelCacheReadMiss(b *testing.B) {
 	kernelbench.CacheReadMiss(b)
 }
 
+func BenchmarkKernelCacheReadMiss256(b *testing.B) {
+	kernelbench.CacheReadMiss256(b)
+}
+
+func BenchmarkKernelCachePrefetchSaturated(b *testing.B) {
+	kernelbench.CachePrefetchSaturated(b)
+}
+
 func BenchmarkKernelSPPTrigger(b *testing.B) {
 	kernelbench.SPPTrigger(b)
 }

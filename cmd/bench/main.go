@@ -132,6 +132,8 @@ func run() int {
 		{"filter_decide_train", kernelbench.FilterDecideTrain},
 		{"cache_read_hit", kernelbench.CacheReadHit},
 		{"cache_read_miss", kernelbench.CacheReadMiss},
+		{"cache_read_miss_256", kernelbench.CacheReadMiss256},
+		{"cache_prefetch_saturated", kernelbench.CachePrefetchSaturated},
 		{"spp_trigger", kernelbench.SPPTrigger},
 		{"spp_lookahead_only", kernelbench.SPPLookaheadOnly},
 		{"ppf_decide_batch_b1", kernelbench.PPFDecideBatch(1)},
@@ -222,7 +224,7 @@ func run() int {
 				return stats.SimRateRow{
 					Name:                cell.Name,
 					Scheme:              cell.Scheme,
-					Workload:            cell.Workload,
+					Workload:            strings.Join(cell.Workloads, "+"),
 					LegacyLoop:          cell.LegacyLoop,
 					MemoRuns:            cell.MemoRuns,
 					StoreMode:           cell.StoreMode,

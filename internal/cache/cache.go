@@ -16,7 +16,10 @@
 // loops inside one or two cache lines of simulator-host memory per set.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // BlockBits is log2 of the cache block size (64-byte blocks).
 const BlockBits = 6
@@ -197,9 +200,29 @@ type Cache struct {
 	// Once the current cycle passes it, every occupied slot is expired, so
 	// the per-hit pendingFill scan can return immediately: a scan could
 	// only lazily sweep slots, never match one. Expired slots are then
-	// cleared by the next reserve scan exactly as before — the fast path
-	// moves the sweep later, which no read can observe.
+	// cleared by a later sweep.
 	mshrMaxDone uint64
+
+	// The MSHR index: derived state kept exact by occupyMSHR, freeMSHR
+	// and promoteMSHR, the only writers of mshrBlock and mshrDone, and
+	// rebuilt on snapshot decode. It lets the saturated file — an
+	// unthrottled prefetcher keeps it over three-quarters full — answer
+	// most reserves and in-flight lookups without a slot scan.
+	//
+	// mshrLive has bit i set iff slot i is occupied (expired or not), and
+	// mshrUsed counts the set bits.
+	mshrLive []uint64
+	mshrUsed int
+	// mshrMinDone is a lower bound on every occupied slot's completion
+	// cycle. A reserve at a cycle below it has no expired slot to sweep,
+	// so it skips the sweep. Promotion moves a completion earlier and so
+	// lowers the bound as well.
+	mshrMinDone uint64
+	// mshrFilter counts the occupied slots per block-hash bucket; a zero
+	// bucket proves no slot holds the block. mshrShift maps the
+	// multiplicative hash onto the power-of-two bucket count.
+	mshrFilter []uint32
+	mshrShift  uint
 
 	next Level
 
@@ -229,20 +252,26 @@ func New(cfg Config, next Level) (*Cache, error) {
 	}
 	sets := cfg.SizeBytes / BlockSize / cfg.Ways
 	n := sets * cfg.Ways
+	// Four filter buckets per slot keep a lookup of an absent block on
+	// the fast path about four times in five even when the file is full.
+	buckets := bits.Len(uint(4*cfg.MSHRs - 1))
 	c := &Cache{
-		cfg:       cfg,
-		sets:      sets,
-		ways:      cfg.Ways,
-		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, n),
-		lastUse:   make([]uint64, n),
-		flags:     make([]uint8, n),
-		owner:     make([]int16, n),
-		wayHint:   make([]uint8, sets),
-		mshrBlock: make([]uint64, cfg.MSHRs),
-		mshrDone:  make([]uint64, cfg.MSHRs),
-		mshrLow:   make([]bool, cfg.MSHRs),
-		next:      next,
+		cfg:        cfg,
+		sets:       sets,
+		ways:       cfg.Ways,
+		setMask:    uint64(sets - 1),
+		tags:       make([]uint64, n),
+		lastUse:    make([]uint64, n),
+		flags:      make([]uint8, n),
+		owner:      make([]int16, n),
+		wayHint:    make([]uint8, sets),
+		mshrBlock:  make([]uint64, cfg.MSHRs),
+		mshrDone:   make([]uint64, cfg.MSHRs),
+		mshrLow:    make([]bool, cfg.MSHRs),
+		mshrLive:   make([]uint64, (cfg.MSHRs+63)/64),
+		mshrFilter: make([]uint32, 1<<buckets),
+		mshrShift:  uint(64 - buckets),
+		next:       next,
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -250,6 +279,7 @@ func New(cfg Config, next Level) (*Cache, error) {
 	for i := range c.mshrBlock {
 		c.mshrBlock[i] = invalidTag
 	}
+	c.rebuildMSHRIndex()
 	return c, nil
 }
 
@@ -299,14 +329,18 @@ func (c *Cache) Contains(addr uint64) bool { return c.lookup(addr>>BlockBits) >=
 
 // pendingFill returns the MSHR slot index of the in-flight fill for
 // block, if one is outstanding and still in the future at cycle `at`.
+// Only the first slot holding the block counts: an expired first match
+// is cleared and reports no fill.
+//
+//ppflint:hotpath
 func (c *Cache) pendingFill(block, at uint64) (int, bool) {
-	if at >= c.mshrMaxDone {
+	if at >= c.mshrMaxDone || c.mshrFilter[c.mshrBucket(block)] == 0 {
 		return -1, false
 	}
 	for i, b := range c.mshrBlock {
 		if b == block {
 			if c.mshrDone[i] <= at {
-				c.mshrBlock[i] = invalidTag
+				c.freeMSHR(i)
 				return -1, false
 			}
 			return i, true
@@ -320,105 +354,198 @@ func (c *Cache) pendingFill(block, at uint64) (int, bool) {
 // slot is free, otherwise the completion cycle of the earliest outstanding
 // fill (a structural-hazard stall). The caller must fill the slot with
 // commitMSHR once the completion time is known.
+//
+//ppflint:hotpath
 func (c *Cache) reserveMSHR(at uint64) (idx int, start uint64) {
 	if at >= c.mshrMaxDone {
-		// Quiescent file: every occupied slot is expired, so the scan
-		// below would sweep them all and hand back slot 0 at cycle `at`.
-		// Return that directly; the expired slots stay set, which no read
-		// can observe — every scan treats an expired slot as free.
+		// Quiescent file: every occupied slot is expired, so a sweep
+		// would clear them all and hand back slot 0 at cycle `at`.
+		// Return that directly and leave the expired slots set for a
+		// later sweep (a lookup at an earlier cycle still sees them).
 		return 0, at
 	}
-	freeIdx := -1
+	c.sweepMSHR(at)
+	if c.mshrUsed < len(c.mshrBlock) {
+		return c.firstFreeMSHR(), at
+	}
+	// Every slot is in flight.
 	var minDone uint64 = ^uint64(0)
 	minIdx := 0
 	prefIdx := -1
 	var prefMin uint64 = ^uint64(0)
-	for i, b := range c.mshrBlock {
-		if b != invalidTag && c.mshrDone[i] <= at {
-			c.mshrBlock[i] = invalidTag
-			b = invalidTag
-		}
-		if b == invalidTag {
-			if freeIdx < 0 {
-				freeIdx = i
-			}
-			continue
-		}
-		if c.mshrDone[i] < minDone {
-			minDone = c.mshrDone[i]
+	for i, d := range c.mshrDone {
+		if d < minDone {
+			minDone = d
 			minIdx = i
 		}
-		if c.mshrLow[i] && c.mshrDone[i] < prefMin {
-			prefMin = c.mshrDone[i]
+		if c.mshrLow[i] && d < prefMin {
+			prefMin = d
 			prefIdx = i
 		}
-	}
-	if freeIdx >= 0 {
-		return freeIdx, at
 	}
 	if prefIdx >= 0 {
 		// Sacrifice a prefetch's tracking slot rather than stalling the
 		// demand: the speculative fill loses its merge entry (real
 		// designs drop prefetches under MSHR pressure) and the demand
 		// issues immediately.
-		c.mshrBlock[prefIdx] = invalidTag
+		c.freeMSHR(prefIdx)
 		return prefIdx, at
 	}
 	// Structural hazard among demand fills only: the miss issues when
 	// the earliest outstanding fill retires.
 	c.stats.MSHRFullStalls++
-	c.mshrBlock[minIdx] = invalidTag
+	c.freeMSHR(minIdx)
 	return minIdx, minDone
 }
 
 // commitMSHR records the outstanding fill in a reserved slot.
+//
+//ppflint:hotpath
 func (c *Cache) commitMSHR(idx int, block, done uint64) {
-	c.mshrBlock[idx] = block
-	c.mshrDone[idx] = done
-	c.mshrLow[idx] = false
-	if done > c.mshrMaxDone {
-		c.mshrMaxDone = done
-	}
+	c.occupyMSHR(idx, block, done, false)
 }
 
 // commitMSHRPrefetch records an outstanding prefetch-priority fill.
+//
+//ppflint:hotpath
 func (c *Cache) commitMSHRPrefetch(idx int, block, done uint64) {
-	c.mshrBlock[idx] = block
-	c.mshrDone[idx] = done
-	c.mshrLow[idx] = true
-	if done > c.mshrMaxDone {
-		c.mshrMaxDone = done
-	}
+	c.occupyMSHR(idx, block, done, true)
 }
 
 // reserveMSHRPrefetch claims a slot for a prefetch fill without ever
 // displacing or waiting on outstanding misses: prefetches are dropped
 // under MSHR pressure rather than back-pressuring demands, and a quarter
 // of the file is kept free for demand traffic.
+//
+//ppflint:hotpath
 func (c *Cache) reserveMSHRPrefetch(at uint64) (idx int, ok bool) {
 	if at >= c.mshrMaxDone {
 		// Quiescent file (see reserveMSHR): the whole file is free, which
 		// always clears the keep-a-quarter-free demand headroom check.
 		return 0, true
 	}
-	free := 0
-	freeIdx := -1
-	for i, b := range c.mshrBlock {
-		if b != invalidTag && c.mshrDone[i] <= at {
-			c.mshrBlock[i] = invalidTag
-			b = invalidTag
-		}
-		if b == invalidTag {
-			free++
-			if freeIdx < 0 {
-				freeIdx = i
+	c.sweepMSHR(at)
+	if len(c.mshrBlock)-c.mshrUsed <= len(c.mshrBlock)/4 {
+		return 0, false
+	}
+	return c.firstFreeMSHR(), true
+}
+
+// mshrBucket hashes a block onto its mshrFilter bucket. The Fibonacci
+// multiply spreads strided and per-core-tagged block addresses over the
+// high bits the shift keeps.
+//
+//ppflint:hotpath
+func (c *Cache) mshrBucket(block uint64) uint64 {
+	return (block * 0x9E3779B97F4A7C15) >> c.mshrShift
+}
+
+// occupyMSHR records a fill in slot i, replacing whatever the slot held:
+// the quiescent fast paths hand back slot 0 with its expired fill still
+// set.
+//
+//ppflint:hotpath
+func (c *Cache) occupyMSHR(i int, block, done uint64, low bool) {
+	if old := c.mshrBlock[i]; old != invalidTag {
+		c.mshrFilter[c.mshrBucket(old)]--
+	} else {
+		c.mshrLive[i>>6] |= 1 << (i & 63)
+		c.mshrUsed++
+	}
+	c.mshrBlock[i] = block
+	c.mshrDone[i] = done
+	c.mshrLow[i] = low
+	c.mshrFilter[c.mshrBucket(block)]++
+	if done > c.mshrMaxDone {
+		c.mshrMaxDone = done
+	}
+	if done < c.mshrMinDone {
+		c.mshrMinDone = done
+	}
+}
+
+// freeMSHR clears occupied slot i. mshrMinDone stays a lower bound.
+//
+//ppflint:hotpath
+func (c *Cache) freeMSHR(i int) {
+	c.mshrFilter[c.mshrBucket(c.mshrBlock[i])]--
+	c.mshrBlock[i] = invalidTag
+	c.mshrLive[i>>6] &^= 1 << (i & 63)
+	c.mshrUsed--
+}
+
+// promoteMSHR raises occupied slot i to demand priority with completion
+// done, which is never later than the slot's current one.
+//
+//ppflint:hotpath
+func (c *Cache) promoteMSHR(i int, done uint64) {
+	c.mshrDone[i] = done
+	c.mshrLow[i] = false
+	if done < c.mshrMinDone {
+		c.mshrMinDone = done
+	}
+}
+
+// sweepMSHR clears every occupied slot whose fill completed by cycle
+// `at` and tightens mshrMinDone to the earliest completion left. It
+// walks occupied slots only, and only when one can have expired. The
+// sweep must clear exactly the slots a full scan would, not merely the
+// ones it finds cheaply: `at` is not monotone (a pointer-chase load
+// issues at a future cycle, and a shared LLC serves several cores), so
+// a slot left set stays visible to a later lookup at an earlier cycle.
+//
+//ppflint:hotpath
+func (c *Cache) sweepMSHR(at uint64) {
+	if at < c.mshrMinDone {
+		return
+	}
+	minDone := ^uint64(0)
+	for w, word := range c.mshrLive {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if d := c.mshrDone[i]; d <= at {
+				c.freeMSHR(i)
+			} else if d < minDone {
+				minDone = d
 			}
 		}
 	}
-	if freeIdx < 0 || free <= len(c.mshrBlock)/4 {
-		return 0, false
+	c.mshrMinDone = minDone
+}
+
+// firstFreeMSHR returns the lowest-index free slot. The caller ensures
+// one exists (mshrUsed < len(mshrBlock)), so the unused high bits of the
+// last mshrLive word are never reached.
+//
+//ppflint:hotpath
+func (c *Cache) firstFreeMSHR() int {
+	w := 0
+	for c.mshrLive[w] == ^uint64(0) {
+		w++
 	}
-	return freeIdx, true
+	return w<<6 | bits.TrailingZeros64(^c.mshrLive[w])
+}
+
+// rebuildMSHRIndex recomputes mshrMaxDone and the MSHR index from the
+// slot arrays, at construction and on snapshot decode. The recomputed
+// mshrMaxDone bounds the occupied slots only, not every fill ever
+// committed; any bound at or above every occupied slot's completion
+// keeps the pendingFill fast path exact.
+func (c *Cache) rebuildMSHRIndex() {
+	clear(c.mshrLive)
+	clear(c.mshrFilter)
+	c.mshrUsed = 0
+	c.mshrMaxDone, c.mshrMinDone = 0, ^uint64(0)
+	for i, b := range c.mshrBlock {
+		if b == invalidTag {
+			continue
+		}
+		c.mshrLive[i>>6] |= 1 << (i & 63)
+		c.mshrUsed++
+		c.mshrFilter[c.mshrBucket(b)]++
+		c.mshrMaxDone = max(c.mshrMaxDone, c.mshrDone[i])
+		c.mshrMinDone = min(c.mshrMinDone, c.mshrDone[i])
+	}
 }
 
 // victim picks the LRU way in set and returns its line index.
@@ -557,9 +684,8 @@ func (c *Cache) access(addr, at uint64) uint64 {
 				// sooner.
 				if promoted := promoteRead(c.next, addr, at); promoted < done {
 					done = promoted
-					c.mshrDone[mi] = promoted
 				}
-				c.mshrLow[mi] = false
+				c.promoteMSHR(mi, done)
 			}
 			c.stats.MergeWaitSum += done - at
 		} else {
@@ -699,10 +825,11 @@ func (c *Cache) PromoteRead(addr, at uint64) uint64 {
 	block := addr >> BlockBits
 	if mi, pending := c.pendingFill(block, at); pending {
 		if c.mshrLow[mi] {
-			if promoted := promoteRead(c.next, addr, at); promoted < c.mshrDone[mi] {
-				c.mshrDone[mi] = promoted
+			done := c.mshrDone[mi]
+			if promoted := promoteRead(c.next, addr, at); promoted < done {
+				done = promoted
 			}
-			c.mshrLow[mi] = false
+			c.promoteMSHR(mi, done)
 		}
 		return c.mshrDone[mi]
 	}

@@ -18,18 +18,12 @@ func (c *Cache) SnapshotWalk(w *snap.Walker) {
 	w.Uint64s(c.mshrBlock)
 	w.Uint64s(c.mshrDone)
 	w.Bools(c.mshrLow)
-	// mshrMaxDone is derived (monotone max over committed fills), so it
-	// stays Static and decode recomputes a bound from the occupied slots:
-	// any value >= every occupied slot's completion keeps the pendingFill
-	// fast path exact.
-	w.Static(c.mshrMaxDone)
+	// mshrMaxDone and the MSHR index are derived from the slot arrays, so
+	// they stay Static and decode rebuilds them.
+	w.Static(c.mshrMaxDone, c.mshrLive, c.mshrUsed, c.mshrMinDone,
+		c.mshrFilter, c.mshrShift)
 	if w.Decoding() {
-		c.mshrMaxDone = 0
-		for i, b := range c.mshrBlock {
-			if b != invalidTag && c.mshrDone[i] > c.mshrMaxDone {
-				c.mshrMaxDone = c.mshrDone[i]
-			}
-		}
+		c.rebuildMSHRIndex()
 	}
 	c.stats.SnapshotWalk(w)
 	// wayHint is a pure lookup accelerator: stale or cold hints are

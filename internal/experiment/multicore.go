@@ -45,10 +45,7 @@ func Multicore(x Exec, cores, nMixes int, pool []workload.Workload, b Budget) Mu
 	// Fix every mix's composition up front (deterministic in m, c).
 	mixes := make([][]workload.Workload, nMixes)
 	for m := range mixes {
-		mixes[m] = make([]workload.Workload, cores)
-		for c := 0; c < cores; c++ {
-			mixes[m][c] = pick(pool, m, c)
-		}
+		mixes[m], _ = Mix(pool, cores, m)
 	}
 
 	// Phase 1: isolated IPCs, measured on a single-core machine with the
@@ -115,6 +112,19 @@ func Multicore(x Exec, cores, nMixes int, pool []workload.Workload, b Budget) Mu
 		res.Geomean[s] = stats.GeoMean(res.PerMix[s])
 	}
 	return res
+}
+
+// Mix returns the composition of mix m in a cores-core sweep over pool:
+// each core's workload and trace seed, as Multicore runs them.
+func Mix(pool []workload.Workload, cores, m int) ([]workload.Workload, []uint64) {
+	pool = sortedCopy(pool)
+	ws := make([]workload.Workload, cores)
+	seeds := make([]uint64, cores)
+	for c := range ws {
+		ws[c] = pick(pool, m, c)
+		seeds[c] = mixSeed(m, c)
+	}
+	return ws, seeds
 }
 
 // Figure11 runs the 4-core memory-intensive mixes (paper Figure 11).

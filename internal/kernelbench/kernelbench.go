@@ -1,6 +1,7 @@
 // Package kernelbench defines the micro-benchmarks of the simulator's
 // per-access hot kernels: the PPF filter decide+train cycle, cache read
-// hit/miss servicing, and the SPP trigger path. The bodies live here so
+// hit/miss servicing, prefetch servicing in a saturated hierarchy, and
+// the SPP trigger path. The bodies live here so
 // the same code runs both under `go test -bench` (via the Benchmark*
 // wrappers in the repository root) and under cmd/bench, which executes
 // them with testing.Benchmark and emits BENCH_kernel.json — the perf
@@ -84,6 +85,56 @@ func CacheReadMiss(b *testing.B) {
 	}
 }
 
+// CacheReadMiss256 measures a demand miss into a 256-slot MSHR file,
+// the 4-core LLC's size, with about a quarter of it in flight: each
+// miss completes 256 cycles after it issues and one issues every 4
+// cycles, so the fills of the last 64 misses are outstanding and one
+// expires per access. Unlike cache_read_miss, whose file is always
+// quiescent, every reserve here must find the expired slot.
+func CacheReadMiss256(b *testing.B) {
+	c := cache.MustNew(cache.Config{
+		Name: "bench256", SizeBytes: 512 << 10, Ways: 8, HitLatency: 10, MSHRs: 256,
+	}, fixedLevel{latency: 246})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Read(uint64(i)<<cache.BlockBits, uint64(i)*4)
+	}
+}
+
+// CachePrefetchSaturated measures one prefetch of a fresh block into a
+// saturated hierarchy: an L2 (48 MSHRs) over an LLC (64), both over
+// three-quarters full of fills that do not complete within the run. The
+// L2 has no prefetch headroom and demotes the prefetch; the LLC has none
+// either and squashes it. Most candidates of the unthrottled SPP under
+// PPF take this path.
+func CachePrefetchSaturated(b *testing.B) {
+	llc := cache.MustNew(cache.Config{
+		Name: "llc", SizeBytes: 2 << 20, Ways: 16, HitLatency: 24, MSHRs: 64,
+	}, fixedLevel{latency: 1 << 40})
+	l2 := cache.MustNew(cache.Config{
+		Name: "l2", SizeBytes: 512 << 10, Ways: 8, HitLatency: 10, MSHRs: 48,
+	}, llc)
+	// Prefetches fill the L2 file to its prefetch limit (36 of 48 slots)
+	// and, through the L2's fills and demotions, the LLC file to its own
+	// (48 of 64); four demand misses then take both over it.
+	var addr uint64
+	for i := 0; i < 64; i++ {
+		l2.Prefetch(addr, 0, true, 0)
+		addr += cache.BlockSize
+	}
+	for i := 0; i < 4; i++ {
+		l2.Read(addr, 0)
+		addr += cache.BlockSize
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l2.Prefetch(addr, uint64(i), true, 0)
+		addr += cache.BlockSize
+	}
+}
+
 // SPPTrigger measures the prefetcher trigger path: one L2 demand access
 // through SPP's signature/pattern tables with burst candidate hand-off
 // — the OnDemandBatch path the simulator drives. The accept-all sink
@@ -159,7 +210,7 @@ func PPFDecideBatch(burst int) func(b *testing.B) {
 }
 
 // SimCell describes one end-to-end sim-rate measurement: a fixed
-// single-core workload under a named scheme, optionally forced onto the
+// workload per core under a named scheme, optionally forced onto the
 // legacy +1 cycle loop, optionally requested repeatedly through a run
 // cache, optionally routed through a persistent sim store. These are
 // the rows of BENCH_sim.json.
@@ -168,8 +219,12 @@ type SimCell struct {
 	Name string
 	// Scheme is an experiment scheme name ("none", "spp", "ppf").
 	Scheme string
-	// Workload names the simulated benchmark.
-	Workload string
+	// Workloads names the simulated benchmark of each core; the machine
+	// has one core per name. MemoRuns and StoreMode cells are
+	// single-core.
+	Workloads []string
+	// Seeds holds each core's trace seed; nil means seed 1 on every core.
+	Seeds []uint64
 	// LegacyLoop forces the pre-event-horizon one-cycle-at-a-time loop,
 	// so paired rows isolate the cycle-skipping speedup.
 	LegacyLoop bool
@@ -203,27 +258,38 @@ type SimCellMetrics struct {
 // Figure 9 PPF cell plus SPP and no-prefetch variants, each with the
 // event-horizon and legacy loops, the memoized effective rate for the
 // duplicated-cell case (Figure 10 re-requests every Figure 9 cell),
-// and the persistent-store cold/warm pair bounding the disk cache's
-// write overhead and replay speedup.
+// the persistent-store cold/warm pair bounding the disk cache's write
+// overhead and replay speedup, and the first Figure 11 mix without
+// prefetching, where four cores contend for the shared LLC and DRAM.
 func DefaultSimCells() []SimCell {
-	const wl = "603.bwaves_s"
+	wl := []string{"603.bwaves_s"}
+	mix, mixSeeds := experiment.Mix(workload.SPEC2017MemIntensive(), 4, 0)
 	return []SimCell{
-		{Name: "fig9_ppf_skip", Scheme: "ppf", Workload: wl},
-		{Name: "fig9_ppf_legacy", Scheme: "ppf", Workload: wl, LegacyLoop: true},
-		{Name: "fig9_spp_skip", Scheme: "spp", Workload: wl},
-		{Name: "fig9_spp_legacy", Scheme: "spp", Workload: wl, LegacyLoop: true},
-		{Name: "fig9_none_skip", Scheme: "none", Workload: wl},
-		{Name: "fig9_none_legacy", Scheme: "none", Workload: wl, LegacyLoop: true},
-		{Name: "fig9_ppf_memoized_x2", Scheme: "ppf", Workload: wl, MemoRuns: 2},
-		{Name: "fig9_ppf_coldstore", Scheme: "ppf", Workload: wl, StoreMode: "cold"},
-		{Name: "fig9_ppf_warmstore", Scheme: "ppf", Workload: wl, StoreMode: "warm"},
+		{Name: "fig9_ppf_skip", Scheme: "ppf", Workloads: wl},
+		{Name: "fig9_ppf_legacy", Scheme: "ppf", Workloads: wl, LegacyLoop: true},
+		{Name: "fig9_spp_skip", Scheme: "spp", Workloads: wl},
+		{Name: "fig9_spp_legacy", Scheme: "spp", Workloads: wl, LegacyLoop: true},
+		{Name: "fig9_none_skip", Scheme: "none", Workloads: wl},
+		{Name: "fig9_none_legacy", Scheme: "none", Workloads: wl, LegacyLoop: true},
+		{Name: "fig9_ppf_memoized_x2", Scheme: "ppf", Workloads: wl, MemoRuns: 2},
+		{Name: "fig9_ppf_coldstore", Scheme: "ppf", Workloads: wl, StoreMode: "cold"},
+		{Name: "fig9_ppf_warmstore", Scheme: "ppf", Workloads: wl, StoreMode: "warm"},
+		{Name: "mix4_none_skip", Scheme: "none", Workloads: workload.Names(mix), Seeds: mixSeeds},
 	}
 }
 
+// seed returns core i's trace seed.
+func (c SimCell) seed(i int) uint64 {
+	if c.Seeds == nil {
+		return 1
+	}
+	return c.Seeds[i]
+}
+
 // Run executes the cell at the given budget and returns the simulated
-// instruction count (including warmup — it is simulated work too, and
-// including cached replays for MemoRuns > 1 or a warm store) and the
-// elapsed wall time.
+// instruction count over all cores (including warmup — it is simulated
+// work too, and including cached replays for MemoRuns > 1 or a warm
+// store) and the elapsed wall time.
 func (c SimCell) Run(warmup, detail uint64) (instructions uint64, elapsed time.Duration) {
 	m := c.RunDetailed(warmup, detail)
 	return m.Instructions, m.Elapsed
@@ -233,30 +299,39 @@ func (c SimCell) Run(warmup, detail uint64) (instructions uint64, elapsed time.D
 // full measurement, including persistent-store traffic for StoreMode
 // cells.
 func (c SimCell) RunDetailed(warmup, detail uint64) SimCellMetrics {
-	w := workload.MustByName(c.Workload)
 	scheme := experiment.Scheme(c.Scheme)
 	b := experiment.Budget{Warmup: warmup, Detail: detail}
 	if c.StoreMode != "" {
-		return c.runStore(scheme, w, b)
+		return c.runStore(scheme, workload.MustByName(c.Workloads[0]), b)
 	}
 	if c.MemoRuns > 1 {
+		w := workload.MustByName(c.Workloads[0])
 		x := experiment.Exec{Workers: 1, Cache: experiment.NewRunCache()}
 		var instructions uint64
 		start := time.Now()
 		for i := 0; i < c.MemoRuns; i++ {
-			res := x.RunSingle(sim.DefaultConfig(1), scheme, w, 1, b)
+			res := x.RunSingle(sim.DefaultConfig(1), scheme, w, c.seed(0), b)
 			instructions += warmup + res.PerCore[0].Instructions
 		}
 		return SimCellMetrics{Instructions: instructions, Elapsed: time.Since(start)}
 	}
-	sys, err := sim.NewSystem(sim.DefaultConfig(1), []sim.CoreSetup{experiment.NewSetup(scheme, w, 1)})
+	setups := make([]sim.CoreSetup, len(c.Workloads))
+	for i, name := range c.Workloads {
+		setups[i] = experiment.NewSetup(scheme, workload.MustByName(name), c.seed(i))
+	}
+	sys, err := sim.NewSystem(sim.DefaultConfig(len(setups)), setups)
 	if err != nil {
 		panic(err)
 	}
 	sys.SetLegacyLoop(c.LegacyLoop)
 	start := time.Now()
 	res := sys.Run(b.Warmup, b.Detail)
-	return SimCellMetrics{Instructions: warmup + res.PerCore[0].Instructions, Elapsed: time.Since(start)}
+	elapsed := time.Since(start)
+	var instructions uint64
+	for _, pc := range res.PerCore {
+		instructions += warmup + pc.Instructions
+	}
+	return SimCellMetrics{Instructions: instructions, Elapsed: elapsed}
 }
 
 // runStore measures one invocation against a persistent sim store in a
@@ -278,7 +353,7 @@ func (c SimCell) runStore(scheme experiment.Scheme, w workload.Workload, b exper
 		rc := experiment.NewRunCache()
 		rc.AttachStore(prime)
 		x := experiment.Exec{Workers: 1, Cache: rc}
-		x.RunSingle(sim.DefaultConfig(1), scheme, w, 1, b)
+		x.RunSingle(sim.DefaultConfig(1), scheme, w, c.seed(0), b)
 	}
 	st, err := simstore.Open(dir)
 	if err != nil {
@@ -288,7 +363,7 @@ func (c SimCell) runStore(scheme experiment.Scheme, w workload.Workload, b exper
 	rc.AttachStore(st)
 	x := experiment.Exec{Workers: 1, Cache: rc}
 	start := time.Now()
-	res := x.RunSingle(sim.DefaultConfig(1), scheme, w, 1, b)
+	res := x.RunSingle(sim.DefaultConfig(1), scheme, w, c.seed(0), b)
 	elapsed := time.Since(start)
 	s := st.Stats()
 	return SimCellMetrics{
@@ -307,5 +382,5 @@ func (c SimCell) runStore(scheme experiment.Scheme, w workload.Workload, b exper
 // figure-level number the micro-kernels must ultimately move; it is the
 // "fig9_ppf_skip" row of DefaultSimCells.
 func Fig9CellRate(warmup, detail uint64) (instructions uint64, elapsed time.Duration) {
-	return SimCell{Name: "fig9_cell", Scheme: "ppf", Workload: "603.bwaves_s"}.Run(warmup, detail)
+	return SimCell{Name: "fig9_cell", Scheme: "ppf", Workloads: []string{"603.bwaves_s"}}.Run(warmup, detail)
 }

@@ -25,6 +25,14 @@ type Client struct {
 // Dial connects to a server and leases the session for key. Reconnect
 // with the same key to resume a trained filter; concurrent use of one
 // key fails with ErrSessionBusy.
+//
+// The server frees a lease once it has stopped serving the connection
+// that held it. When the server ends a stream itself, with a typed error
+// frame, it frees the lease before sending the frame, so a reconnect
+// right after that error is accepted. When the client drops the link
+// (Close, or a broken connection), the server notices asynchronously,
+// so a Dial with the same key right after the drop may still fail with
+// ErrSessionBusy; that error is then retryable after a short wait.
 func Dial(addr, key string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -48,7 +56,8 @@ func Dial(addr, key string) (*Client, error) {
 	return c, nil
 }
 
-// Close severs the connection, releasing the session lease server-side.
+// Close severs the connection, releasing the session lease server-side
+// once the server notices (see Dial).
 func (c *Client) Close() error { return c.conn.Close() }
 
 // roundTrip sends one frame and decodes the response header, expecting

@@ -290,8 +290,18 @@ func rawRequest(t *testing.T, addr string, frames ...[]byte) error {
 	}
 }
 
-func TestProtocolErrors(t *testing.T) {
-	_, addr := startServer(t, Config{MaxBatch: 64})
+// protocolErrorCase is a frame sequence the server must answer with a
+// typed error frame. Every hello in it uses the session key "proto".
+type protocolErrorCase struct {
+	name   string
+	frames [][]byte
+	want   error
+}
+
+// protocolErrorCases builds the malformed streams for a server with
+// MaxBatch 64.
+func protocolErrorCases(t *testing.T) []protocolErrorCase {
+	t.Helper()
 	hello, err := encodeHello("proto")
 	if err != nil {
 		t.Fatalf("encode hello: %v", err)
@@ -302,12 +312,7 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	badKind := append([]byte(nil), hello...) // reuse framing, op 0x5A
 	badKind[0] = 0x5A
-
-	cases := []struct {
-		name   string
-		frames [][]byte
-		want   error
-	}{
+	return []protocolErrorCase{
 		{"batch before hello", [][]byte{mustBody(opBatch, nil)}, ErrBadOrder},
 		{"duplicate hello", [][]byte{hello, hello}, ErrBadOrder},
 		{"unknown op", [][]byte{hello, badKind}, ErrBadFrame},
@@ -317,13 +322,81 @@ func TestProtocolErrors(t *testing.T) {
 			w.Len(&n)
 		})}, ErrBadFrame},
 	}
-	for _, tc := range cases {
+}
+
+func TestProtocolErrors(t *testing.T) {
+	_, addr := startServer(t, Config{MaxBatch: 64})
+	for _, tc := range protocolErrorCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			err := rawRequest(t, addr, tc.frames...)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestLeaseFreeAfterErrorFrame pins the close order of a
+// server-initiated close: the lease is released before the error frame
+// is written, so a hello with the same key sent the moment the error
+// frame arrives is accepted, never refused as busy. Connections are
+// net.Pipe halves handed straight to the handler, so no listener or
+// kernel buffer sits between the error frame and the next hello.
+func TestLeaseFreeAfterErrorFrame(t *testing.T) {
+	srv := NewServer(Config{MaxBatch: 64})
+	// connect returns the client half and a channel closed when the
+	// server's handler for it has returned.
+	connect := func() (net.Conn, chan struct{}) {
+		cli, srvConn := net.Pipe()
+		handled := make(chan struct{})
+		go func() {
+			defer close(handled)
+			srv.handle(srvConn)
+		}()
+		return cli, handled
+	}
+	hello, err := encodeHello("proto")
+	if err != nil {
+		t.Fatalf("encode hello: %v", err)
+	}
+	for _, tc := range protocolErrorCases(t) {
+		cli, cliHandled := connect()
+		// net.Pipe writes block until read, and the server stops reading
+		// at the bad frame, so the frames go out from their own goroutine.
+		sent := make(chan struct{})
+		go func(frames [][]byte) {
+			defer close(sent)
+			for _, f := range frames {
+				if writeFrame(cli, f) != nil {
+					return
+				}
+			}
+		}(tc.frames)
+		if err := rawReadError(bufio.NewReader(cli)); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+
+		next, nextHandled := connect()
+		if err := writeFrame(next, hello); err != nil {
+			t.Fatalf("%s: write hello: %v", tc.name, err)
+		}
+		body, err := readFrame(bufio.NewReader(next), DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("%s: read hello reply: %v", tc.name, err)
+		}
+		if body[0] != opOK {
+			w := snap.NewDecoder(body)
+			var op uint8
+			w.Uint8(&op)
+			t.Fatalf("%s: hello right after the error frame: %v", tc.name, decodeError(w, len(body)))
+		}
+		// A client-side close frees the lease only once the server has
+		// noticed it, so wait for both handlers before the next case.
+		next.Close()
+		cli.Close()
+		<-sent
+		<-nextHandled
+		<-cliHandled
 	}
 }
 

@@ -32,6 +32,11 @@ const (
 	DefaultShedTimeout = 2 * time.Second
 )
 
+// errorFrameTimeout bounds each socket write on the way out of a
+// server-initiated close — flushing queued responses, then the error
+// frame — so a peer that stopped reading cannot pin the connection.
+const errorFrameTimeout = 100 * time.Millisecond
+
 // Config parameterizes a Server. The zero value serves DefaultConfig
 // filters with the default bounds.
 type Config struct {
@@ -205,20 +210,51 @@ func (s *Server) handle(conn net.Conn) {
 		s.writeErrorFrame(conn, bw, err)
 		return
 	}
-	defer s.reg.release(key)
-	if err := writeFrame(bw, mustBody(opOK, nil)); err != nil {
-		return
+	var reason error
+	if writeFrame(bw, mustBody(opOK, nil)) == nil && bw.Flush() == nil {
+		reason = s.pipeline(conn, br, bw, sess)
 	}
-	if err := bw.Flush(); err != nil {
-		return
+	// The pipeline's worker has exited, so nothing drives the session:
+	// release the lease, exactly once, and only then tell the client why
+	// the server is closing. A client that reconnects with the same key
+	// as soon as it reads the error frame finds the lease free.
+	s.reg.release(key)
+	if reason != nil {
+		s.writeErrorFrame(conn, nil, reason)
 	}
+}
 
+// pipeline serves an acquired session until the client leaves, the
+// transport fails, the server closes, or the server ends the stream
+// itself (a protocol error or a shed). It returns once the worker and
+// the writer have exited, with the error the client is owed when the
+// server ended the stream, nil otherwise.
+func (s *Server) pipeline(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, sess *engine.Session) error {
 	reqCh := make(chan request, s.cfg.QueueDepth)
 	respCh := make(chan []byte, s.cfg.QueueDepth)
 	done := make(chan struct{})
-	var closeOnce sync.Once
-	kill := func() { closeOnce.Do(func() { close(done); conn.Close() }) }
-	defer kill()
+	var (
+		stopOnce sync.Once
+		reason   error
+	)
+	// stop ends the pipeline, once. A nil cause means the client or the
+	// transport ended it, and closing the connection unblocks every
+	// stage. A server-initiated close keeps the connection open for the
+	// error frame, so deadlines cut the reader's and the writer's
+	// blocking socket calls short instead.
+	stop := func(cause error) {
+		stopOnce.Do(func() {
+			reason = cause
+			close(done)
+			if cause == nil {
+				conn.Close()
+				return
+			}
+			now := time.Now() //ppflint:allow determinism socket deadline, not report data
+			conn.SetReadDeadline(now)
+			conn.SetWriteDeadline(now.Add(errorFrameTimeout))
+		})
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -255,8 +291,7 @@ func (s *Server) handle(conn net.Conn) {
 				// The response queue sat full for the whole patience
 				// window: the client is not draining. Shed it.
 				s.sheds.Add(1)
-				s.writeErrorFrame(conn, nil, ErrOverloaded)
-				kill()
+				stop(ErrOverloaded)
 				return
 			case <-done:
 				return
@@ -269,14 +304,14 @@ func (s *Server) handle(conn net.Conn) {
 		defer wg.Done()
 		for resp := range respCh {
 			if err := writeFrame(bw, resp); err != nil {
-				kill()
+				stop(nil)
 				return
 			}
 			// Flush when the queue runs dry so a pipelining client's
 			// responses coalesce into few syscalls.
 			if len(respCh) == 0 {
 				if err := bw.Flush(); err != nil {
-					kill()
+					stop(nil)
 					return
 				}
 			}
@@ -290,17 +325,19 @@ func (s *Server) handle(conn net.Conn) {
 	for {
 		body, err := readFrame(br, s.cfg.MaxFrame)
 		if err != nil {
+			// An oversized frame is owed its typed error; EOF and
+			// transport failures end the stream silently.
+			var cause error
 			var we *WireError
 			if errors.As(err, &we) {
-				s.writeErrorFrame(conn, nil, we)
+				cause = we
 			}
-			kill()
+			stop(cause)
 			break
 		}
 		req, err := s.parseRequest(body)
 		if err != nil {
-			s.writeErrorFrame(conn, nil, err)
-			kill()
+			stop(err)
 			break
 		}
 		select {
@@ -312,6 +349,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	close(reqCh)
 	wg.Wait()
+	return reason
 }
 
 // readHello enforces the handshake: the first frame must be opHello
@@ -432,7 +470,7 @@ func (s *Server) writeErrorFrame(conn net.Conn, bw *bufio.Writer, err error) {
 		}
 		return
 	}
-	conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond)) //ppflint:allow determinism socket deadline, not report data
+	conn.SetWriteDeadline(time.Now().Add(errorFrameTimeout)) //ppflint:allow determinism socket deadline, not report data
 	writeFrame(conn, body)
 }
 
