@@ -101,16 +101,19 @@ sweep-bench:
 	$(GO) run ./cmd/bench -sweeponly -sweepout BENCH_sweep.json
 
 # fuzz-smoke runs each native fuzz target briefly on top of its
-# committed seed corpus: the ChampSim trace decode path and the
-# snapshot/result codecs. `go test -fuzz` accepts one target per
-# invocation, so the targets run back to back. Longer sessions: raise
-# FUZZTIME or run a single target by hand.
+# committed seed corpus: the ChampSim trace decode path, the
+# snapshot/result codecs, and the ppfd and sweep-fabric frame decoders
+# (server, coordinator and client sides). `go test -fuzz` accepts one
+# target per invocation, so the targets run back to back. Longer
+# sessions: raise FUZZTIME or run a single target by hand.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/tracefile/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdapter$$' -fuzztime $(FUZZTIME) ./internal/tracefile/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeFrame$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzFabricFrame$$' -fuzztime $(FUZZTIME) ./internal/sweepfab/
 
 # profile captures CPU and heap profiles of a representative experiment;
 # inspect with `go tool pprof cpu.pprof`.

@@ -18,12 +18,13 @@ import (
 // == stops matching the moment anyone adds legitimate wrapping upstream.
 //
 // The third rule is the boundary half: a sentinel declared in a package
-// on the wire/snapshot boundary (serve, engine, snap, core, sim) is a
-// promise that the class survives encode/decode, and the only proof is
-// a test asserting errors.Is against it after a round trip. Test files
-// are parsed (not type-checked) by the loader precisely so this rule
-// can see the references; matching is by sentinel name, which is
-// unambiguous while sentinel names stay distinct module-wide.
+// on the wire/snapshot boundary (wire, serve, sweepfab, engine, snap,
+// core, sim) is a promise that the class survives encode/decode, and
+// the only proof is a test asserting errors.Is against it after a round
+// trip. Test files are parsed (not type-checked) by the loader
+// precisely so this rule can see the references; matching is by
+// sentinel name, which is unambiguous while sentinel names stay
+// distinct module-wide.
 var ErrTyped = &Analyzer{
 	Name: "errtyped",
 	Doc: "exported Err* sentinels may only be wrapped with %w (never %v/%s, " +
@@ -36,8 +37,8 @@ var ErrTyped = &Analyzer{
 // errtypedBoundary lists the packages whose sentinels must survive an
 // encode/decode round trip.
 var errtypedBoundary = []string{
-	"internal/serve", "internal/engine", "internal/snap", "internal/core", "internal/sim",
-	"internal/sweepfab",
+	"internal/wire", "internal/serve", "internal/engine", "internal/snap", "internal/core",
+	"internal/sim", "internal/sweepfab",
 }
 
 func runErrTyped(s *Suite, report func(Diagnostic)) {

@@ -87,7 +87,7 @@ func (c errCode) String() string {
 	return "?"
 }
 
-// wireErr mirrors serve.WireError.
+// wireErr mirrors wire.Error.
 type wireErr struct {
 	Code errCode
 	Msg  string

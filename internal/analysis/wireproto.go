@@ -9,20 +9,23 @@ import (
 	"unicode"
 )
 
-// WireProto keeps the serving protocol's op and error-code tables
-// closed under extension. The wire format is a hand-rolled binary
-// protocol: adding a request op means touching the client encoder, the
-// server dispatch switch, and the frame-size bound table — and nothing
-// ties the three together except discipline. An op with no decode half
-// does not fail loudly; it falls into the unknown-op path or, worse,
-// hangs a client waiting for a response class the server never sends.
+// WireProto keeps the wire protocols' op and error-code tables closed
+// under extension. ppfd and the sweep fabric are hand-rolled binary
+// protocols framed by internal/wire: adding a request op means touching
+// the client encoder, the server dispatch switch, and the frame-size
+// bound table — and nothing ties the three together except discipline.
+// An op with no decode half does not fail loudly; it falls into the
+// unknown-op path or, worse, hangs a client waiting for a response
+// class the server never sends.
 // Same for error codes: a code without an exported sentinel cannot be
 // matched with errors.Is across the connection, and a code without a
 // String case renders as a bare number in every log line.
 //
 // The analyzer self-scopes to packages declaring the constants it
-// checks. Every unsigned constant named `op<Upper>` must be used in
-// three roles:
+// checks, and resolves marked helpers across packages, so a protocol
+// package's ops take their roles from the framing package's marked
+// encoder and exchange. Every unsigned constant named `op<Upper>` must
+// be used in three roles, in the package declaring it:
 //
 //   - encode: inside (or as an argument to) a function named encode* or
 //     marked //ppflint:wireencode;
@@ -285,7 +288,7 @@ func checkCode(p *Package, c wireConst, report func(Diagnostic)) {
 }
 
 // hasSentinelFor reports whether a package-level exported Err* var's
-// initializer mentions the code constant (the `&WireError{Code: CodeX}`
+// initializer mentions the code constant (the `&Error{Code: CodeX}`
 // sentinel pattern).
 func hasSentinelFor(p *Package, obj *types.Const) bool {
 	for _, f := range p.Files {

@@ -1,16 +1,15 @@
 package core
 
-// Burst-at-a-time decision kernels. Hardware evaluates all nine feature
+// Burst-at-a-time decision kernel. Hardware evaluates all nine feature
 // tables in one cycle; the software analogue is deciding a whole
 // candidate burst per call so the index hashing, the flat-plane weight
 // loads and the threshold logic amortize across candidates instead of
-// paying full call and dispatch overhead each. The burst kernels are
-// bit-identical to their scalar counterparts by construction — index
+// paying full call and dispatch overhead each. The burst kernel is
+// bit-identical to its scalar counterpart by construction — index
 // rows are pure functions of the inputs (never of the weights), so
 // precomputing the index matrix up front and then applying the
 // decide/record sequence in order reproduces the scalar interleaving
-// exactly. TestDecideBatchMatchesSequential and
-// TestFilterBatchMatchesSequential pin this.
+// exactly. TestFilterBatchMatchesSequential pins this.
 
 // batchChunk is the height of the filter-resident index matrix: bursts
 // longer than this are processed in chunks so the scratch stays a small
@@ -67,36 +66,6 @@ func computeRowDefault(in *FeatureInput, row *indexVec) {
 	row[6] = uint16(mix(in.PC^uint64(in.Depth)<<5) & (tableSmall - 1))
 	row[7] = uint16(mix(in.PC^dc<<3) & (tableSmall - 1))
 	row[8] = uint16(mix(conf) & (tableConf - 1))
-}
-
-// DecideBatch scores a burst of candidates, writing one verdict per
-// input into out (len(out) must be >= len(ins)). Decisions, counters
-// and filter state are bit-identical to calling Decide once per input
-// in order: Decide does not train, so every index row and sum in the
-// burst is independent of the others. Callers follow up per candidate
-// with RecordIssue/RecordReject/RecordSquashed exactly as for the
-// scalar path; the scratch memo is left holding the final candidate, so
-// the common decide-then-record tail pays no re-hash.
-//
-//ppflint:hotpath
-func (f *Filter) DecideBatch(ins []FeatureInput, out []Decision) {
-	for len(ins) > 0 {
-		n := len(ins)
-		if n > batchChunk {
-			n = batchChunk
-		}
-		for j := 0; j < n; j++ {
-			f.computeRow(&ins[j], &f.mat[j])
-		}
-		for j := 0; j < n; j++ {
-			out[j] = f.decideSum(f.sumIndexed(&f.mat[j]))
-		}
-		f.scratchFor = ins[n-1]
-		f.scratchIdx = f.mat[n-1]
-		f.scratchValid = true
-		ins = ins[n:]
-		out = out[n:]
-	}
 }
 
 // FilterBatch is the one-shot burst path: decide and record every

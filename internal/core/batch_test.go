@@ -70,57 +70,6 @@ func warmFilters(rng *rand.Rand, fs ...*Filter) {
 	}
 }
 
-// TestDecideBatchMatchesSequential pins the batch decide kernel to the
-// scalar path: for every config and burst length (including bursts
-// crossing the BatchChunk boundary), DecideBatch must return the exact
-// decisions Decide returns in order, and after identical record
-// follow-ups both filters must serialize to identical snapshot bytes.
-func TestDecideBatchMatchesSequential(t *testing.T) {
-	for _, tc := range batchEquivalenceConfigs() {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			fb, fs := New(tc.cfg), New(tc.cfg)
-			warmFilters(rng, fb, fs)
-			for round, n := range []int{1, 2, 3, BatchChunk - 1, BatchChunk, BatchChunk + 1, 3 * BatchChunk, 40} {
-				ins := make([]FeatureInput, n)
-				for i := range ins {
-					ins[i] = randInput(rng)
-				}
-				got := make([]Decision, n)
-				fb.DecideBatch(ins, got)
-				for i := range ins {
-					want := fs.Decide(&ins[i])
-					if got[i] != want {
-						t.Fatalf("round %d: decision[%d] = %v, scalar %v", round, i, got[i], want)
-					}
-					// Identical record tails on both filters, as the
-					// engine and simulator issue them.
-					if got[i] == Drop {
-						fb.RecordReject(&ins[i])
-						fs.RecordReject(&ins[i])
-					} else {
-						fb.RecordIssue(&ins[i], got[i])
-						fs.RecordIssue(&ins[i], got[i])
-					}
-				}
-				// Interleave demand/evict traffic so later bursts see
-				// trained-weight divergence if any exists.
-				probe := randInput(rng)
-				fb.OnDemand(probe.Addr)
-				fs.OnDemand(probe.Addr)
-				fb.OnEvict(probe.Addr, round%2 == 0)
-				fs.OnEvict(probe.Addr, round%2 == 0)
-				if b, s := snapshotBytes(t, fb), snapshotBytes(t, fs); string(b) != string(s) {
-					t.Fatalf("round %d (burst %d): batch and scalar snapshots diverge", round, n)
-				}
-			}
-			if fb.Stats() != fs.Stats() {
-				t.Fatalf("stats diverge: batch %+v scalar %+v", fb.Stats(), fs.Stats())
-			}
-		})
-	}
-}
-
 // TestFilterBatchMatchesSequential pins the one-shot burst path, which
 // trains mid-burst through the record tables: every chunked burst must
 // leave the filter in exactly the state the scalar Filter loop produces,
@@ -166,7 +115,7 @@ func TestFilterBatchMatchesSequential(t *testing.T) {
 // TestFeatureRawMatchesIndex checks the devirtualized kind switch
 // against the closure it replaces: for every spec in the candidate pool
 // and the default set, featureRaw(kind, in) must equal Index(in) on
-// arbitrary inputs — the burst kernels index the same weight slots the
+// arbitrary inputs — the burst kernel indexes the same weight slots the
 // scalar closures would.
 func TestFeatureRawMatchesIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

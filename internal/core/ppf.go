@@ -229,11 +229,11 @@ type Filter struct {
 	scratchFor   FeatureInput
 	scratchValid bool
 
-	// mat is the index matrix the burst kernels fill: one row of
+	// mat is the index matrix the burst kernel fills: one row of
 	// feature-table indices per candidate in the current chunk. It is
-	// filter-resident scratch, not state — DecideBatch/FilterBatch
-	// overwrite it every chunk — so it never escapes per burst and is
-	// parked in Static by SnapshotWalk.
+	// filter-resident scratch, not state — FilterBatch overwrites it
+	// every chunk — so it never escapes per burst and is parked in
+	// Static by SnapshotWalk.
 	mat [batchChunk]indexVec
 
 	// OnTrainEvent, when non-nil, observes every training example: the
@@ -532,7 +532,7 @@ func (f *Filter) Decide(in *FeatureInput) Decision {
 }
 
 // decideSum thresholds one perceptron sum and accounts the inference —
-// the verdict logic shared by the scalar Decide and the burst kernels.
+// the verdict logic shared by the scalar Decide and the burst kernel.
 //
 //ppflint:hotpath
 func (f *Filter) decideSum(sum int) Decision {
@@ -570,7 +570,7 @@ func (f *Filter) RecordIssue(in *FeatureInput, d Decision) {
 }
 
 // recordIssueRow is RecordIssue over a precomputed index row — the form
-// the burst kernels call after filling the index matrix. The index row
+// the burst kernel calls after filling the index matrix. The index row
 // is a pure function of the input, so taking it ready-made cannot
 // change which entry trains or what is stored.
 //

@@ -66,10 +66,11 @@ type Emit func(Candidate) (accepted bool)
 type BatchSink func(cands []Candidate, accepted []bool)
 
 // BatchProducer is implemented by prefetchers that can hand candidates
-// to the sink a burst at a time, amortizing per-candidate call overhead
-// across the batch decide path (core.Filter.DecideBatch). The candidate
-// stream and all post-call prefetcher state are bit-identical to
-// OnDemand with a per-candidate Emit: producers size bursts so their
+// to the sink a burst at a time, amortizing the producer's per-candidate
+// call overhead across the burst; the simulator's sink still decides
+// each candidate in order (sim.Core.sinkBurst). The candidate stream
+// and all post-call prefetcher state are bit-identical to OnDemand with
+// a per-candidate Emit: producers size bursts so their
 // per-trigger caps can only bind at a burst boundary, and production
 // between bursts never depends on acceptance feedback.
 type BatchProducer interface {

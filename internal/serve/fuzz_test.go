@@ -1,0 +1,96 @@
+package serve
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"io"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/wire"
+)
+
+// FuzzServeFrame feeds one arbitrary frame body to every decoder ppfd
+// runs on untrusted bytes: the server's hello and request parsing, and
+// the client's response decoding behind each call. Nothing may panic,
+// and since the frame is complete, every error must carry a wire class.
+func FuzzServeFrame(f *testing.F) {
+	const maxBatch = 64
+	srv := NewServer(Config{MaxBatch: maxBatch})
+	sess := engine.New(srv.cfg.Filter)
+	sess.ApplyBatch(syntheticEvents(2, 64), nil)
+	seeds := [][]byte{
+		encodeHello("seed"),
+		encodeBatch(syntheticEvents(1, 4)),
+		wire.Body(opStats, nil),
+		wire.Body(opSnapshot, nil),
+		wire.Body(opReset, nil),
+		wire.Body(opOK, nil),
+		encodeDecisions([]core.Decision{core.FillL2, core.FillLLC, core.Drop}),
+		srv.execute(sess, &request{op: opStats}, nil),
+		encodeSnapRep([]byte("blob")),
+		// The wire contract's edge frames.
+		{},
+		{opStats, 0},
+		make([]byte, boundFor(opBatch, DefaultMaxFrame, maxBatch)+1),
+		append([]byte{opHello}, make([]byte, boundFor(opHello, DefaultMaxFrame, maxBatch))...),
+		rawErrorBody(0),
+		rawErrorBody(0xFE),
+	}
+	for _, err := range wireClasses {
+		seeds = append(seeds, wire.ErrorBody(err, wire.CodeInternal))
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	calls := map[string]func(c *Client) error{
+		"decide":   func(c *Client) error { _, err := c.Decide(nil); return err },
+		"stats":    func(c *Client) error { _, err := c.Stats(); return err },
+		"snapshot": func(c *Client) error { _, err := c.Snapshot(); return err },
+		"reset":    func(c *Client) error { return c.Reset() },
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var framed bytes.Buffer
+		wire.WriteFrame(&framed, body)
+		frame := framed.Bytes()
+		reader := func() *bufio.Reader { return bufio.NewReader(bytes.NewReader(frame)) }
+
+		if _, err := srv.readHello(reader()); err != nil {
+			requireWireClass(t, "hello", err)
+		}
+		req, err := wire.ReadRequest(reader(), srv.cfg.MaxFrame, srv.bound)
+		if err == nil {
+			_, err = srv.parseRequest(req)
+		}
+		if err != nil {
+			requireWireClass(t, "request", err)
+		}
+		for name, call := range calls {
+			rw := struct {
+				io.Reader
+				io.Writer
+			}{bytes.NewReader(frame), io.Discard}
+			c := &Client{wc: wire.NewConn(rw, DefaultMaxFrame, responseBound)}
+			if err := call(c); err != nil {
+				requireWireClass(t, name, err)
+			}
+		}
+	})
+}
+
+// wireClasses lists every wire sentinel.
+var wireClasses = []error{wire.ErrBadFrame, wire.ErrBadOrder, wire.ErrSessionBusy,
+	wire.ErrOverloaded, wire.ErrTooLarge, wire.ErrInternal, wire.ErrBadLease}
+
+// requireWireClass fails the test unless err matches a wire sentinel.
+func requireWireClass(t *testing.T, what string, err error) {
+	t.Helper()
+	for _, class := range wireClasses {
+		if errors.Is(err, class) {
+			return
+		}
+	}
+	t.Fatalf("%s: error %v carries no wire class", what, err)
+}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/wire"
 )
 
 // stripeCount shards the session registry so concurrent connects and
@@ -50,7 +51,7 @@ func (r *registry) stripeFor(key string) *stripe {
 }
 
 // acquire leases the session for key, creating it on first sight.
-// A key already leased to a live connection fails with ErrSessionBusy:
+// A key already leased to a live connection fails with wire.ErrSessionBusy:
 // sessions are single-goroutine by design, so two connections may never
 // drive one concurrently.
 func (r *registry) acquire(key string, cfg core.Config) (*engine.Session, error) {
@@ -66,7 +67,7 @@ func (r *registry) acquire(key string, cfg core.Config) (*engine.Session, error)
 		st.sessions[key] = l
 	}
 	if l.inUse {
-		return nil, ErrSessionBusy
+		return nil, wire.ErrSessionBusy
 	}
 	l.inUse = true
 	return l.sess, nil

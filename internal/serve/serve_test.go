@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/snap"
+	"repro/internal/wire"
 )
 
 // startServer runs a server on an ephemeral loopback port and returns
@@ -122,7 +124,7 @@ func TestSessionReattach(t *testing.T) {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, ErrSessionBusy) || time.Now().After(deadline) { //ppflint:allow determinism test retry deadline
+		if !errors.Is(err, wire.ErrSessionBusy) || time.Now().After(deadline) { //ppflint:allow determinism test retry deadline
 			t.Fatalf("re-dial: %v", err)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -161,7 +163,7 @@ func TestSessionBusy(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	if _, err := Dial(addr, "contended"); !errors.Is(err, ErrSessionBusy) {
+	if _, err := Dial(addr, "contended"); !errors.Is(err, wire.ErrSessionBusy) {
 		t.Fatalf("second dial err = %v, want ErrSessionBusy", err)
 	}
 }
@@ -188,7 +190,7 @@ func TestConnectionChurn(t *testing.T) {
 				key := fmt.Sprintf("churn-%d", (w+it)%keys)
 				c, err := Dial(addr, key)
 				if err != nil {
-					if errors.Is(err, ErrSessionBusy) {
+					if errors.Is(err, wire.ErrSessionBusy) {
 						continue // legal: another worker holds the lease
 					}
 					errCh <- fmt.Errorf("worker %d iter %d dial: %w", w, it, err)
@@ -234,24 +236,14 @@ func TestSlowClientShed(t *testing.T) {
 		srv.handle(srvConn)
 	}()
 
-	hello, err := encodeHello("slow")
-	if err != nil {
-		t.Fatalf("encode hello: %v", err)
-	}
-	if err := writeFrame(cli, hello); err != nil {
-		t.Fatalf("write hello: %v", err)
-	}
 	// Read only the hello ack, then flood batches and never read again.
-	br := bufio.NewReader(cli)
-	if _, err := readFrame(br, DefaultMaxFrame); err != nil {
-		t.Fatalf("read hello ack: %v", err)
+	wc := wire.NewConn(cli, DefaultMaxFrame, responseBound)
+	if _, err := wc.Exchange(encodeHello("slow"), opOK); err != nil {
+		t.Fatalf("hello: %v", err)
 	}
-	batch, err := encodeBatch(syntheticEvents(1, 256))
-	if err != nil {
-		t.Fatalf("encode batch: %v", err)
-	}
+	batch := encodeBatch(syntheticEvents(1, 256))
 	for i := 0; i < 64; i++ {
-		if err := writeFrame(cli, batch); err != nil {
+		if err := wire.WriteFrame(cli, batch); err != nil {
 			break // server severed us: expected under shed
 		}
 	}
@@ -269,25 +261,12 @@ func rawRequest(t *testing.T, addr string, frames ...[]byte) error {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	br := bufio.NewReader(conn)
 	for i, f := range frames {
-		if err := writeFrame(conn, f); err != nil {
+		if err := wire.WriteFrame(conn, f); err != nil {
 			t.Fatalf("write frame %d: %v", i, err)
 		}
 	}
-	// Drain until the error (or EOF).
-	for {
-		body, err := readFrame(br, DefaultMaxFrame)
-		if err != nil {
-			return err
-		}
-		w := snap.NewDecoder(body)
-		var op uint8
-		w.Uint8(&op)
-		if op == opErr {
-			return decodeError(w, len(body))
-		}
-	}
+	return rawReadError(conn)
 }
 
 // protocolErrorCase is a frame sequence the server must answer with a
@@ -302,25 +281,16 @@ type protocolErrorCase struct {
 // MaxBatch 64.
 func protocolErrorCases(t *testing.T) []protocolErrorCase {
 	t.Helper()
-	hello, err := encodeHello("proto")
-	if err != nil {
-		t.Fatalf("encode hello: %v", err)
-	}
-	bigBatch, err := encodeBatch(syntheticEvents(3, 65))
-	if err != nil {
-		t.Fatalf("encode batch: %v", err)
-	}
+	hello := encodeHello("proto")
+	bigBatch := encodeBatch(syntheticEvents(3, 65))
 	badKind := append([]byte(nil), hello...) // reuse framing, op 0x5A
 	badKind[0] = 0x5A
 	return []protocolErrorCase{
-		{"batch before hello", [][]byte{mustBody(opBatch, nil)}, ErrBadOrder},
-		{"duplicate hello", [][]byte{hello, hello}, ErrBadOrder},
-		{"unknown op", [][]byte{hello, badKind}, ErrBadFrame},
-		{"oversized batch", [][]byte{hello, bigBatch}, ErrTooLarge},
-		{"empty key", [][]byte{mustBody(opHello, func(w *snap.Walker) {
-			n := 0
-			w.Len(&n)
-		})}, ErrBadFrame},
+		{"batch before hello", [][]byte{wire.Body(opBatch, nil)}, wire.ErrBadOrder},
+		{"duplicate hello", [][]byte{hello, hello}, wire.ErrBadOrder},
+		{"unknown op", [][]byte{hello, badKind}, wire.ErrBadFrame},
+		{"oversized batch", [][]byte{hello, bigBatch}, wire.ErrTooLarge},
+		{"empty key", [][]byte{encodeHello("")}, wire.ErrBadFrame},
 	}
 }
 
@@ -355,10 +325,7 @@ func TestLeaseFreeAfterErrorFrame(t *testing.T) {
 		}()
 		return cli, handled
 	}
-	hello, err := encodeHello("proto")
-	if err != nil {
-		t.Fatalf("encode hello: %v", err)
-	}
+	hello := encodeHello("proto")
 	for _, tc := range protocolErrorCases(t) {
 		cli, cliHandled := connect()
 		// net.Pipe writes block until read, and the server stops reading
@@ -367,28 +334,19 @@ func TestLeaseFreeAfterErrorFrame(t *testing.T) {
 		go func(frames [][]byte) {
 			defer close(sent)
 			for _, f := range frames {
-				if writeFrame(cli, f) != nil {
+				if wire.WriteFrame(cli, f) != nil {
 					return
 				}
 			}
 		}(tc.frames)
-		if err := rawReadError(bufio.NewReader(cli)); !errors.Is(err, tc.want) {
+		if err := rawReadError(cli); !errors.Is(err, tc.want) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 
 		next, nextHandled := connect()
-		if err := writeFrame(next, hello); err != nil {
-			t.Fatalf("%s: write hello: %v", tc.name, err)
-		}
-		body, err := readFrame(bufio.NewReader(next), DefaultMaxFrame)
-		if err != nil {
-			t.Fatalf("%s: read hello reply: %v", tc.name, err)
-		}
-		if body[0] != opOK {
-			w := snap.NewDecoder(body)
-			var op uint8
-			w.Uint8(&op)
-			t.Fatalf("%s: hello right after the error frame: %v", tc.name, decodeError(w, len(body)))
+		wc := wire.NewConn(next, DefaultMaxFrame, responseBound)
+		if _, err := wc.Exchange(hello, opOK); err != nil {
+			t.Fatalf("%s: hello right after the error frame: %v", tc.name, err)
 		}
 		// A client-side close frees the lease only once the server has
 		// noticed it, so wait for both handlers before the next case.
@@ -414,25 +372,19 @@ func TestOversizedFrameRejected(t *testing.T) {
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	br := bufio.NewReader(conn)
-	err = rawReadError(br)
-	if !errors.Is(err, ErrTooLarge) {
+	err = rawReadError(conn)
+	if !errors.Is(err, wire.ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
 
-// rawReadError reads frames until an opErr or transport error.
-func rawReadError(br *bufio.Reader) error {
+// rawReadError reads response frames until an error frame or a
+// transport error, and returns that error.
+func rawReadError(rw io.ReadWriter) error {
+	wc := wire.NewConn(rw, DefaultMaxFrame, responseBound)
 	for {
-		body, err := readFrame(br, DefaultMaxFrame)
-		if err != nil {
+		if _, err := wc.Recv(opOK, opDecisions, opStatsRep, opSnapRep); err != nil {
 			return err
-		}
-		w := snap.NewDecoder(body)
-		var op uint8
-		w.Uint8(&op)
-		if op == opErr {
-			return decodeError(w, len(body))
 		}
 	}
 }
@@ -442,76 +394,84 @@ func rawReadError(br *bufio.Reader) error {
 // undefined Decision (the ParseDecision satellite, exercised at the
 // client's decode boundary).
 func TestDecisionValidationOnClientDecode(t *testing.T) {
-	body, err := encodeDecisions([]core.Decision{core.FillL2, core.FillLLC})
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	body := encodeDecisions([]core.Decision{core.FillL2, core.FillLLC})
 	body[len(body)-1] = 0x66 // corrupt the last decision byte
-	w := snap.NewDecoder(body)
-	var op uint8
-	w.Uint8(&op)
-	if _, err := decodeDecisions(w, len(body)); !errors.Is(err, core.ErrBadDecision) {
+	var buf bytes.Buffer
+	wire.WriteFrame(&buf, body)
+	wc := wire.NewConn(&buf, DefaultMaxFrame, responseBound)
+	f, err := wc.Recv(opDecisions)
+	if err != nil {
+		t.Fatalf("recv: %v", err)
+	}
+	if _, err := decodeDecisions(f); !errors.Is(err, core.ErrBadDecision) {
 		t.Fatalf("err = %v, want core.ErrBadDecision", err)
 	}
 }
 
-// TestWireErrorRoundTrip pins the typed-error codec.
+// errorOverPipe writes err through the server's error-frame path and
+// reads it back as the client does. buffered picks the handshake path
+// (through the connection's buffered writer) over the pipeline's
+// (straight to the socket under a deadline).
+func errorOverPipe(err error, buffered bool) error {
+	srv := NewServer(Config{})
+	cli, srvConn := net.Pipe()
+	defer cli.Close()
+	go func() {
+		defer srvConn.Close()
+		var bw *bufio.Writer
+		if buffered {
+			bw = bufio.NewWriter(srvConn)
+		}
+		srv.writeErrorFrame(srvConn, bw, err)
+	}()
+	return rawReadError(cli)
+}
+
+// TestWireErrorRoundTrip pins the error frame as ppfd writes and reads
+// it: every class the server sends reaches the client with its code and
+// message on both write paths, and a failure with no wire class arrives
+// as ErrInternal carrying its text.
 func TestWireErrorRoundTrip(t *testing.T) {
-	for code := ErrorCode(1); code < codeCount; code++ {
-		in := &WireError{Code: code, Msg: "details"}
-		body := encodeError(in)
-		w := snap.NewDecoder(body)
-		var op uint8
-		w.Uint8(&op)
-		if op != opErr {
-			t.Fatalf("op = 0x%02x, want opErr", op)
-		}
-		err := decodeError(w, len(body))
-		var out *WireError
-		if !errors.As(err, &out) || out.Code != code || out.Msg != "details" {
-			t.Fatalf("round trip of %v gave %v", in, err)
-		}
-		if !errors.Is(err, &WireError{Code: code}) {
-			t.Fatalf("errors.Is failed for code %v", code)
+	codes := []wire.Code{wire.CodeBadFrame, wire.CodeBadOrder, wire.CodeSessionBusy,
+		wire.CodeOverloaded, wire.CodeTooLarge, wire.CodeInternal}
+	for _, code := range codes {
+		for _, buffered := range []bool{true, false} {
+			err := errorOverPipe(&wire.Error{Code: code, Msg: "details"}, buffered)
+			var out *wire.Error
+			if !errors.As(err, &out) || out.Code != code || out.Msg != "details" {
+				t.Fatalf("code %v (buffered %v) came back as %v", code, buffered, err)
+			}
 		}
 	}
-	if _, err := parseErrorCode(0); err == nil {
-		t.Fatal("parseErrorCode(0) accepted the zero code")
-	}
-	if _, err := parseErrorCode(uint8(codeCount)); err == nil {
-		t.Fatal("parseErrorCode(codeCount) accepted an out-of-range code")
+	err := errorOverPipe(errors.New("disk on fire"), false)
+	var out *wire.Error
+	if !errors.Is(err, wire.ErrInternal) || !errors.As(err, &out) || out.Msg != "disk on fire" {
+		t.Fatalf("untyped failure came back as %v, want ErrInternal with its text", err)
 	}
 }
 
-// TestSentinelCodesSurviveWire pins each exported sentinel to its wire
-// code: encode the sentinel into an opErr frame, decode it back, and
-// the result must still satisfy errors.Is against the same sentinel —
-// the failure class survives the connection regardless of which side
-// produced it.
+// TestSentinelCodesSurviveWire pins each sentinel ppfd sends to its wire
+// code: the server writes the sentinel into an error frame, the client
+// decodes it, and the result must still satisfy errors.Is against the
+// same sentinel — the failure class survives the connection regardless
+// of which side produced it.
 func TestSentinelCodesSurviveWire(t *testing.T) {
-	overWire := func(we *WireError) error {
-		body := encodeError(we)
-		w := snap.NewDecoder(body)
-		var op uint8
-		w.Uint8(&op)
-		return decodeError(w, len(body))
-	}
-	if err := overWire(ErrBadFrame); !errors.Is(err, ErrBadFrame) {
+	if err := errorOverPipe(wire.ErrBadFrame, false); !errors.Is(err, wire.ErrBadFrame) {
 		t.Errorf("ErrBadFrame lost its class over the wire: %v", err)
 	}
-	if err := overWire(ErrBadOrder); !errors.Is(err, ErrBadOrder) {
+	if err := errorOverPipe(wire.ErrBadOrder, false); !errors.Is(err, wire.ErrBadOrder) {
 		t.Errorf("ErrBadOrder lost its class over the wire: %v", err)
 	}
-	if err := overWire(ErrSessionBusy); !errors.Is(err, ErrSessionBusy) {
+	if err := errorOverPipe(wire.ErrSessionBusy, false); !errors.Is(err, wire.ErrSessionBusy) {
 		t.Errorf("ErrSessionBusy lost its class over the wire: %v", err)
 	}
-	if err := overWire(ErrOverloaded); !errors.Is(err, ErrOverloaded) {
+	if err := errorOverPipe(wire.ErrOverloaded, false); !errors.Is(err, wire.ErrOverloaded) {
 		t.Errorf("ErrOverloaded lost its class over the wire: %v", err)
 	}
-	if err := overWire(ErrTooLarge); !errors.Is(err, ErrTooLarge) {
+	if err := errorOverPipe(wire.ErrTooLarge, false); !errors.Is(err, wire.ErrTooLarge) {
 		t.Errorf("ErrTooLarge lost its class over the wire: %v", err)
 	}
-	if err := overWire(ErrInternal); !errors.Is(err, ErrInternal) {
+	if err := errorOverPipe(wire.ErrInternal, false); !errors.Is(err, wire.ErrInternal) {
 		t.Errorf("ErrInternal lost its class over the wire: %v", err)
 	}
 }
@@ -530,8 +490,8 @@ func TestWireSizeConstants(t *testing.T) {
 		}
 		return len(b)
 	}
-	if got := measure("Len", func(w *snap.Walker) { n := 0; w.Len(&n) }); got != lenFieldSize {
-		t.Errorf("Len field encodes to %d bytes, lenFieldSize = %d", got, lenFieldSize)
+	if got := measure("Len", func(w *snap.Walker) { n := 0; w.Len(&n) }); got != wire.LenSize {
+		t.Errorf("Len field encodes to %d bytes, wire.LenSize = %d", got, wire.LenSize)
 	}
 	ev := syntheticEvents(1, 1)[0]
 	if got := measure("Event", ev.SnapshotWalk); got != eventWireSize {
@@ -547,7 +507,7 @@ func TestWireSizeConstants(t *testing.T) {
 	}
 	// Every op must fit its bound into the default frame cap, or the
 	// server would shed frames its own bounds call legal.
-	for _, op := range []uint8{opHello, opBatch, opStats, opSnapshot, opReset, opOK, opDecisions, opStatsRep, opSnapRep, opErr} {
+	for _, op := range []uint8{opHello, opBatch, opStats, opSnapshot, opReset, opOK, opDecisions, opStatsRep, opSnapRep} {
 		if b := boundFor(op, DefaultMaxFrame, DefaultMaxBatch); b > DefaultMaxFrame {
 			t.Errorf("op 0x%02x bound %d exceeds DefaultMaxFrame %d", op, b, DefaultMaxFrame)
 		}

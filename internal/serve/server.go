@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/snap"
+	"repro/internal/wire"
 )
 
 // Defaults for Config zero values.
@@ -78,7 +78,7 @@ func (c Config) withDefaults() Config {
 // (TCP backpressure) when the worker falls behind; the worker drives
 // the session single-threaded; the writer drains responses to the
 // socket. A client that stops draining responses is shed after
-// ShedTimeout with ErrOverloaded rather than pinning server memory.
+// ShedTimeout with wire.ErrOverloaded rather than pinning server memory.
 type Server struct {
 	cfg Config
 	reg registry
@@ -211,7 +211,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	var reason error
-	if writeFrame(bw, mustBody(opOK, nil)) == nil && bw.Flush() == nil {
+	if wire.Send(bw, wire.Body(opOK, nil)) == nil {
 		reason = s.pipeline(conn, br, bw, sess)
 	}
 	// The pipeline's worker has exited, so nothing drives the session:
@@ -291,7 +291,7 @@ func (s *Server) pipeline(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ses
 				// The response queue sat full for the whole patience
 				// window: the client is not draining. Shed it.
 				s.sheds.Add(1)
-				stop(ErrOverloaded)
+				stop(wire.ErrOverloaded)
 				return
 			case <-done:
 				return
@@ -303,7 +303,7 @@ func (s *Server) pipeline(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ses
 	go func() {
 		defer wg.Done()
 		for resp := range respCh {
-			if err := writeFrame(bw, resp); err != nil {
+			if err := wire.WriteFrame(bw, resp); err != nil {
 				stop(nil)
 				return
 			}
@@ -323,20 +323,18 @@ func (s *Server) pipeline(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ses
 	// it stops the TCP read loop, which is the backpressure signal to a
 	// client outrunning its worker.
 	for {
-		body, err := readFrame(br, s.cfg.MaxFrame)
-		if err != nil {
-			// An oversized frame is owed its typed error; EOF and
-			// transport failures end the stream silently.
-			var cause error
-			var we *WireError
-			if errors.As(err, &we) {
-				cause = we
-			}
-			stop(cause)
-			break
+		f, err := wire.ReadRequest(br, s.cfg.MaxFrame, s.bound)
+		var req request
+		if err == nil {
+			req, err = s.parseRequest(f)
 		}
-		req, err := s.parseRequest(body)
 		if err != nil {
+			// A malformed or oversized frame is owed its typed error; EOF
+			// and transport failures end the stream silently.
+			var we *wire.Error
+			if !errors.As(err, &we) {
+				err = nil
+			}
 			stop(err)
 			break
 		}
@@ -352,65 +350,49 @@ func (s *Server) pipeline(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, ses
 	return reason
 }
 
+// bound is the server's frame-size table: boundFor at the configured
+// caps.
+func (s *Server) bound(op uint8) int { return boundFor(op, s.cfg.MaxFrame, s.cfg.MaxBatch) }
+
 // readHello enforces the handshake: the first frame must be opHello
 // with a non-empty key.
 func (s *Server) readHello(br *bufio.Reader) (string, error) {
-	body, err := readFrame(br, s.cfg.MaxFrame)
+	f, err := wire.ReadHello(br, s.cfg.MaxFrame, opHello, s.bound)
 	if err != nil {
 		return "", err
 	}
-	w := snap.NewDecoder(body)
-	var op uint8
-	w.Uint8(&op)
-	if w.Err() != nil || op != opHello {
-		return "", ErrBadOrder
-	}
-	if b := boundFor(op, s.cfg.MaxFrame, s.cfg.MaxBatch); len(body) > b {
-		return "", fmt.Errorf("%w: hello frame of %d bytes exceeds bound %d", ErrTooLarge, len(body), b)
-	}
-	key, err := decodeBytesField(w, len(body))
+	key, err := wire.ReadBytes(f.W, f.Len)
 	if err != nil {
 		return "", err
 	}
-	if err := w.Finish(); err != nil {
-		return "", fmt.Errorf("%w: %w", ErrBadFrame, err)
+	if err := wire.Finish(f.W); err != nil {
+		return "", err
 	}
 	if len(key) == 0 {
-		return "", fmt.Errorf("%w: empty session key", ErrBadFrame)
+		return "", fmt.Errorf("%w: empty session key", wire.ErrBadFrame)
 	}
 	return string(key), nil
 }
 
-// parseRequest decodes one post-hello frame.
-func (s *Server) parseRequest(body []byte) (request, error) {
-	w := snap.NewDecoder(body)
-	var op uint8
-	w.Uint8(&op)
-	if err := w.Err(); err != nil {
-		return request{}, fmt.Errorf("%w: %w", ErrBadFrame, err)
-	}
-	// Reject oversized frames against the per-op bound table before any
-	// payload decoding: the batch decoder caps its own counts, but the
-	// bound check makes the limit structural for every op at once.
-	if b := boundFor(op, s.cfg.MaxFrame, s.cfg.MaxBatch); len(body) > b {
-		return request{}, fmt.Errorf("%w: op 0x%02x frame of %d bytes exceeds bound %d", ErrTooLarge, op, len(body), b)
-	}
-	switch op {
+// parseRequest decodes one post-hello frame, already held to its op's
+// bound.
+func (s *Server) parseRequest(f wire.Frame) (request, error) {
+	switch f.Op {
 	case opBatch:
-		events, err := decodeBatch(w, s.cfg.MaxBatch)
+		events, err := decodeBatch(f.W, s.cfg.MaxBatch)
 		if err != nil {
 			return request{}, err
 		}
-		return request{op: op, events: events}, nil
+		return request{op: f.Op, events: events}, nil
 	case opStats, opSnapshot, opReset:
-		if err := w.Finish(); err != nil {
-			return request{}, fmt.Errorf("%w: %w", ErrBadFrame, err)
+		if err := wire.Finish(f.W); err != nil {
+			return request{}, err
 		}
-		return request{op: op}, nil
+		return request{op: f.Op}, nil
 	case opHello:
-		return request{}, fmt.Errorf("%w: duplicate hello", ErrBadOrder)
+		return request{}, fmt.Errorf("%w: duplicate hello", wire.ErrBadOrder)
 	default:
-		return request{}, fmt.Errorf("%w: unknown op 0x%02x", ErrBadFrame, op)
+		return request{}, fmt.Errorf("%w: unknown op 0x%02x", wire.ErrBadFrame, f.Op)
 	}
 }
 
@@ -419,37 +401,21 @@ func (s *Server) parseRequest(body []byte) (request, error) {
 func (s *Server) execute(sess *engine.Session, req *request, buf []core.Decision) []byte {
 	switch req.op {
 	case opBatch:
-		body, err := encodeDecisions(sess.ApplyBatch(req.events, buf))
-		if err != nil {
-			return encodeError(&WireError{Code: CodeInternal, Msg: err.Error()})
-		}
-		return body
+		return encodeDecisions(sess.ApplyBatch(req.events, buf))
 	case opStats:
 		st := sess.Stats()
-		body, err := encodeBody(opStatsRep, st.SnapshotWalk)
-		if err != nil {
-			return encodeError(&WireError{Code: CodeInternal, Msg: err.Error()})
-		}
-		return body
+		return wire.Body(opStatsRep, st.SnapshotWalk)
 	case opSnapshot:
 		blob, err := sess.Snapshot()
 		if err != nil {
-			return encodeError(&WireError{Code: CodeInternal, Msg: err.Error()})
+			return wire.ErrorBody(err, wire.CodeInternal)
 		}
-		body, err := encodeBody(opSnapRep, func(w *snap.Walker) {
-			n := len(blob)
-			w.Len(&n)
-			w.Uint8s(blob)
-		})
-		if err != nil {
-			return encodeError(&WireError{Code: CodeInternal, Msg: err.Error()})
-		}
-		return body
+		return encodeSnapRep(blob)
 	case opReset:
 		sess.Reset()
-		return mustBody(opOK, nil)
+		return wire.Body(opOK, nil)
 	default:
-		return encodeError(&WireError{Code: CodeBadFrame, Msg: fmt.Sprintf("unknown op 0x%02x", req.op)})
+		return wire.ErrorBody(fmt.Errorf("unknown op 0x%02x", req.op), wire.CodeBadFrame)
 	}
 }
 
@@ -458,30 +424,11 @@ func (s *Server) execute(sess *engine.Session, req *request, buf []core.Decision
 // buffered writer), the frame goes straight to the socket under a short
 // deadline so a stuck peer cannot pin this goroutine.
 func (s *Server) writeErrorFrame(conn net.Conn, bw *bufio.Writer, err error) {
-	we := &WireError{Code: CodeInternal, Msg: err.Error()}
-	var typed *WireError
-	if errors.As(err, &typed) {
-		we = typed
-	}
-	body := encodeError(we)
+	body := wire.ErrorBody(err, wire.CodeInternal)
 	if bw != nil {
-		if writeFrame(bw, body) == nil {
-			bw.Flush()
-		}
+		wire.Send(bw, body)
 		return
 	}
 	conn.SetWriteDeadline(time.Now().Add(errorFrameTimeout)) //ppflint:allow determinism socket deadline, not report data
-	writeFrame(conn, body)
-}
-
-// mustBody is encodeBody for payloads that cannot fail (fixed fields).
-// Ops passed here count as encoded for the wireproto analyzer.
-//
-//ppflint:wireencode
-func mustBody(op uint8, walk func(w *snap.Walker)) []byte {
-	body, err := encodeBody(op, walk)
-	if err != nil {
-		panic(err)
-	}
-	return body
+	wire.WriteFrame(conn, body)
 }

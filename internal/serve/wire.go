@@ -6,25 +6,19 @@
 // bit-identical-to-sequential guarantee, so a served stream reaches
 // exactly the state the simulator would reach on the same events.
 //
-// Wire format: each direction is a sequence of frames,
-//
-//	uint32 LE body length | body
-//
-// where body = op byte | payload encoded with the internal/snap walker
-// conventions (fixed-width little-endian primitives, length-prefixed
-// byte strings). The first client frame must be opHello; every
-// subsequent request frame gets exactly one response frame, in order.
+// Framing, the typed wire errors and the request/response exchange are
+// internal/wire's; this package holds the protocol's vocabulary. The
+// first client frame must be opHello; every subsequent request frame
+// gets exactly one response frame, in order.
 package serve
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/snap"
+	"repro/internal/wire"
 )
 
 // Request ops (client to server). A response op echoes in the high bit
@@ -37,109 +31,20 @@ const (
 	opReset    uint8 = 0x05 // payload: empty
 )
 
-// Response ops (server to client).
+// Response ops (server to client). Op 0xFF is internal/wire's error
+// frame.
 const (
 	opOK        uint8 = 0x80 // payload: empty
 	opDecisions uint8 = 0x81 // payload: decision count (Len) + decision bytes
 	opStatsRep  uint8 = 0x82 // payload: core.Stats walk
 	opSnapRep   uint8 = 0x83 // payload: session snapshot blob (Len-prefixed)
-	opErr       uint8 = 0xFF // payload: code byte + message bytes (Len-prefixed)
 )
 
-// ErrorCode classifies protocol failures on the wire; a *WireError
-// carries one end to end, so both sides can branch on the class with
-// errors.Is against the exported sentinels below.
-type ErrorCode uint8
-
-// Wire error codes.
+// Per-item wire sizes, fixed by the snap walker conventions: an Event
+// is kind byte + 66-byte FeatureInput walk + used byte, a Decision is
+// one validated byte, a Stats walk is eleven uint64 counters. Pinned by
+// TestWireSizeConstants against the codec.
 const (
-	// CodeBadFrame: the frame failed to parse (unknown op, short or
-	// malformed payload, invalid event kind or decision byte).
-	CodeBadFrame ErrorCode = 1 + iota
-	// CodeBadOrder: a request arrived before the opening hello.
-	CodeBadOrder
-	// CodeSessionBusy: the session key is leased to another live
-	// connection.
-	CodeSessionBusy
-	// CodeOverloaded: the server shed this client — it stopped draining
-	// responses (or stopped supplying requests mid-frame) past the
-	// configured patience while its bounded queues were full.
-	CodeOverloaded
-	// CodeTooLarge: the frame length or batch size exceeded the
-	// server's configured bounds.
-	CodeTooLarge
-	// CodeInternal: the server failed to execute a well-formed request.
-	CodeInternal
-
-	codeCount
-)
-
-// String renders the code for diagnostics.
-func (c ErrorCode) String() string {
-	switch c {
-	case CodeBadFrame:
-		return "bad-frame"
-	case CodeBadOrder:
-		return "bad-order"
-	case CodeSessionBusy:
-		return "session-busy"
-	case CodeOverloaded:
-		return "overloaded"
-	case CodeTooLarge:
-		return "too-large"
-	case CodeInternal:
-		return "internal"
-	default:
-		return fmt.Sprintf("code(%d)", uint8(c))
-	}
-}
-
-// WireError is the typed protocol error. The server encodes one into an
-// opErr frame; the client decodes it back, so errors.Is(err,
-// ErrOverloaded) holds across the connection.
-type WireError struct {
-	Code ErrorCode
-	Msg  string
-}
-
-// Error renders the code and message.
-func (e *WireError) Error() string { return fmt.Sprintf("serve: %s: %s", e.Code, e.Msg) }
-
-// Is matches any *WireError with the same code, making the exported
-// sentinels usable as errors.Is targets.
-func (e *WireError) Is(target error) bool {
-	t, ok := target.(*WireError)
-	return ok && t.Code == e.Code
-}
-
-// Sentinel instances for errors.Is. Matching is by code, so an error
-// decoded off the wire (with its own message) still matches.
-var (
-	ErrBadFrame    = &WireError{Code: CodeBadFrame, Msg: "malformed frame"}
-	ErrBadOrder    = &WireError{Code: CodeBadOrder, Msg: "request before hello"}
-	ErrSessionBusy = &WireError{Code: CodeSessionBusy, Msg: "session key in use"}
-	ErrOverloaded  = &WireError{Code: CodeOverloaded, Msg: "client shed under backpressure"}
-	ErrTooLarge    = &WireError{Code: CodeTooLarge, Msg: "frame exceeds bound"}
-	ErrInternal    = &WireError{Code: CodeInternal, Msg: "server failed to execute request"}
-)
-
-// parseErrorCode validates a code byte from the wire.
-func parseErrorCode(b uint8) (ErrorCode, error) {
-	if b == 0 || b >= uint8(codeCount) {
-		return 0, fmt.Errorf("%w: error code byte 0x%02x", ErrBadFrame, b)
-	}
-	return ErrorCode(b), nil
-}
-
-// frameHdrLen is the length prefix: one uint32.
-const frameHdrLen = 4
-
-// Per-item wire sizes, fixed by the snap walker conventions: Len writes
-// a uint64, an Event is kind byte + 66-byte FeatureInput walk + used
-// byte, a Decision is one validated byte, a Stats walk is eleven
-// uint64 counters. Pinned by TestWireSizeConstants against the codec.
-const (
-	lenFieldSize     = 8
 	eventWireSize    = 68
 	decisionWireSize = 1
 	statsWireSize    = 88
@@ -153,80 +58,41 @@ const (
 // for each op given the configured frame and batch caps. Both halves
 // consult it — the server rejects oversized requests with ErrTooLarge
 // before decoding, and the client rejects oversized responses instead
-// of trusting the peer. Variable-payload response ops (snapshot blobs,
-// error messages) are bounded by the frame cap alone.
+// of trusting the peer. Variable-payload response ops (snapshot blobs)
+// are bounded by the frame cap alone.
 //
 //ppflint:framebound
 func boundFor(op uint8, maxFrame, maxBatch int) int {
 	switch op {
 	case opHello:
-		return 1 + lenFieldSize + maxSessionKey
+		return 1 + wire.LenSize + maxSessionKey
 	case opBatch:
-		return 1 + lenFieldSize + maxBatch*eventWireSize
+		return 1 + wire.LenSize + maxBatch*eventWireSize
 	case opStats, opSnapshot, opReset, opOK:
 		return 1
 	case opDecisions:
-		return 1 + lenFieldSize + maxBatch*decisionWireSize
+		return 1 + wire.LenSize + maxBatch*decisionWireSize
 	case opStatsRep:
 		return 1 + statsWireSize
-	case opSnapRep, opErr:
+	case opSnapRep:
 		return maxFrame
 	}
 	return maxFrame
 }
 
-// writeFrame emits one length-prefixed frame.
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [frameHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// readFrame reads one frame body, bounding the announced length so a
-// corrupt or hostile peer cannot make us allocate unbounded memory.
-func readFrame(r *bufio.Reader, maxFrame int) ([]byte, error) {
-	var hdr [frameHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if int(n) > maxFrame {
-		return nil, fmt.Errorf("%w: frame length %d > max %d", ErrTooLarge, n, maxFrame)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
-// encodeBody builds an op-tagged frame body with the snapshot codec.
-func encodeBody(op uint8, walk func(w *snap.Walker)) ([]byte, error) {
-	enc := snap.NewEncoder()
-	enc.Uint8(&op)
-	if walk != nil {
-		walk(enc)
-	}
-	return enc.Bytes()
-}
+// responseBound holds responses to the table the server enforces. The
+// client has no batch cap of its own, so the frame cap stands in;
+// fixed-size ops (opOK, opStatsRep) still get their tight bounds.
+func responseBound(op uint8) int { return boundFor(op, DefaultMaxFrame, DefaultMaxFrame) }
 
 // encodeHello builds the opening frame.
-func encodeHello(key string) ([]byte, error) {
-	return encodeBody(opHello, func(w *snap.Walker) {
-		b := []byte(key)
-		n := len(b)
-		w.Len(&n)
-		w.Uint8s(b)
-	})
+func encodeHello(key string) []byte {
+	return wire.Body(opHello, func(w *snap.Walker) { wire.PutBytes(w, []byte(key)) })
 }
 
 // encodeBatch frames a burst of events.
-func encodeBatch(events []engine.Event) ([]byte, error) {
-	return encodeBody(opBatch, func(w *snap.Walker) {
+func encodeBatch(events []engine.Event) []byte {
+	return wire.Body(opBatch, func(w *snap.Walker) {
 		n := len(events)
 		w.Len(&n)
 		for i := range events {
@@ -236,8 +102,8 @@ func encodeBatch(events []engine.Event) ([]byte, error) {
 }
 
 // encodeDecisions frames a batch's verdicts.
-func encodeDecisions(ds []core.Decision) ([]byte, error) {
-	return encodeBody(opDecisions, func(w *snap.Walker) {
+func encodeDecisions(ds []core.Decision) []byte {
+	return wire.Body(opDecisions, func(w *snap.Walker) {
 		n := len(ds)
 		w.Len(&n)
 		for i := range ds {
@@ -246,78 +112,25 @@ func encodeDecisions(ds []core.Decision) ([]byte, error) {
 	})
 }
 
-// encodeError frames a typed error.
-func encodeError(we *WireError) []byte {
-	body, err := encodeBody(opErr, func(w *snap.Walker) {
-		c := uint8(we.Code)
-		w.Uint8(&c)
-		b := []byte(we.Msg)
-		n := len(b)
-		w.Len(&n)
-		w.Uint8s(b)
-	})
-	if err != nil {
-		// The error walk writes only fixed fields and a short string;
-		// encoding cannot fail short of a codec bug.
-		panic(err)
-	}
-	return body
-}
-
-// decodeBytesField reads a Len-prefixed byte string, capping the
-// announced length at what the frame can actually hold.
-func decodeBytesField(w *snap.Walker, remaining int) ([]byte, error) {
-	var n int
-	w.LenCapped(&n, remaining)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
-	}
-	b := make([]byte, n)
-	w.Uint8s(b)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
-	}
-	return b, nil
-}
-
-// decodeError parses an opErr payload (the op byte already consumed).
-func decodeError(w *snap.Walker, frameLen int) error {
-	var c uint8
-	w.Uint8(&c)
-	if err := w.Err(); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadFrame, err)
-	}
-	code, err := parseErrorCode(c)
-	if err != nil {
-		return err
-	}
-	msg, err := decodeBytesField(w, frameLen)
-	if err != nil {
-		return err
-	}
-	if err := w.Finish(); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadFrame, err)
-	}
-	return &WireError{Code: code, Msg: string(msg)}
+// encodeSnapRep frames a session snapshot blob.
+func encodeSnapRep(blob []byte) []byte {
+	return wire.Body(opSnapRep, func(w *snap.Walker) { wire.PutBytes(w, blob) })
 }
 
 // decodeBatch parses an opBatch payload into events, bounding the
 // announced count by the server's batch cap.
 func decodeBatch(w *snap.Walker, maxBatch int) ([]engine.Event, error) {
 	var n int
-	w.Len(&n)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
-	}
+	w.Len(&n) // a rejected count latches and reads as 0
 	if n > maxBatch {
-		return nil, fmt.Errorf("%w: batch of %d exceeds cap %d", ErrTooLarge, n, maxBatch)
+		return nil, fmt.Errorf("%w: batch of %d exceeds cap %d", wire.ErrTooLarge, n, maxBatch)
 	}
 	events := make([]engine.Event, n)
 	for i := range events {
 		events[i].SnapshotWalk(w)
 	}
-	if err := w.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
+	if err := wire.Finish(w); err != nil {
+		return nil, err
 	}
 	return events, nil
 }
@@ -325,18 +138,15 @@ func decodeBatch(w *snap.Walker, maxBatch int) ([]engine.Event, error) {
 // decodeDecisions parses an opDecisions payload. Every byte passes
 // core.ParseDecision (via Decision.SnapshotWalk), so a corrupt verdict
 // surfaces as a typed error instead of an undefined Decision.
-func decodeDecisions(w *snap.Walker, frameLen int) ([]core.Decision, error) {
+func decodeDecisions(f wire.Frame) ([]core.Decision, error) {
 	var n int
-	w.LenCapped(&n, frameLen)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
-	}
+	f.W.LenCapped(&n, f.Len) // a rejected count latches and reads as 0
 	ds := make([]core.Decision, n)
 	for i := range ds {
-		ds[i].SnapshotWalk(w)
+		ds[i].SnapshotWalk(f.W)
 	}
-	if err := w.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
+	if err := wire.Finish(f.W); err != nil {
+		return nil, err
 	}
 	return ds, nil
 }

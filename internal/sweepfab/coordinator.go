@@ -13,7 +13,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/sim"
 	"repro/internal/simstore"
-	"repro/internal/snap"
+	"repro/internal/wire"
 )
 
 // Config parameterizes a coordinator.
@@ -226,13 +226,13 @@ func (c *Coordinator) handle(conn net.Conn) {
 	bw := bufio.NewWriter(conn)
 	name, err := c.readHello(br)
 	if err != nil {
-		c.writeError(bw, err)
+		wire.Send(bw, wire.ErrorBody(err, wire.CodeBadFrame))
 		return
 	}
 	// Tag the lease owner with the remote address so two workers sharing
 	// a name cannot release each other's leases on disconnect.
 	owner := name + "@" + conn.RemoteAddr().String()
-	if err := c.reply(bw, encodeWelcome(uint64(c.cfg.LeaseTimeout/time.Millisecond))); err != nil {
+	if err := wire.Send(bw, encodeWelcome(uint64(c.cfg.LeaseTimeout/time.Millisecond))); err != nil {
 		return
 	}
 	defer func() {
@@ -241,100 +241,72 @@ func (c *Coordinator) handle(conn net.Conn) {
 		}
 	}()
 	for {
-		body, err := readFrame(br, c.cfg.MaxFrame)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				c.writeError(bw, err)
-			}
-			return
+		f, err := wire.ReadRequest(br, c.cfg.MaxFrame, c.bound)
+		var resp []byte
+		if err == nil {
+			resp, err = c.dispatch(owner, f)
 		}
-		resp, fatal := c.dispatch(owner, body)
-		if err := c.reply(bw, resp); err != nil || fatal {
+		if err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+				return
+			}
+			resp = wire.ErrorBody(err, wire.CodeBadFrame)
+		}
+		// A stale lease is the one survivable error; any other ends the
+		// connection once its error frame is written.
+		if wire.Send(bw, resp) != nil || (err != nil && !errors.Is(err, wire.ErrBadLease)) {
 			return
 		}
 	}
 }
 
-// dispatch executes one worker request and builds the response frame.
-// fatal marks protocol violations that end the connection after the
-// error frame is written.
-func (c *Coordinator) dispatch(owner string, body []byte) (resp []byte, fatal bool) {
-	if len(body) == 0 {
-		return encodeFabError(ErrFabBadFrame), true
-	}
-	op := body[0]
-	if bound := fabBoundFor(op, c.cfg.MaxFrame); len(body) > bound {
-		return encodeFabError(&WireError{Code: CodeFabTooLarge,
-			Msg: fmt.Sprintf("%d-byte body for op 0x%02x (bound %d)", len(body), op, bound)}), true
-	}
-	w := snap.NewDecoder(body[1:])
-	switch op {
+// bound is the coordinator's frame-size table at its frame cap.
+func (c *Coordinator) bound(op uint8) int { return fabBoundFor(op, c.cfg.MaxFrame) }
+
+// dispatch executes one worker request, already held to its op's bound,
+// and builds the response frame. A non-nil error is the class the
+// worker is owed in an error frame instead.
+func (c *Coordinator) dispatch(owner string, f wire.Frame) ([]byte, error) {
+	switch f.Op {
 	case opFabHello:
-		return encodeFabError(&WireError{Code: CodeFabBadOrder, Msg: "duplicate hello"}), true
+		return nil, &wire.Error{Code: wire.CodeBadOrder, Msg: "duplicate hello"}
 	case opFabLease:
-		if err := w.Finish(); err != nil {
-			return encodeFabError(ErrFabBadFrame), true
+		if err := wire.Finish(f.W); err != nil {
+			return nil, err
 		}
 		select {
 		case <-c.stop:
-			return encodeShutdown(), false
+			return encodeShutdown(), nil
 		default:
 		}
 		now := time.Now() //ppflint:allow determinism lease deadlines are fleet liveness plumbing, not report data
 		id, spec, ok := c.board.Lease(owner, now)
 		if !ok {
-			return encodeWait(uint64(c.cfg.WaitHint / time.Millisecond)), false
+			return encodeWait(uint64(c.cfg.WaitHint / time.Millisecond)), nil
 		}
-		return encodeCell(id, spec), false
+		return encodeCell(id, spec), nil
 	case opFabDone:
-		id, ok, err := decodeDone(w)
+		id, ok, err := decodeDone(f.W)
 		if err != nil {
-			return encodeFabError(ErrFabBadFrame), true
+			return nil, err
 		}
 		if !c.board.Complete(id, ok) {
 			// Stale: the lease expired and the cell was re-leased. The
 			// worker's store publish is still fine (atomic, identical
 			// bytes); only its claim on the lease is void.
-			return encodeFabError(&WireError{Code: CodeFabBadLease,
-				Msg: fmt.Sprintf("lease %d not held", id)}), false
+			return nil, &wire.Error{Code: wire.CodeBadLease, Msg: fmt.Sprintf("lease %d not held", id)}
 		}
-		return encodeAck(), false
+		return encodeAck(), nil
 	default:
-		return encodeFabError(&WireError{Code: CodeFabBadFrame,
-			Msg: fmt.Sprintf("unknown op 0x%02x", op)}), true
+		return nil, &wire.Error{Code: wire.CodeBadFrame, Msg: fmt.Sprintf("unknown op 0x%02x", f.Op)}
 	}
 }
 
 // readHello consumes and validates the opening frame.
 func (c *Coordinator) readHello(br *bufio.Reader) (string, error) {
-	body, err := readFrame(br, c.cfg.MaxFrame)
+	f, err := wire.ReadHello(br, c.cfg.MaxFrame, opFabHello, c.bound)
 	if err != nil {
 		return "", err
 	}
-	if len(body) == 0 || body[0] != opFabHello {
-		return "", fmt.Errorf("%w: first frame is not hello", ErrFabBadOrder)
-	}
-	if bound := fabBoundFor(opFabHello, c.cfg.MaxFrame); len(body) > bound {
-		return "", fmt.Errorf("%w: %d-byte hello (bound %d)", ErrFabTooLarge, len(body), bound)
-	}
-	return decodeHello(snap.NewDecoder(body[1:]), len(body))
-}
-
-// reply writes and flushes one response frame.
-func (c *Coordinator) reply(bw *bufio.Writer, body []byte) error {
-	if err := writeFrame(bw, body); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeError best-effort sends a typed error frame before hanging up.
-func (c *Coordinator) writeError(bw *bufio.Writer, err error) {
-	var we *WireError
-	if !errors.As(err, &we) {
-		we = &WireError{Code: CodeFabBadFrame, Msg: err.Error()}
-	}
-	if werr := writeFrame(bw, encodeFabError(we)); werr == nil {
-		bw.Flush()
-	}
+	return decodeHello(f)
 }

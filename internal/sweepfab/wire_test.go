@@ -1,14 +1,15 @@
 package sweepfab
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/simstore"
-	"repro/internal/snap"
+	"repro/internal/wire"
 )
 
 // startCoordinator spins a coordinator over a throwaway store on a
@@ -37,7 +38,7 @@ func startCoordinator(t *testing.T, cfg Config) (*Coordinator, string) {
 type rawConn struct {
 	t    *testing.T
 	conn net.Conn
-	br   *bufio.Reader
+	wc   wire.Conn
 }
 
 func dialRaw(t *testing.T, addr string) *rawConn {
@@ -47,63 +48,76 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return &rawConn{t: t, conn: conn, br: bufio.NewReader(conn)}
+	return &rawConn{t: t, conn: conn, wc: workerWire(conn)}
 }
+
+// workerWire reads responses as a worker at the default frame cap does.
+func workerWire(rw io.ReadWriter) wire.Conn {
+	return wire.NewConn(rw, defaultMaxFrame, func(op uint8) int { return fabBoundFor(op, defaultMaxFrame) })
+}
+
+// fabResponses lists every response op.
+var fabResponses = []uint8{opFabWelcome, opFabCell, opFabWait, opFabShutdown, opFabAck}
 
 func (r *rawConn) send(body []byte) {
 	r.t.Helper()
-	if err := writeFrame(r.conn, body); err != nil {
+	if err := wire.WriteFrame(r.conn, body); err != nil {
 		r.t.Fatal(err)
 	}
 }
 
-// recvErr reads one response frame and requires it to be a typed error.
-func (r *rawConn) recvErr() error {
+// recv reads one response frame, failing the test on any error.
+func (r *rawConn) recv() wire.Frame {
 	r.t.Helper()
-	body, err := readFrame(r.br, defaultMaxFrame)
+	f, err := r.wc.Recv(fabResponses...)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	if len(body) == 0 || body[0] != opFabErr {
-		r.t.Fatalf("response op 0x%02x, want opFabErr", body[0])
-	}
-	werr := decodeFabError(snap.NewDecoder(body[1:]), len(body))
-	if werr == nil {
-		r.t.Fatal("opFabErr decoded to nil")
-	}
-	return werr
+	return f
 }
 
 // recvOp reads one response frame and returns its op.
 func (r *rawConn) recvOp() uint8 {
 	r.t.Helper()
-	body, err := readFrame(r.br, defaultMaxFrame)
-	if err != nil {
+	return r.recv().Op
+}
+
+// recvErr reads one response frame and requires it to be a typed error.
+func (r *rawConn) recvErr() error {
+	r.t.Helper()
+	f, err := r.wc.Recv(fabResponses...)
+	if err == nil {
+		r.t.Fatalf("response op 0x%02x, want an error frame", f.Op)
+	}
+	var we *wire.Error
+	if !errors.As(err, &we) {
 		r.t.Fatal(err)
 	}
-	if len(body) == 0 {
-		r.t.Fatal("empty response frame")
-	}
-	return body[0]
+	return err
 }
 
 // TestWireErrorRoundTrip pins that every fabric failure class survives
-// the encode/decode round trip: errors.Is against each sentinel holds
-// on the decoded side, which is the whole point of the typed codes.
+// the coordinator's error frame to the worker's exchange: errors.Is
+// against each sentinel holds on the decoded side, and only against
+// that one, which is the whole point of the typed codes. A failure with
+// no wire class travels as ErrBadFrame, keeping its text.
 func TestWireErrorRoundTrip(t *testing.T) {
-	cases := []*WireError{
-		{Code: CodeFabBadFrame, Msg: "mangled"},
-		{Code: CodeFabBadOrder, Msg: "lease before hello"},
-		{Code: CodeFabBadLease, Msg: "lease 7 not held"},
-		{Code: CodeFabTooLarge, Msg: "frame of doom"},
+	cases := []*wire.Error{
+		{Code: wire.CodeBadFrame, Msg: "mangled"},
+		{Code: wire.CodeBadOrder, Msg: "lease before hello"},
+		{Code: wire.CodeBadLease, Msg: "lease 7 not held"},
+		{Code: wire.CodeTooLarge, Msg: "frame of doom"},
 	}
-	sentinels := []error{ErrFabBadFrame, ErrFabBadOrder, ErrFabBadLease, ErrFabTooLarge}
+	sentinels := []error{wire.ErrBadFrame, wire.ErrBadOrder, wire.ErrBadLease, wire.ErrTooLarge}
+	overWire := func(err error) error {
+		var buf bytes.Buffer
+		wire.WriteFrame(&buf, wire.ErrorBody(err, wire.CodeBadFrame))
+		wc := workerWire(&buf)
+		_, got := wc.Recv(opFabAck)
+		return got
+	}
 	for i, we := range cases {
-		body := encodeFabError(we)
-		if body[0] != opFabErr {
-			t.Fatalf("encoded op = 0x%02x", body[0])
-		}
-		got := decodeFabError(snap.NewDecoder(body[1:]), len(body))
+		got := overWire(we)
 		if !errors.Is(got, sentinels[i]) {
 			t.Fatalf("decoded %v does not match sentinel %v", got, sentinels[i])
 		}
@@ -112,10 +126,15 @@ func TestWireErrorRoundTrip(t *testing.T) {
 				t.Fatalf("decoded %v wrongly matches %v", got, other)
 			}
 		}
-		var back *WireError
+		var back *wire.Error
 		if !errors.As(got, &back) || back.Msg != we.Msg {
 			t.Fatalf("message lost: %v", got)
 		}
+	}
+	got := overWire(errors.New("short read"))
+	var back *wire.Error
+	if !errors.Is(got, wire.ErrBadFrame) || !errors.As(got, &back) || back.Msg != "short read" {
+		t.Fatalf("untyped failure came back as %v, want ErrBadFrame with its text", got)
 	}
 }
 
@@ -123,8 +142,8 @@ func TestWireRequestBeforeHello(t *testing.T) {
 	_, addr := startCoordinator(t, Config{})
 	r := dialRaw(t, addr)
 	r.send(encodeLease())
-	if err := r.recvErr(); !errors.Is(err, ErrFabBadOrder) {
-		t.Fatalf("lease before hello: %v, want ErrFabBadOrder", err)
+	if err := r.recvErr(); !errors.Is(err, wire.ErrBadOrder) {
+		t.Fatalf("lease before hello: %v, want ErrBadOrder", err)
 	}
 }
 
@@ -136,8 +155,8 @@ func TestWireDuplicateHello(t *testing.T) {
 		t.Fatalf("hello response op 0x%02x", op)
 	}
 	r.send(encodeHello("w"))
-	if err := r.recvErr(); !errors.Is(err, ErrFabBadOrder) {
-		t.Fatalf("duplicate hello: %v, want ErrFabBadOrder", err)
+	if err := r.recvErr(); !errors.Is(err, wire.ErrBadOrder) {
+		t.Fatalf("duplicate hello: %v, want ErrBadOrder", err)
 	}
 }
 
@@ -147,8 +166,8 @@ func TestWireUnknownOp(t *testing.T) {
 	r.send(encodeHello("w"))
 	r.recvOp()
 	r.send([]byte{0x7E})
-	if err := r.recvErr(); !errors.Is(err, ErrFabBadFrame) {
-		t.Fatalf("unknown op: %v, want ErrFabBadFrame", err)
+	if err := r.recvErr(); !errors.Is(err, wire.ErrBadFrame) {
+		t.Fatalf("unknown op: %v, want ErrBadFrame", err)
 	}
 }
 
@@ -158,8 +177,8 @@ func TestWireOversizedFrame(t *testing.T) {
 	r.send(make([]byte, 4096))
 	// The coordinator refuses to even read the body; the connection
 	// drops with a too-large error frame.
-	if err := r.recvErr(); !errors.Is(err, ErrFabTooLarge) {
-		t.Fatalf("oversized frame: %v, want ErrFabTooLarge", err)
+	if err := r.recvErr(); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("oversized frame: %v, want ErrTooLarge", err)
 	}
 }
 
@@ -169,8 +188,8 @@ func TestWireBadLeaseCompletion(t *testing.T) {
 	r.send(encodeHello("w"))
 	r.recvOp()
 	r.send(encodeDone(12345, true))
-	if err := r.recvErr(); !errors.Is(err, ErrFabBadLease) {
-		t.Fatalf("bogus completion: %v, want ErrFabBadLease", err)
+	if err := r.recvErr(); !errors.Is(err, wire.ErrBadLease) {
+		t.Fatalf("bogus completion: %v, want ErrBadLease", err)
 	}
 	// Survivable: the same connection still gets lease responses.
 	r.send(encodeLease())
@@ -186,14 +205,11 @@ func TestWireLeaseGrantAndCompletion(t *testing.T) {
 	r.send(encodeHello("w"))
 	r.recvOp()
 	r.send(encodeLease())
-	body, err := readFrame(r.br, defaultMaxFrame)
-	if err != nil {
-		t.Fatal(err)
+	f := r.recv()
+	if f.Op != opFabCell {
+		t.Fatalf("lease response op 0x%02x, want opFabCell", f.Op)
 	}
-	if body[0] != opFabCell {
-		t.Fatalf("lease response op 0x%02x, want opFabCell", body[0])
-	}
-	id, spec, err := decodeCell(snap.NewDecoder(body[1:]), len(body))
+	id, spec, err := decodeCell(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +271,6 @@ func TestFrameSizeBounds(t *testing.T) {
 		"wait":     encodeWait(50),
 		"shutdown": encodeShutdown(),
 		"ack":      encodeAck(),
-		"err":      encodeFabError(ErrFabBadLease),
 	}
 	for name, body := range frames {
 		if len(body) == 0 {

@@ -1,7 +1,6 @@
 package sweepfab
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"log"
@@ -9,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/snap"
+	"repro/internal/wire"
 )
 
 // WorkerConfig parameterizes one fleet worker.
@@ -61,10 +60,8 @@ func RunWorker(addr string, cfg WorkerConfig) (WorkerStats, error) {
 	}
 	defer conn.Close()
 	w := &workerConn{
-		cfg:  cfg,
-		conn: conn,
-		br:   bufio.NewReader(conn),
-		bw:   bufio.NewWriter(conn),
+		cfg: cfg,
+		wc:  wire.NewConn(conn, cfg.MaxFrame, func(op uint8) int { return fabBoundFor(op, cfg.MaxFrame) }),
 	}
 	if err := w.hello(); err != nil {
 		return stats, err
@@ -91,59 +88,20 @@ func dialRetry(addr string, window time.Duration) (net.Conn, error) {
 
 // workerConn is one worker's protocol state.
 type workerConn struct {
-	cfg  WorkerConfig
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	cfg WorkerConfig
+	wc  wire.Conn
 	// leaseTimeout is the coordinator's advertised lease lifetime
 	// (informational; the coordinator enforces it).
 	leaseTimeout time.Duration
 }
 
-// request writes one frame and reads the response, returning the
-// response op and a decoder positioned after it. An opFabErr response
-// is decoded into the typed error. wantOps guards against a desynced
-// peer: a response op outside the set is a protocol error.
-//
-//ppflint:wiredecode
-func (w *workerConn) request(body []byte, wantOps ...uint8) (uint8, *snap.Walker, int, error) {
-	if err := writeFrame(w.bw, body); err != nil {
-		return 0, nil, 0, err
-	}
-	if err := w.bw.Flush(); err != nil {
-		return 0, nil, 0, err
-	}
-	resp, err := readFrame(w.br, w.cfg.MaxFrame)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	if len(resp) == 0 {
-		return 0, nil, 0, fmt.Errorf("%w: empty response", ErrFabBadFrame)
-	}
-	op := resp[0]
-	if bound := fabBoundFor(op, w.cfg.MaxFrame); len(resp) > bound {
-		return 0, nil, 0, fmt.Errorf("%w: %d-byte response for op 0x%02x (bound %d)",
-			ErrFabTooLarge, len(resp), op, bound)
-	}
-	dec := snap.NewDecoder(resp[1:])
-	if op == opFabErr {
-		return 0, nil, 0, decodeFabError(dec, len(resp))
-	}
-	for _, want := range wantOps {
-		if op == want {
-			return op, dec, len(resp), nil
-		}
-	}
-	return 0, nil, 0, fmt.Errorf("%w: unexpected response op 0x%02x", ErrFabBadFrame, op)
-}
-
 // hello opens the session and records the advertised lease timeout.
 func (w *workerConn) hello() error {
-	_, dec, _, err := w.request(encodeHello(w.cfg.Name), opFabWelcome)
+	f, err := w.wc.Exchange(encodeHello(w.cfg.Name), opFabWelcome)
 	if err != nil {
 		return err
 	}
-	millis, err := decodeUint64Body(dec)
+	millis, err := decodeUint64Body(f.W)
 	if err != nil {
 		return err
 	}
@@ -154,22 +112,22 @@ func (w *workerConn) hello() error {
 // loop leases and runs cells until shutdown.
 func (w *workerConn) loop(stats *WorkerStats) error {
 	for {
-		op, dec, frameLen, err := w.request(encodeLease(), opFabCell, opFabWait, opFabShutdown)
+		f, err := w.wc.Exchange(encodeLease(), opFabCell, opFabWait, opFabShutdown)
 		if err != nil {
 			return err
 		}
-		switch op {
+		switch f.Op {
 		case opFabShutdown:
 			return nil
 		case opFabWait:
-			millis, err := decodeUint64Body(dec)
+			millis, err := decodeUint64Body(f.W)
 			if err != nil {
 				return err
 			}
 			stats.Waits++
 			time.Sleep(time.Duration(millis) * time.Millisecond)
 		case opFabCell:
-			leaseID, specBytes, err := decodeCell(dec, frameLen)
+			leaseID, specBytes, err := decodeCell(f)
 			if err != nil {
 				return err
 			}
@@ -208,8 +166,8 @@ func (w *workerConn) runCell(specBytes []byte) (ok bool) {
 // the lease expired mid-run and the cell was re-issued, so only this
 // worker's claim is void — the published store entry stands.
 func (w *workerConn) complete(leaseID uint64, ok bool, stats *WorkerStats) error {
-	_, _, _, err := w.request(encodeDone(leaseID, ok), opFabAck)
-	if errors.Is(err, ErrFabBadLease) {
+	_, err := w.wc.Exchange(encodeDone(leaseID, ok), opFabAck)
+	if errors.Is(err, wire.ErrBadLease) {
 		stats.StaleLeases++
 		return nil
 	}
