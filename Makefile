@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: check build vet test race determinism lint lint-fix bench bench-smoke serve-smoke serve-bench sweep-smoke sweep-bench fuzz-smoke profile experiments clean
+.PHONY: check build vet test perfbench-check race determinism lint lint-fix bench bench-smoke serve-smoke serve-bench sweep-smoke sweep-bench fuzz-smoke profile experiments clean
 
 # check is the full CI gate: static checks, build, the full test suite,
-# the focused race pass, and the worker-count determinism proof.
-check: vet lint build test race determinism
+# the benchmark module's vet and tests, the focused race pass, and the
+# worker-count determinism proof.
+check: vet lint build test perfbench-check race determinism
 
 # lint runs the repo's own analyzer suite (ppflint: determinism,
 # saturation, hwbudget, counterwiring, sentinel, snapshot, guardedby,
@@ -40,6 +41,14 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# perfbench-check vets and tests the benchmark harness. perfbench is its
+# own module (replace repro => ../), so the root build and test targets
+# never compile it, yet it calls engine, core and prefetch APIs
+# directly; this catches an API change that would break the benchmark
+# build before the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # race runs the concurrency-bearing packages under the race detector:
 # the serving pipeline (reader/worker/writer per connection over the

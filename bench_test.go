@@ -242,18 +242,6 @@ func BenchmarkKernelSPPLookaheadOnly(b *testing.B) {
 	kernelbench.SPPLookaheadOnly(b)
 }
 
-func BenchmarkKernelPPFDecideBatch1(b *testing.B) {
-	kernelbench.PPFDecideBatch(1)(b)
-}
-
-func BenchmarkKernelPPFDecideBatch4(b *testing.B) {
-	kernelbench.PPFDecideBatch(4)(b)
-}
-
-func BenchmarkKernelPPFDecideBatch16(b *testing.B) {
-	kernelbench.PPFDecideBatch(16)(b)
-}
-
 func BenchmarkBranchPredictor(b *testing.B) {
 	p := branch.New()
 	b.ResetTimer()

@@ -136,9 +136,6 @@ func run() int {
 		{"cache_prefetch_saturated", kernelbench.CachePrefetchSaturated},
 		{"spp_trigger", kernelbench.SPPTrigger},
 		{"spp_lookahead_only", kernelbench.SPPLookaheadOnly},
-		{"ppf_decide_batch_b1", kernelbench.PPFDecideBatch(1)},
-		{"ppf_decide_batch_b4", kernelbench.PPFDecideBatch(4)},
-		{"ppf_decide_batch_b16", kernelbench.PPFDecideBatch(16)},
 	}
 	if *kernelsCSV != "" {
 		want := map[string]bool{}
@@ -242,18 +239,6 @@ func run() int {
 			simSnap.Rows = append(simSnap.Rows, row)
 			fmt.Printf("%-24s %12.0f sim-instructions/sec (%d instructions in %.2fs)\n",
 				row.Name, row.InstructionsPerSec, row.Instructions, row.Seconds)
-			// The ppf-skip row doubles as the KernelBench trajectory's sim
-			// entry, comparable with earlier snapshots.
-			if row.Name == "fig9_ppf_skip" {
-				snap.Sim = &stats.SimRate{
-					Workload:           row.Workload,
-					WarmupInstructions: warmup,
-					DetailInstructions: detail,
-					Instructions:       row.Instructions,
-					Seconds:            row.Seconds,
-					InstructionsPerSec: row.InstructionsPerSec,
-				}
-			}
 		}
 		if err := simSnap.WriteFile(*simOut); err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *simOut, err)
@@ -302,7 +287,7 @@ func run() int {
 		fmt.Printf("wrote %s\n", *sweepOut)
 	}
 
-	if len(snap.Kernels) > 0 || !*skipSim {
+	if len(snap.Kernels) > 0 {
 		if err := snap.WriteFile(*out); err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *out, err)
 			return 1

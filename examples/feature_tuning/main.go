@@ -25,7 +25,7 @@ func main() {
 	candidate := ppf.FeatureSpec{
 		Name:      "DepthOnly",
 		TableSize: 128,
-		Index:     func(in *ppf.FeatureInput) uint64 { return uint64(in.Depth) },
+		Kind:      ppf.KindDepthOnly,
 	}
 	feats := append(ppf.DefaultFeatures(), candidate, ppf.LastSignatureFeature())
 

@@ -2,12 +2,13 @@ package advfuzz
 
 import "testing"
 
-// TestStoreReplayOracleBatchPath pins the burst decision path under the
-// store-replay differential oracle: the PPF scheme now drives the
-// prefetcher through OnDemandBatch and the filter through the burst
-// kernels, so a replayed-from-store result diverging from a fresh
-// recomputation would catch any nondeterminism the batch restructuring
-// introduced (scratch reuse, chunk boundaries, acceptance feedback).
+// TestStoreReplayOracleBatchPath pins the prefetchers' burst path under
+// the store-replay differential oracle: the PPF scheme drives the
+// prefetcher through OnDemandBatch and decides each candidate of the
+// burst with the filter's Decide and Record calls, so a
+// replayed-from-store result diverging from a fresh recomputation would
+// catch any nondeterminism in burst production (scratch reuse,
+// acceptance feedback).
 // Unlike the full corpus sweep this is not skipped under -short: it runs
 // two adversarial specs at a small budget so the batch path always has
 // oracle coverage in the default test run.

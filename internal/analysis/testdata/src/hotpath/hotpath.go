@@ -54,10 +54,10 @@ func cold(n int) []int {
 	return make([]int, n) //ppflint:escapes make([]int, n) escapes to heap
 }
 
-// The index-matrix scratch shapes below pin the batch-kernel contract
-// from internal/core: the per-burst index matrix must live in the
-// filter (a receiver-resident fixed array reused across calls), never
-// per call. indexVec/filter mirror the production types in miniature.
+// The scratch-matrix shapes below exercise receiver attribution: a
+// fixed array resident in the receiver and reused across calls is
+// clean, while a per-call matrix or a row pointer that leaks the
+// receiver is an allocation inside the annotated span.
 
 type indexVec [9]uint16
 
@@ -65,8 +65,8 @@ type filter struct {
 	mat [16]indexVec
 }
 
-// decideBatchResident is the production shape: rows are written into
-// the receiver's fixed-size scratch and never escape the call.
+// decideBatchResident is the clean shape: rows are written into the
+// receiver's fixed-size scratch and never escape the call.
 //
 //ppflint:hotpath
 func (f *filter) decideBatchResident(ins []uint64) int {
@@ -81,9 +81,8 @@ func (f *filter) decideBatchResident(ins []uint64) int {
 	return n
 }
 
-// decideBatchEscapes is the regression the fixture exists to catch: a
-// per-burst matrix allocated inside the kernel, one heap allocation on
-// every decide call.
+// decideBatchEscapes allocates a per-call matrix inside the annotated
+// body: one heap allocation on every call.
 //
 //ppflint:hotpath
 func decideBatchEscapes(ins []uint64) int {
@@ -95,7 +94,7 @@ func decideBatchEscapes(ins []uint64) int {
 }
 
 // rowLeaks models the subtler escape: a row pointer returned out of the
-// kernel forces the whole receiver scratch to the heap.
+// call forces the whole receiver scratch to the heap.
 //
 //ppflint:hotpath
 func (f *filter) rowLeaks(in uint64) *indexVec {

@@ -19,14 +19,12 @@ func CandidateFeatures() []FeatureSpec {
 			Name:      "DepthOnly",
 			TableSize: 128,
 			Kind:      KindDepthOnly,
-			Index:     func(in *FeatureInput) uint64 { return uint64(in.Depth) },
 		},
 		{
 			// Raw delta: captured better by PC⊕Delta and Sig⊕Delta.
 			Name:      "DeltaOnly",
 			TableSize: 256,
 			Kind:      KindDeltaOnly,
-			Index:     func(in *FeatureInput) uint64 { return deltaCode(in.Delta) },
 		},
 		{
 			// Trigger PC alone: the paper notes it is a poor basis for a
@@ -34,14 +32,12 @@ func CandidateFeatures() []FeatureSpec {
 			Name:      "PCOnly",
 			TableSize: tableMedium,
 			Kind:      KindPCOnly,
-			Index:     func(in *FeatureInput) uint64 { return in.PC },
 		},
 		{
 			// Block offset within the page: subsumed by CacheLine.
 			Name:      "PageOffset",
 			TableSize: 64,
 			Kind:      KindPageOffset,
-			Index:     func(in *FeatureInput) uint64 { return in.Addr >> 6 & 63 },
 		},
 		{
 			// Folded address: the paper argues shifted views beat folding
@@ -50,78 +46,54 @@ func CandidateFeatures() []FeatureSpec {
 			Name:      "AddrFold",
 			TableSize: tableLarge,
 			Kind:      KindAddrFold,
-			Index: func(in *FeatureInput) uint64 {
-				blk := in.Addr >> 6
-				return blk ^ blk>>16
-			},
 		},
 		{
 			// Confidence XOR depth: correlated with both parents.
 			Name:      "ConfXorDepth",
 			TableSize: tableSmall,
 			Kind:      KindConfXorDepth,
-			Index: func(in *FeatureInput) uint64 {
-				return uint64(in.Confidence) ^ uint64(in.Depth)<<7
-			},
 		},
 		{
 			// Signature XOR page: another page-centric composite.
 			Name:      "SigXorPage",
 			TableSize: tableMedium,
 			Kind:      KindSigXorPage,
-			Index: func(in *FeatureInput) uint64 {
-				return uint64(in.Signature) ^ in.Addr>>12
-			},
 		},
 		{
 			// Signature XOR depth.
 			Name:      "SigXorDepth",
 			TableSize: tableMedium,
 			Kind:      KindSigXorDepth,
-			Index: func(in *FeatureInput) uint64 {
-				return uint64(in.Signature) ^ uint64(in.Depth)<<9
-			},
 		},
 		{
 			// PC XOR page address.
 			Name:      "PCXorPage",
 			TableSize: tableMedium,
 			Kind:      KindPCXorPage,
-			Index:     func(in *FeatureInput) uint64 { return in.PC ^ in.Addr>>12 },
 		},
 		{
 			// PC XOR cache line.
 			Name:      "PCXorLine",
 			TableSize: tableMedium,
 			Kind:      KindPCXorLine,
-			Index:     func(in *FeatureInput) uint64 { return in.PC ^ in.Addr>>6 },
 		},
 		{
 			// Two-deep PC path (shallower variant of PCPath).
 			Name:      "PCPath2",
 			TableSize: tableMedium,
 			Kind:      KindPCPath2,
-			Index: func(in *FeatureInput) uint64 {
-				return in.PCHist[0] ^ in.PCHist[1]>>1
-			},
 		},
 		{
 			// Confidence XOR delta.
 			Name:      "ConfXorDelta",
 			TableSize: tableSmall,
 			Kind:      KindConfXorDelta,
-			Index: func(in *FeatureInput) uint64 {
-				return uint64(in.Confidence) ^ deltaCode(in.Delta)<<5
-			},
 		},
 		{
 			// Cache line XOR depth: the line view already dominates.
 			Name:      "LineXorDepth",
 			TableSize: tableLarge,
 			Kind:      KindLineXorDepth,
-			Index: func(in *FeatureInput) uint64 {
-				return in.Addr>>6 ^ uint64(in.Depth)<<10
-			},
 		},
 	}
 	return append(DefaultFeatures(), extra...)

@@ -43,8 +43,9 @@ type FeatureInput struct {
 }
 
 // FeatureSpec describes one perceptron feature: its display name, weight
-// table size, and the raw index computation. The filter folds the raw
-// value onto the table with a mixing hash, so Index may return any width.
+// table size, and the built-in index computation. The filter folds the
+// raw value onto the table with a mixing hash, so a kind may produce any
+// width.
 type FeatureSpec struct {
 	// Name identifies the feature in reports and figures.
 	Name string
@@ -54,31 +55,20 @@ type FeatureSpec struct {
 	// filter folds hashes onto tables with a mask, matching the
 	// indexed-by-low-bits hardware the hwbudget analyzer audits.
 	TableSize int
-	// Index computes the raw feature value. It remains the
-	// specification of record for the feature — equivalence tests and
-	// the feature-selection experiment read it — but the filter's hot
-	// path dispatches on Kind instead when one is declared, so bursts
-	// are computed without indirect calls.
-	Index func(in *FeatureInput) uint64
-	// Kind names the built-in index computation, letting the filter
-	// devirtualize the hot path (featureRaw's switch replaces the Index
-	// closure call). KindCustom (the zero value) keeps the closure
-	// path, so externally-constructed specs work unchanged.
+	// Kind names the feature's index computation.
 	Kind FeatureKind
 }
 
-// FeatureKind enumerates the built-in feature index computations so the
-// decide kernel can dispatch on a dense switch instead of an indirect
-// closure call per feature per candidate. KindCustom (zero) means "call
-// the Index func"; every spec returned by DefaultFeatures,
-// CandidateFeatures and LastSignatureFeature carries its kind, and
-// TestFeatureRawMatchesIndex pins the switch to the closures.
+// FeatureKind enumerates the feature index computations: the paper's
+// §5.5 pool of 23 candidates, each a fixed hash of the trigger's
+// metadata (Table 3). featureRaw is the one definition of each, and
+// TestFeatureRawGolden pins every formula. The zero value names no
+// feature; New rejects it and anything past KindLineXorDepth.
 type FeatureKind uint8
 
 // Built-in feature kinds, one per spec in the candidate pool.
 const (
-	KindCustom FeatureKind = iota
-	KindCacheLine
+	KindCacheLine FeatureKind = iota + 1
 	KindPageAddr
 	KindPhysAddr
 	KindConfXorPage
@@ -103,10 +93,7 @@ const (
 	KindLineXorDepth
 )
 
-// featureRaw computes the raw feature value for a built-in kind. Each
-// case mirrors the corresponding Index closure expression exactly —
-// bit-for-bit, including shift and XOR order — so devirtualizing cannot
-// move a single table index.
+// featureRaw computes the raw feature value for a kind.
 //
 //ppflint:hotpath
 func featureRaw(k FeatureKind, in *FeatureInput) uint64 {
@@ -159,8 +146,49 @@ func featureRaw(k FeatureKind, in *FeatureInput) uint64 {
 	case KindLineXorDepth:
 		return in.Addr>>6 ^ uint64(in.Depth)<<10
 	default:
+		// Unreachable: New rejects kinds outside the enumeration.
 		return 0
 	}
+}
+
+// computeRow fills one index row: every feature's weight-table index
+// for in. The default nine-feature set takes computeRowDefault's
+// straight-line path; other sets dispatch per feature on featureRaw.
+//
+//ppflint:hotpath
+func (f *Filter) computeRow(in *FeatureInput, row *indexVec) {
+	if f.defaultSet {
+		computeRowDefault(in, row)
+		return
+	}
+	kinds := f.kinds[:f.nf]
+	for i := range kinds {
+		row[i] = uint16(mix(featureRaw(kinds[i], in)) & uint64(f.fmask[i]))
+	}
+}
+
+// computeRowDefault is computeRow specialized to the paper's final
+// nine-feature set (DefaultFeatures order): no dispatch, no loads of
+// per-feature geometry, constant masks. Each line repeats its kind's
+// featureRaw case exactly; isDefaultSet gates entry on the exact kind
+// and table-size sequence this function hard-codes, and
+// TestFilterPropertyInvariants checks its sums against indexFor.
+//
+//ppflint:hotpath
+func computeRowDefault(in *FeatureInput, row *indexVec) {
+	line := in.Addr >> 6
+	page := in.Addr >> 12
+	conf := uint64(in.Confidence)
+	dc := deltaCode(in.Delta)
+	row[0] = uint16(mix(line) & (tableLarge - 1))
+	row[1] = uint16(mix(page) & (tableLarge - 1))
+	row[2] = uint16(mix(in.Addr>>2) & (tableLarge - 1))
+	row[3] = uint16(mix(conf^page) & (tableLarge - 1))
+	row[4] = uint16(mix(in.PCHist[0]^in.PCHist[1]>>1^in.PCHist[2]>>2) & (tableMedium - 1))
+	row[5] = uint16(mix(uint64(in.Signature)^dc) & (tableMedium - 1))
+	row[6] = uint16(mix(in.PC^uint64(in.Depth)<<5) & (tableSmall - 1))
+	row[7] = uint16(mix(in.PC^dc<<3) & (tableSmall - 1))
+	row[8] = uint16(mix(conf) & (tableConf - 1))
 }
 
 // mix is a 64-bit finaliser (splitmix64) used to fold raw feature values
@@ -192,7 +220,6 @@ func DefaultFeatures() []FeatureSpec {
 			Name:      "CacheLine",
 			TableSize: tableLarge,
 			Kind:      KindCacheLine,
-			Index:     func(in *FeatureInput) uint64 { return in.Addr >> 6 },
 		},
 		{
 			// Page address: the candidate address shifted by the page
@@ -200,14 +227,12 @@ func DefaultFeatures() []FeatureSpec {
 			Name:      "PageAddr",
 			TableSize: tableLarge,
 			Kind:      KindPageAddr,
-			Index:     func(in *FeatureInput) uint64 { return in.Addr >> 12 },
 		},
 		{
 			// Lower bits of the physical address of the trigger access.
 			Name:      "PhysAddr",
 			TableSize: tableLarge,
 			Kind:      KindPhysAddr,
-			Index:     func(in *FeatureInput) uint64 { return in.Addr >> 2 },
 		},
 		{
 			// Confidence XOR Page: the paper's single most correlated
@@ -216,9 +241,6 @@ func DefaultFeatures() []FeatureSpec {
 			Name:      "ConfXorPage",
 			TableSize: tableLarge,
 			Kind:      KindConfXorPage,
-			Index: func(in *FeatureInput) uint64 {
-				return uint64(in.Confidence) ^ in.Addr>>12
-			},
 		},
 		{
 			// PC1 ^ (PC2>>1) ^ (PC3>>2): the path of load PCs leading to
@@ -226,9 +248,6 @@ func DefaultFeatures() []FeatureSpec {
 			Name:      "PCPath",
 			TableSize: tableMedium,
 			Kind:      KindPCPath,
-			Index: func(in *FeatureInput) uint64 {
-				return in.PCHist[0] ^ in.PCHist[1]>>1 ^ in.PCHist[2]>>2
-			},
 		},
 		{
 			// Current signature XOR predicted delta: approximately the
@@ -236,9 +255,6 @@ func DefaultFeatures() []FeatureSpec {
 			Name:      "SigXorDelta",
 			TableSize: tableMedium,
 			Kind:      KindSigXorDelta,
-			Index: func(in *FeatureInput) uint64 {
-				return uint64(in.Signature) ^ deltaCode(in.Delta)
-			},
 		},
 		{
 			// PC XOR lookahead depth: resolves the trigger PC into a
@@ -246,25 +262,18 @@ func DefaultFeatures() []FeatureSpec {
 			Name:      "PCXorDepth",
 			TableSize: tableSmall,
 			Kind:      KindPCXorDepth,
-			Index: func(in *FeatureInput) uint64 {
-				return in.PC ^ uint64(in.Depth)<<5
-			},
 		},
 		{
 			// PC XOR delta: whether this PC favours particular deltas.
 			Name:      "PCXorDelta",
 			TableSize: tableSmall,
 			Kind:      KindPCXorDelta,
-			Index: func(in *FeatureInput) uint64 {
-				return in.PC ^ deltaCode(in.Delta)<<3
-			},
 		},
 		{
 			// Raw SPP confidence on its 0–100 scale.
 			Name:      "Confidence",
 			TableSize: tableConf,
 			Kind:      KindConfidence,
-			Index:     func(in *FeatureInput) uint64 { return uint64(in.Confidence) },
 		},
 	}
 }
@@ -278,7 +287,6 @@ func LastSignatureFeature() FeatureSpec {
 		Name:      "LastSignature",
 		TableSize: tableLarge,
 		Kind:      KindLastSignature,
-		Index:     func(in *FeatureInput) uint64 { return uint64(in.Signature) },
 	}
 }
 

@@ -204,8 +204,8 @@ type Filter struct {
 	features []FeatureSpec
 
 	// nf caches len(features); base/fmask/kinds are the per-feature
-	// plane offsets, index masks (TableSize-1) and devirtualized index
-	// kinds, all derived from cfg in New and immutable afterwards.
+	// plane offsets, index masks (TableSize-1) and index kinds, all
+	// derived from cfg in New and immutable afterwards.
 	nf         int
 	plane      []int8
 	base       [MaxFeatures]uint32
@@ -228,13 +228,6 @@ type Filter struct {
 	scratchIdx   indexVec
 	scratchFor   FeatureInput
 	scratchValid bool
-
-	// mat is the index matrix the burst kernel fills: one row of
-	// feature-table indices per candidate in the current chunk. It is
-	// filter-resident scratch, not state — FilterBatch overwrites it
-	// every chunk — so it never escapes per burst and is parked in
-	// Static by SnapshotWalk.
-	mat [batchChunk]indexVec
 
 	// OnTrainEvent, when non-nil, observes every training example: the
 	// weight each feature table currently holds for the example, and the
@@ -270,6 +263,9 @@ func New(cfg Config) *Filter {
 		}
 		if spec.TableSize&(spec.TableSize-1) != 0 {
 			panic(fmt.Sprintf("core: feature %q table size %d is not a power of two", spec.Name, spec.TableSize))
+		}
+		if spec.Kind == 0 || spec.Kind > KindLineXorDepth {
+			panic(fmt.Sprintf("core: feature %q has unknown kind %d", spec.Name, spec.Kind))
 		}
 		f.base[i] = uint32(total)
 		f.fmask[i] = uint32(spec.TableSize - 1)
@@ -380,29 +376,17 @@ func (f *Filter) OnLoadPC(pc uint64) {
 // FeatureInput for candidates).
 func (f *Filter) PCHist() PCHistory { return f.pcHist }
 
-// indexFor folds feature i's raw value for in onto its weight table.
-// Masking is bit-identical to the former `mix % size` fold: New
-// enforces power-of-two sizes, and x % 2^k == x & (2^k - 1) for the
-// non-negative mix output.
+// indexFor folds feature i's raw value for in onto its weight table,
+// one feature at a time: the per-kind reference the property tests sum
+// against, independent of computeRow's whole-row paths.
 //
 //ppflint:hotpath
 func (f *Filter) indexFor(i int, in *FeatureInput) int {
-	var raw uint64
-	if k := f.kinds[i]; k != KindCustom {
-		raw = featureRaw(k, in)
-	} else {
-		raw = f.features[i].Index(in)
-	}
-	return int(mix(raw) & uint64(f.fmask[i]))
+	return int(mix(featureRaw(f.kinds[i], in)) & uint64(f.fmask[i]))
 }
 
 // computeScratch evaluates every feature's table index for the input
-// held in f.scratchFor, writing the vector into f.scratchIdx. All index
-// computation funnels through the filter-resident scratch pair: custom
-// feature Index funcs are indirect calls, so handing them a pointer to a
-// stack value would force the whole 80-byte input to escape to the heap
-// on every event — pointing them at a field of the (already
-// heap-resident) Filter costs nothing.
+// held in f.scratchFor, writing the vector into f.scratchIdx.
 //
 //ppflint:hotpath
 func (f *Filter) computeScratch() {
@@ -528,14 +512,7 @@ func recordIndex(addr uint64) (idx int, tag uint16) {
 func (f *Filter) Decide(in *FeatureInput) Decision {
 	f.scratchFor = *in
 	f.computeScratch()
-	return f.decideSum(f.sumIndexed(&f.scratchIdx))
-}
-
-// decideSum thresholds one perceptron sum and accounts the inference —
-// the verdict logic shared by the scalar Decide and the burst kernel.
-//
-//ppflint:hotpath
-func (f *Filter) decideSum(sum int) Decision {
+	sum := f.sumIndexed(&f.scratchIdx)
 	f.stats.Inferences++
 	if (sum >= f.cfg.TauHi-BoundaryMargin && sum <= f.cfg.TauHi+BoundaryMargin) ||
 		(sum >= f.cfg.TauLo-BoundaryMargin && sum <= f.cfg.TauLo+BoundaryMargin) {
@@ -566,16 +543,6 @@ func (f *Filter) decideSum(sum int) Decision {
 //ppflint:hotpath
 func (f *Filter) RecordIssue(in *FeatureInput, d Decision) {
 	f.ensureScratch(in)
-	f.recordIssueRow(in.Addr, d, &f.scratchIdx)
-}
-
-// recordIssueRow is RecordIssue over a precomputed index row — the form
-// the burst kernel calls after filling the index matrix. The index row
-// is a pure function of the input, so taking it ready-made cannot
-// change which entry trains or what is stored.
-//
-//ppflint:hotpath
-func (f *Filter) recordIssueRow(addr uint64, d Decision, row *indexVec) {
 	switch d {
 	case FillL2:
 		f.stats.IssuedL2++
@@ -583,7 +550,7 @@ func (f *Filter) recordIssueRow(addr uint64, d Decision, row *indexVec) {
 		f.stats.IssuedLLC++
 	}
 	f.issueSeq++
-	idx, tag := recordIndex(addr)
+	idx, tag := recordIndex(in.Addr)
 	if e := &f.prefetchTable[idx]; e.valid && e.issued() && !e.useful &&
 		f.issueSeq-e.seq >= recordTableEntries {
 		f.stats.EvictUnused++
@@ -593,7 +560,7 @@ func (f *Filter) recordIssueRow(addr uint64, d Decision, row *indexVec) {
 			f.stats.TrainNegative++
 		}
 	}
-	f.prefetchTable[idx] = recordEntry{valid: true, tag: tag, decision: d, seq: f.issueSeq, idx: *row}
+	f.prefetchTable[idx] = recordEntry{valid: true, tag: tag, decision: d, seq: f.issueSeq, idx: f.scratchIdx}
 }
 
 // RecordSquashed accounts a candidate the filter accepted but the cache
@@ -612,15 +579,8 @@ func (f *Filter) RecordSquashed() {
 //ppflint:hotpath
 func (f *Filter) RecordReject(in *FeatureInput) {
 	f.ensureScratch(in)
-	f.recordRejectRow(in.Addr, &f.scratchIdx)
-}
-
-// recordRejectRow is RecordReject over a precomputed index row.
-//
-//ppflint:hotpath
-func (f *Filter) recordRejectRow(addr uint64, row *indexVec) {
-	idx, tag := recordIndex(addr)
-	f.rejectTable[idx] = recordEntry{valid: true, tag: tag, idx: *row}
+	idx, tag := recordIndex(in.Addr)
+	f.rejectTable[idx] = recordEntry{valid: true, tag: tag, idx: f.scratchIdx}
 }
 
 // Filter is the one-shot convenience path: decide and record in one call.

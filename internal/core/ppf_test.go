@@ -296,7 +296,7 @@ func TestCustomFeatureSet(t *testing.T) {
 	feats := []FeatureSpec{{
 		Name:      "AddrOnly",
 		TableSize: 64,
-		Index:     func(in *FeatureInput) uint64 { return in.Addr >> 6 },
+		Kind:      KindCacheLine,
 	}}
 	cfg := DefaultConfig()
 	cfg.Features = feats
@@ -310,14 +310,25 @@ func TestCustomFeatureSet(t *testing.T) {
 }
 
 func TestBadFeaturePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero table size")
-		}
-	}()
-	cfg := DefaultConfig()
-	cfg.Features = []FeatureSpec{{Name: "bad", TableSize: 0, Index: func(*FeatureInput) uint64 { return 0 }}}
-	New(cfg)
+	for _, tc := range []struct {
+		name string
+		spec FeatureSpec
+	}{
+		{"zero table size", FeatureSpec{Name: "bad", TableSize: 0, Kind: KindCacheLine}},
+		{"zero kind", FeatureSpec{Name: "bad", TableSize: 64}},
+		{"kind past the enumeration", FeatureSpec{Name: "bad", TableSize: 64, Kind: KindLineXorDepth + 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for %+v", tc.spec)
+				}
+			}()
+			cfg := DefaultConfig()
+			cfg.Features = []FeatureSpec{tc.spec}
+			New(cfg)
+		})
+	}
 }
 
 func TestDecisionString(t *testing.T) {

@@ -27,35 +27,51 @@ func randInput(rng *rand.Rand) FeatureInput {
 //     [WeightMin, WeightMax], regardless of training pressure;
 //  2. Sum(in) is exactly the sum of the per-feature weights selected by
 //     indexFor — the perceptron has no hidden state beyond its tables.
+//
+// The default set takes computeRowDefault's straight-line path and the
+// 23-feature candidate pool takes the per-kind loop, so the indexFor
+// sum checks each against the one-feature-at-a-time reference.
 func TestFilterPropertyInvariants(t *testing.T) {
+	pool := DefaultConfig()
+	pool.Features = CandidateFeatures()
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 4; trial++ {
-		f := New(DefaultConfig())
-		for op := 0; op < 5000; op++ {
-			in := randInput(rng)
-			switch rng.Intn(6) {
-			case 0:
-				f.OnLoadPC(in.PC)
-			case 1:
-				f.Filter(&in)
-			case 2:
-				if f.Decide(&in) == Drop {
-					f.RecordReject(&in)
-				} else {
-					f.RecordIssue(&in, FillL2)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default_set", DefaultConfig()},
+		{"candidate_pool", pool},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for trial := 0; trial < 4; trial++ {
+				f := New(tc.cfg)
+				for op := 0; op < 5000; op++ {
+					in := randInput(rng)
+					switch rng.Intn(6) {
+					case 0:
+						f.OnLoadPC(in.PC)
+					case 1:
+						f.Filter(&in)
+					case 2:
+						if f.Decide(&in) == Drop {
+							f.RecordReject(&in)
+						} else {
+							f.RecordIssue(&in, FillL2)
+						}
+					case 3:
+						f.RecordIssue(&in, FillL2)
+					case 4:
+						f.OnDemand(in.Addr)
+					case 5:
+						f.OnEvict(in.Addr, rng.Intn(2) == 0)
+					}
+					if op%257 == 0 {
+						checkInvariants(t, f, &in)
+					}
 				}
-			case 3:
-				f.RecordIssue(&in, FillL2)
-			case 4:
-				f.OnDemand(in.Addr)
-			case 5:
-				f.OnEvict(in.Addr, rng.Intn(2) == 0)
+				checkInvariants(t, f, nil)
 			}
-			if op%257 == 0 {
-				checkInvariants(t, f, &in)
-			}
-		}
-		checkInvariants(t, f, nil)
+		})
 	}
 }
 

@@ -30,7 +30,7 @@ func (f *Filter) SnapshotWalk(w *snap.Walker) {
 	f.stats.SnapshotWalk(w)
 	w.Static(f.cfg, f.features,
 		f.nf, f.base, f.fmask, f.kinds, f.defaultSet,
-		f.scratchIdx, f.scratchFor, f.scratchValid, f.mat,
+		f.scratchIdx, f.scratchFor, f.scratchValid,
 		f.OnTrainEvent, f.trainBuf)
 }
 

@@ -33,12 +33,6 @@ import (
 //ppflint:guardedby receiver
 type Session struct {
 	f *core.Filter
-
-	// inBuf/outBuf are the session-resident staging buffers ApplyBatch
-	// copies candidate runs through on the way into the burst decide
-	// kernel; sized to the kernel's chunk so no call ever grows them.
-	inBuf  [core.BatchChunk]core.FeatureInput
-	outBuf [core.BatchChunk]core.Decision
 }
 
 // New creates a session around a freshly-constructed filter.
@@ -99,22 +93,11 @@ func (s *Session) ResetStats() { s.f.ResetStats() }
 
 // Reset returns the session to its freshly-created state — weights,
 // record tables, history and stats — for re-lease to a new client.
-// inBuf/outBuf are per-call staging scratch for ApplyBatch, fully
-// rewritten before every read, so clearing them is not required for a
-// clean re-lease.
-func (s *Session) Reset() {
-	s.f.Reset()
-	s.inBuf = [core.BatchChunk]core.FeatureInput{}
-	s.outBuf = [core.BatchChunk]core.Decision{}
-}
+func (s *Session) Reset() { s.f.Reset() }
 
 // SnapshotWalk serializes the session's filter state (internal/sim
-// embeds sessions in machine snapshots through this). The batch staging
-// buffers are per-call scratch, dead between ApplyBatch calls.
-func (s *Session) SnapshotWalk(w *snap.Walker) {
-	s.f.SnapshotWalk(w)
-	w.Static(s.inBuf, s.outBuf)
-}
+// embeds sessions in machine snapshots through this).
+func (s *Session) SnapshotWalk(w *snap.Walker) { s.f.SnapshotWalk(w) }
 
 // Apply executes one event against the session. For candidate events it
 // returns the verdict and true; training events return (0, false). A
@@ -141,40 +124,21 @@ func (s *Session) Apply(ev *Event) (core.Decision, bool) {
 // appending each candidate's verdict to out and returning the extended
 // slice (pass out[:0] of a reused buffer for an allocation-free batch).
 //
-// Processing is sequential by construction — the batch exists to
-// amortize framing, queueing and call overhead across a burst, never to
-// reorder work — so the returned decisions and the post-batch filter
-// state are bit-identical to Apply called once per event on the same
-// stream. TestBatchBitIdenticalToSequential pins this guarantee; the
-// server's batch endpoint inherits it.
-//
-// Runs of consecutive candidate events are routed through the burst
-// decide kernel (core.Filter.FilterBatch) in BatchChunk-sized chunks,
-// which is itself bit-identical to per-event Filter calls; training
-// events between runs flush to the scalar Apply path. The loop is
-// allocation free — candidate runs stage through session-resident
-// buffers — and append growth is the caller's buffer policy (the
-// server's worker passes a reused MaxBatch-capacity buffer, so the
-// served batch path never grows it).
+// The batch exists to amortize framing, queueing and call overhead
+// across a burst, never to reorder work: each event goes through Apply
+// in order, so the returned decisions and the post-batch filter state
+// are those of Apply called once per event on the same stream.
+// TestBatchBitIdenticalToSequential pins this guarantee; the server's
+// batch endpoint inherits it. Append growth is the caller's buffer
+// policy (the server's worker passes a reused MaxBatch-capacity buffer,
+// so the served batch path never grows it).
 //
 //ppflint:hotpath
 func (s *Session) ApplyBatch(events []Event, out []core.Decision) []core.Decision {
-	for i := 0; i < len(events); {
-		if events[i].Kind != KindCandidate {
-			if d, ok := s.Apply(&events[i]); ok {
-				out = append(out, d)
-			}
-			i++
-			continue
+	for i := range events {
+		if d, ok := s.Apply(&events[i]); ok {
+			out = append(out, d)
 		}
-		n := 0
-		for i+n < len(events) && n < len(s.inBuf) && events[i+n].Kind == KindCandidate {
-			s.inBuf[n] = events[i+n].Input
-			n++
-		}
-		s.f.FilterBatch(s.inBuf[:n], s.outBuf[:n])
-		out = append(out, s.outBuf[:n]...)
-		i += n
 	}
 	return out
 }
@@ -199,8 +163,7 @@ var ErrBadSessionSnapshot = errors.New("engine: malformed session snapshot")
 var ErrConfigMismatch = errors.New("engine: session snapshot config mismatch")
 
 // fingerprint encodes the config geometry the snapshot payload depends
-// on. Feature index functions cannot be compared across processes, so
-// the name+size pair stands in for each table.
+// on: the thresholds, then each feature table's name and size.
 func (s *Session) fingerprint() ([]byte, error) {
 	w := snap.NewEncoder()
 	cfg := s.f.Config()

@@ -134,8 +134,10 @@ func TestCandidateFeaturePoolIsValid(t *testing.T) {
 		if f.TableSize <= 0 {
 			t.Fatalf("%s has no table", f.Name)
 		}
-		f.Index(&in) // must not panic
 	}
+	cfg := ppf.DefaultConfig()
+	cfg.Features = feats
+	ppf.New(cfg).Decide(&in) // New rejects an unknown kind; Decide must not panic
 }
 
 func TestStabilityRuns(t *testing.T) {

@@ -179,36 +179,6 @@ func SPPLookaheadOnly(b *testing.B) {
 	}
 }
 
-// PPFDecideBatch returns a kernel measuring the burst decide+record
-// path at the given burst width: each operation scores one candidate,
-// but the candidates reach the filter FilterBatch-at-a-time, so ns/op
-// is the amortized per-candidate cost including the producer's buffer
-// fill. Burst 1 is the degenerate batch — its gap against larger
-// bursts is the per-call overhead the batch path amortizes away.
-func PPFDecideBatch(burst int) func(b *testing.B) {
-	return func(b *testing.B) {
-		f := ppf.New(ppf.DefaultConfig())
-		base := ppf.FeatureInput{
-			PC:     0x400123,
-			PCHist: [3]uint64{0x400100, 0x400200, 0x400300},
-			Depth:  2, Signature: 0xABC, Confidence: 60, Delta: 1,
-		}
-		ins := make([]ppf.FeatureInput, burst)
-		out := make([]ppf.Decision, burst)
-		addr := uint64(0x1000000)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += burst {
-			for j := range ins {
-				addr += 64
-				ins[j] = base
-				ins[j].Addr = addr
-			}
-			f.FilterBatch(ins, out)
-		}
-	}
-}
-
 // SimCell describes one end-to-end sim-rate measurement: a fixed
 // workload per core under a named scheme, optionally forced onto the
 // legacy +1 cycle loop, optionally requested repeatedly through a run

@@ -19,17 +19,6 @@ type KernelResult struct {
 	Iterations int64 `json:"iterations"`
 }
 
-// SimRate is the figure-level throughput row of BENCH_kernel.json: one
-// fixed Figure 9 cell timed end to end.
-type SimRate struct {
-	Workload           string  `json:"workload"`
-	WarmupInstructions uint64  `json:"warmup_instructions"`
-	DetailInstructions uint64  `json:"detail_instructions"`
-	Instructions       uint64  `json:"instructions"`
-	Seconds            float64 `json:"seconds"`
-	InstructionsPerSec float64 `json:"instructions_per_sec"`
-}
-
 // KernelBench is the schema of BENCH_kernel.json, the repository's
 // kernel-performance trajectory. cmd/bench emits one of these per run;
 // successive PRs append comparable snapshots.
@@ -41,7 +30,6 @@ type KernelBench struct {
 	// (cmd/bench -count); 1 means a single measurement.
 	Count   int            `json:"count"`
 	Kernels []KernelResult `json:"kernels"`
-	Sim     *SimRate       `json:"sim,omitempty"`
 }
 
 // SimRateRow is one end-to-end measurement of BENCH_sim.json: a fixed
