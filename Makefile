@@ -51,17 +51,18 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # race runs the concurrency-bearing packages under the race detector:
-# the serving pipeline (reader/worker/writer per connection over the
-# striped registry), the engine sessions those pipelines drive, and the
-# runner's worker pool + memo cache. These are the packages guardedby
-# annotates; the race detector checks the same invariants dynamically
-# that ppflint checks statically. -count=1 defeats the test cache so
-# the schedules actually re-run. The second line repeats the serve
-# lease tests 50 times (about 2 s): a lease released after its error
-# frame is written shows up as an intermittent ErrSessionBusy there.
+# the server (one goroutine per connection over the striped registry,
+# plus the listener and Close), the engine sessions those connections
+# drive, and the runner's worker pool + memo cache. These are the
+# packages guardedby annotates; the race detector checks the same
+# invariants dynamically that ppflint checks statically. -count=1
+# defeats the test cache so the schedules actually re-run. The second
+# line repeats the serve lease and shed tests 50 times (about 4 s): a
+# lease released after its error frame is written shows up as an
+# intermittent ErrSessionBusy there.
 race:
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/engine/... ./internal/runner/...
-	$(GO) test -race -count=50 -run 'TestLeaseFreeAfterErrorFrame|TestProtocolErrors|TestSessionBusy' ./internal/serve/
+	$(GO) test -race -count=50 -run 'TestLeaseFreeAfterErrorFrame|TestProtocolErrors|TestSessionBusy|TestSlowClientShed' ./internal/serve/
 
 # determinism re-runs only the golden tests that prove -j 1 and -j 8
 # produce byte-identical experiment reports.

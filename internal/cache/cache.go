@@ -196,7 +196,8 @@ type Cache struct {
 	mshrLow   []bool
 
 	// mshrMaxDone is the latest completion cycle ever committed to the
-	// MSHR file (monotone; derived state, recomputed on snapshot decode).
+	// MSHR file (monotone, and carried through snapshots: a promotion
+	// can leave it above every occupied slot's completion).
 	// Once the current cycle passes it, every occupied slot is expired, so
 	// the per-hit pendingFill scan can return immediately: a scan could
 	// only lazily sweep slots, never match one. Expired slots are then
@@ -529,8 +530,7 @@ func (c *Cache) firstFreeMSHR() int {
 // rebuildMSHRIndex recomputes mshrMaxDone and the MSHR index from the
 // slot arrays, at construction and on snapshot decode. The recomputed
 // mshrMaxDone bounds the occupied slots only, not every fill ever
-// committed; any bound at or above every occupied slot's completion
-// keeps the pendingFill fast path exact.
+// committed, so snapshot decode raises it back to the walked value.
 func (c *Cache) rebuildMSHRIndex() {
 	clear(c.mshrLive)
 	clear(c.mshrFilter)

@@ -139,14 +139,36 @@ func (c *refMSHR) promote(i int, promoted uint64) {
 	c.low[i] = false
 }
 
-// decode is what a snapshot round trip does to the file: the slot
-// arrays survive, and maxDone is recomputed over the occupied slots.
-func (c *refMSHR) decode() {
-	c.maxDone = 0
-	for i, b := range c.block {
-		if b != invalidTag && c.done[i] > c.maxDone {
-			c.maxDone = c.done[i]
-		}
+// TestSnapshotKeepsMSHRBound: a snapshot round trip must not change
+// what the MSHR file answers next. A promotion moves prefetch X's
+// completion earlier without lowering the file's completion bound, so
+// a bound recomputed on decode from the occupied slots (90 here, not
+// 100) would send the reserve at 95 down the quiescent fast path,
+// leaving demand Y's expired slot set where the uninterrupted cache
+// sweeps it, and the lookup of Y at 85 would then find it in flight.
+func TestSnapshotKeepsMSHRBound(t *testing.T) {
+	cfg := Config{Name: "mshr", SizeBytes: 4 << 10, Ways: 4, HitLatency: 2, MSHRs: 8}
+	const x, y, z = 0x40, 0x80, 0xc0
+	live := MustNew(cfg, &fixedMem{latency: 100})
+	px, _ := live.reserveMSHRPrefetch(0)
+	live.commitMSHRPrefetch(px, x, 100)
+	dy, _ := live.reserveMSHR(0)
+	live.commitMSHR(dy, y, 90)
+	live.promoteMSHR(px, 80)
+
+	resumed := snapshotRoundTrip(t, live, cfg)
+	for _, c := range []*Cache{live, resumed} {
+		i, start := c.reserveMSHR(95)
+		c.commitMSHR(i, z, start+100)
+	}
+	li, lok := live.pendingFill(y, 85)
+	ri, rok := resumed.pendingFill(y, 85)
+	if li != ri || lok != rok {
+		t.Fatalf("pendingFill(y, 85): uninterrupted (%d, %v), round-tripped (%d, %v)", li, lok, ri, rok)
+	}
+	if !slices.Equal(live.mshrBlock, resumed.mshrBlock) || !slices.Equal(live.mshrDone, resumed.mshrDone) {
+		t.Fatalf("slot arrays diverge after the round trip\nuninterrupted %v %v\nround-tripped %v %v",
+			live.mshrBlock, live.mshrDone, resumed.mshrBlock, resumed.mshrDone)
 	}
 }
 
@@ -158,7 +180,8 @@ func (c *refMSHR) decode() {
 // (first-match order matters), and the cycle steps backwards as well as
 // forwards, so lazily swept slots become visible again. Every few
 // thousand calls the cache is round-tripped through its snapshot walk,
-// which must rebuild the index.
+// which must rebuild the index and change no answer, so the reference
+// model carries on untouched.
 func TestMSHRIndexMatchesReference(t *testing.T) {
 	for _, slots := range []int{8, 48, 256} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -254,7 +277,6 @@ func checkMSHRAgainstReference(t *testing.T, slots int, seed int64, steps int) {
 		checkMSHRIndex(t, c)
 		if step%(steps/4) == steps/8 {
 			c = snapshotRoundTrip(t, c, cfg)
-			ref.decode()
 		}
 	}
 }

@@ -18,12 +18,20 @@ func (c *Cache) SnapshotWalk(w *snap.Walker) {
 	w.Uint64s(c.mshrBlock)
 	w.Uint64s(c.mshrDone)
 	w.Bools(c.mshrLow)
-	// mshrMaxDone and the MSHR index are derived from the slot arrays, so
-	// they stay Static and decode rebuilds them.
-	w.Static(c.mshrMaxDone, c.mshrLive, c.mshrUsed, c.mshrMinDone,
-		c.mshrFilter, c.mshrShift)
+	// mshrMaxDone is walked, not recomputed: a promotion moves a fill's
+	// completion earlier without lowering it, so the occupied slots can
+	// understate it, and a lower bound would send a later reserve down
+	// a quiescent fast path the uninterrupted run does not take. Decode
+	// keeps the larger of the walked and recomputed bounds, so the bound
+	// covers every occupied slot even in a hand-made stream. The MSHR
+	// index is derived from the slot arrays, so it stays Static and
+	// decode rebuilds it.
+	w.Uint64(&c.mshrMaxDone)
+	w.Static(c.mshrLive, c.mshrUsed, c.mshrMinDone, c.mshrFilter, c.mshrShift)
 	if w.Decoding() {
+		walked := c.mshrMaxDone
 		c.rebuildMSHRIndex()
+		c.mshrMaxDone = max(c.mshrMaxDone, walked)
 	}
 	c.stats.SnapshotWalk(w)
 	// wayHint is a pure lookup accelerator: stale or cold hints are

@@ -105,14 +105,6 @@ type Stats struct {
 	LastRequest   uint64 // cycle of the most recent request (for utilisation)
 }
 
-// Utilisation returns the fraction of elapsed cycles the data bus was busy.
-func (s Stats) Utilisation() float64 {
-	if s.LastRequest == 0 {
-		return 0
-	}
-	return float64(s.BusBusyFor) / float64(s.LastRequest)
-}
-
 // DRAM implements the simulator's bottom memory level.
 type DRAM struct {
 	cfg      Config

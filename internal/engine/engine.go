@@ -124,14 +124,14 @@ func (s *Session) Apply(ev *Event) (core.Decision, bool) {
 // appending each candidate's verdict to out and returning the extended
 // slice (pass out[:0] of a reused buffer for an allocation-free batch).
 //
-// The batch exists to amortize framing, queueing and call overhead
-// across a burst, never to reorder work: each event goes through Apply
-// in order, so the returned decisions and the post-batch filter state
-// are those of Apply called once per event on the same stream.
+// The batch exists to amortize framing and call overhead across a
+// burst, never to reorder work: each event goes through Apply in order,
+// so the returned decisions and the post-batch filter state are those
+// of Apply called once per event on the same stream.
 // TestBatchBitIdenticalToSequential pins this guarantee; the server's
 // batch endpoint inherits it. Append growth is the caller's buffer
-// policy (the server's worker passes a reused MaxBatch-capacity buffer,
-// so the served batch path never grows it).
+// policy (each server connection passes back the buffer its previous
+// batch returned, so growth stops at the largest batch it has seen).
 //
 //ppflint:hotpath
 func (s *Session) ApplyBatch(events []Event, out []core.Decision) []core.Decision {

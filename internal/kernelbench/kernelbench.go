@@ -345,12 +345,3 @@ func (c SimCell) runStore(scheme experiment.Scheme, w workload.Workload, b exper
 		StoreSnapshotMisses: s.SnapshotMisses,
 	}
 }
-
-// Fig9CellRate runs one fixed Figure 9 cell — 603.bwaves_s under
-// SPP+PPF at the given budget — and returns the end-to-end simulation
-// rate in simulated instructions per wall second. This is the
-// figure-level number the micro-kernels must ultimately move; it is the
-// "fig9_ppf_skip" row of DefaultSimCells.
-func Fig9CellRate(warmup, detail uint64) (instructions uint64, elapsed time.Duration) {
-	return SimCell{Name: "fig9_cell", Scheme: "ppf", Workloads: []string{"603.bwaves_s"}}.Run(warmup, detail)
-}

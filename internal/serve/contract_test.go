@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -99,18 +98,13 @@ func rawErrorBody(code uint8) []byte {
 // for every code. Large frames are pinned by length and SHA-256.
 func TestWireGolden(t *testing.T) {
 	srv := NewServer(Config{})
-	sess := engine.New(srv.cfg.Filter)
+	st := &stream{sess: engine.New(srv.cfg.Filter)}
 	events := syntheticEvents(5, 200)
-	sess.ApplyBatch(events, nil)
+	st.sess.ApplyBatch(events, nil)
 
 	framed := func(body []byte) []byte {
 		var buf bytes.Buffer
 		wire.WriteFrame(&buf, body)
-		return buf.Bytes()
-	}
-	errorFrame := func(err error) []byte {
-		var buf bytes.Buffer
-		srv.writeErrorFrame(nil, bufio.NewWriter(&buf), err)
 		return buf.Bytes()
 	}
 	decisions := []core.Decision{core.FillL2, core.FillLLC, core.Drop}
@@ -126,14 +120,14 @@ func TestWireGolden(t *testing.T) {
 		{"reset", framed(wire.Body(opReset, nil)), "0100000005"},
 		{"ok", framed(wire.Body(opOK, nil)), "0100000080"},
 		{"decisions", framed(encodeDecisions(decisions)), "0c000000810300000000000000020100"},
-		{"stats reply", framed(srv.execute(sess, &request{op: opStats}, nil)), "590000008277000000000000007700000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-		{"snapshot reply", framed(srv.execute(sess, &request{op: opSnapshot}, nil)), "len 180780 sha256 ddb613fa05f9eb2d7fab6fd79c0674d20d44f8d513e51243d879bec7af02725c"},
-		{"bad-frame", errorFrame(wire.ErrBadFrame), "19000000ff010f000000000000006d616c666f726d6564206672616d65"},
-		{"bad-order", errorFrame(wire.ErrBadOrder), "1e000000ff02140000000000000072657175657374206265666f72652068656c6c6f"},
-		{"session-busy", errorFrame(wire.ErrSessionBusy), "1c000000ff03120000000000000073657373696f6e206b657920696e20757365"},
-		{"overloaded", errorFrame(wire.ErrOverloaded), "28000000ff041e00000000000000636c69656e74207368656420756e646572206261636b7072657373757265"},
-		{"too-large", errorFrame(wire.ErrTooLarge), "1d000000ff0513000000000000006672616d65206578636565647320626f756e64"},
-		{"internal", errorFrame(wire.ErrInternal), "2a000000ff062000000000000000736572766572206661696c656420746f20657865637574652072657175657374"},
+		{"stats reply", framed(srv.execute(st, opStats)), "590000008277000000000000007700000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+		{"snapshot reply", framed(srv.execute(st, opSnapshot)), "len 180780 sha256 ddb613fa05f9eb2d7fab6fd79c0674d20d44f8d513e51243d879bec7af02725c"},
+		{"bad-frame", errorFrameBytes(wire.ErrBadFrame), "19000000ff010f000000000000006d616c666f726d6564206672616d65"},
+		{"bad-order", errorFrameBytes(wire.ErrBadOrder), "1e000000ff02140000000000000072657175657374206265666f72652068656c6c6f"},
+		{"session-busy", errorFrameBytes(wire.ErrSessionBusy), "1c000000ff03120000000000000073657373696f6e206b657920696e20757365"},
+		{"overloaded", errorFrameBytes(wire.ErrOverloaded), "28000000ff041e00000000000000636c69656e74207368656420756e646572206261636b7072657373757265"},
+		{"too-large", errorFrameBytes(wire.ErrTooLarge), "1d000000ff0513000000000000006672616d65206578636565647320626f756e64"},
+		{"internal", errorFrameBytes(wire.ErrInternal), "2a000000ff062000000000000000736572766572206661696c656420746f20657865637574652072657175657374"},
 	}
 	for _, f := range frames {
 		got := hex.EncodeToString(f.frame)

@@ -19,8 +19,8 @@ import (
 func FuzzServeFrame(f *testing.F) {
 	const maxBatch = 64
 	srv := NewServer(Config{MaxBatch: maxBatch})
-	sess := engine.New(srv.cfg.Filter)
-	sess.ApplyBatch(syntheticEvents(2, 64), nil)
+	st := &stream{sess: engine.New(srv.cfg.Filter)}
+	st.sess.ApplyBatch(syntheticEvents(2, 64), nil)
 	seeds := [][]byte{
 		encodeHello("seed"),
 		encodeBatch(syntheticEvents(1, 4)),
@@ -29,7 +29,7 @@ func FuzzServeFrame(f *testing.F) {
 		wire.Body(opReset, nil),
 		wire.Body(opOK, nil),
 		encodeDecisions([]core.Decision{core.FillL2, core.FillLLC, core.Drop}),
-		srv.execute(sess, &request{op: opStats}, nil),
+		srv.execute(st, opStats),
 		encodeSnapRep([]byte("blob")),
 		// The wire contract's edge frames.
 		{},
@@ -62,7 +62,7 @@ func FuzzServeFrame(f *testing.F) {
 		}
 		req, err := wire.ReadRequest(reader(), srv.cfg.MaxFrame, srv.bound)
 		if err == nil {
-			_, err = srv.parseRequest(req)
+			_, err = srv.parseRequest(&stream{}, req)
 		}
 		if err != nil {
 			requireWireClass(t, "request", err)

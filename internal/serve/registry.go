@@ -32,7 +32,7 @@ type stripe struct {
 
 // registry maps session keys to leased engine sessions under striped
 // locks. The locks guard only acquire/release; the per-event hot path
-// runs lock-free on the owning connection's worker goroutine.
+// runs lock-free on the owning connection's goroutine.
 type registry struct {
 	stripes [stripeCount]stripe
 }

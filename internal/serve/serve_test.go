@@ -1,13 +1,13 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -171,7 +171,7 @@ func TestSessionBusy(t *testing.T) {
 // TestConnectionChurn is the race-focused suite: many clients churning
 // connect/stream/disconnect against overlapping session keys. Run under
 // -race this exercises the registry striping, lease handoff, and
-// pipeline teardown; the test asserts every stream either completes or
+// connection teardown; the test asserts every stream either completes or
 // fails with the one legal error (busy on an overlapping key).
 func TestConnectionChurn(t *testing.T) {
 	_, addr := startServer(t, Config{})
@@ -218,38 +218,91 @@ func TestConnectionChurn(t *testing.T) {
 	}
 }
 
+// shortDeadlineConn cuts every write deadline to at most 20 ms away, so
+// a server writing to a client that never reads gives up in test time.
+type shortDeadlineConn struct{ net.Conn }
+
+func (c shortDeadlineConn) SetWriteDeadline(t time.Time) error {
+	if limit := time.Now().Add(20 * time.Millisecond); t.After(limit) { //ppflint:allow determinism test socket deadline
+		t = limit
+	}
+	return c.Conn.SetWriteDeadline(t)
+}
+
 // TestSlowClientShed: a client that streams requests without ever
-// draining responses must be shed with the typed overload error, not
-// buffered without bound. net.Pipe (no kernel buffering, unlike a
-// loopback TCP socket) makes the writer block on the very first
-// undrained response, so the bounded queues fill deterministically.
+// reading responses must be shed with the typed overload error, not
+// served without bound, and the shed must free its lease. net.Pipe has
+// no kernel buffer, unlike a loopback TCP socket, so the server's write
+// of the first unread response blocks until its deadline.
 func TestSlowClientShed(t *testing.T) {
-	srv := NewServer(Config{
-		QueueDepth:  2,
-		ShedTimeout: 50 * time.Millisecond,
-	})
+	srv := NewServer(Config{})
 	cli, srvConn := net.Pipe()
 	defer cli.Close()
 	handled := make(chan struct{})
 	go func() {
 		defer close(handled)
-		srv.handle(srvConn)
+		srv.handle(shortDeadlineConn{srvConn})
 	}()
 
-	// Read only the hello ack, then flood batches and never read again.
+	// Read only the hello ack, then send batches and never read again.
 	wc := wire.NewConn(cli, DefaultMaxFrame, responseBound)
 	if _, err := wc.Exchange(encodeHello("slow"), opOK); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
+	// The server severs the pipe once it sheds us.
 	batch := encodeBatch(syntheticEvents(1, 256))
-	for i := 0; i < 64; i++ {
-		if err := wire.WriteFrame(cli, batch); err != nil {
-			break // server severed us: expected under shed
-		}
+	for wire.WriteFrame(cli, batch) == nil {
 	}
 	<-handled
-	if srv.Sheds() != 1 {
-		t.Fatalf("Sheds = %d, want 1", srv.Sheds())
+	if n := srv.Sheds(); n != 1 {
+		t.Fatalf("Sheds = %d, want 1", n)
+	}
+
+	next, nextSrv := net.Pipe()
+	defer next.Close()
+	go srv.handle(nextSrv)
+	wc = wire.NewConn(next, DefaultMaxFrame, responseBound)
+	if _, err := wc.Exchange(encodeHello("slow"), opOK); err != nil {
+		t.Fatalf("hello after the shed: %v", err)
+	}
+}
+
+// TestPipelinedClientOrdering: a client may write many requests before
+// reading any response. The server answers each in order, and each
+// answer is what a local session gives for the same events.
+func TestPipelinedClientOrdering(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	wc := wire.NewConn(conn, DefaultMaxFrame, responseBound)
+	if _, err := wc.Exchange(encodeHello("pipelined"), opOK); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+
+	const batches, size = 16, 300
+	events := syntheticEvents(11, batches*size)
+	for b := 0; b < batches; b++ {
+		if err := wire.WriteFrame(conn, encodeBatch(events[b*size:(b+1)*size])); err != nil {
+			t.Fatalf("write batch %d: %v", b, err)
+		}
+	}
+	local := engine.New(core.DefaultConfig())
+	for b := 0; b < batches; b++ {
+		f, err := wc.Recv(opDecisions)
+		if err != nil {
+			t.Fatalf("response %d: %v", b, err)
+		}
+		served, err := decodeDecisions(f)
+		if err != nil {
+			t.Fatalf("decode response %d: %v", b, err)
+		}
+		want := local.ApplyBatch(events[b*size:(b+1)*size], nil)
+		if !slices.Equal(served, want) {
+			t.Fatalf("response %d: served %v, local %v", b, served, want)
+		}
 	}
 }
 
@@ -408,42 +461,39 @@ func TestDecisionValidationOnClientDecode(t *testing.T) {
 	}
 }
 
-// errorOverPipe writes err through the server's error-frame path and
-// reads it back as the client does. buffered picks the handshake path
-// (through the connection's buffered writer) over the pipeline's
-// (straight to the socket under a deadline).
-func errorOverPipe(err error, buffered bool) error {
+// errorFrameBytes returns the bytes the server's error-frame path
+// writes to the connection for err.
+func errorFrameBytes(err error) []byte {
 	srv := NewServer(Config{})
 	cli, srvConn := net.Pipe()
 	defer cli.Close()
 	go func() {
 		defer srvConn.Close()
-		var bw *bufio.Writer
-		if buffered {
-			bw = bufio.NewWriter(srvConn)
-		}
-		srv.writeErrorFrame(srvConn, bw, err)
+		srv.writeErrorFrame(srvConn, err)
 	}()
-	return rawReadError(cli)
+	b, _ := io.ReadAll(cli)
+	return b
 }
+
+// errorOverPipe writes err through the server's error-frame path and
+// reads it back as the client does.
+func errorOverPipe(err error) error { return rawReadError(bytes.NewBuffer(errorFrameBytes(err))) }
 
 // TestWireErrorRoundTrip pins the error frame as ppfd writes and reads
 // it: every class the server sends reaches the client with its code and
-// message on both write paths, and a failure with no wire class arrives
-// as ErrInternal carrying its text.
+// message, and a failure with no wire class arrives as ErrInternal
+// carrying its text.
 func TestWireErrorRoundTrip(t *testing.T) {
 	codes := []wire.Code{wire.CodeBadFrame, wire.CodeBadOrder, wire.CodeSessionBusy,
 		wire.CodeOverloaded, wire.CodeTooLarge, wire.CodeInternal}
 	for _, code := range codes {
-		for _, buffered := range []bool{true, false} {
-			err := errorOverPipe(&wire.Error{Code: code, Msg: "details"}, buffered)
-			var out *wire.Error
-			if !errors.As(err, &out) || out.Code != code || out.Msg != "details" {
-				t.Fatalf("code %v (buffered %v) came back as %v", code, buffered, err)
-			}
+		err := errorOverPipe(&wire.Error{Code: code, Msg: "details"})
+		var out *wire.Error
+		if !errors.As(err, &out) || out.Code != code || out.Msg != "details" {
+			t.Fatalf("code %v came back as %v", code, err)
 		}
 	}
-	err := errorOverPipe(errors.New("disk on fire"), false)
+	err := errorOverPipe(errors.New("disk on fire"))
 	var out *wire.Error
 	if !errors.Is(err, wire.ErrInternal) || !errors.As(err, &out) || out.Msg != "disk on fire" {
 		t.Fatalf("untyped failure came back as %v, want ErrInternal with its text", err)
@@ -456,22 +506,22 @@ func TestWireErrorRoundTrip(t *testing.T) {
 // same sentinel — the failure class survives the connection regardless
 // of which side produced it.
 func TestSentinelCodesSurviveWire(t *testing.T) {
-	if err := errorOverPipe(wire.ErrBadFrame, false); !errors.Is(err, wire.ErrBadFrame) {
+	if err := errorOverPipe(wire.ErrBadFrame); !errors.Is(err, wire.ErrBadFrame) {
 		t.Errorf("ErrBadFrame lost its class over the wire: %v", err)
 	}
-	if err := errorOverPipe(wire.ErrBadOrder, false); !errors.Is(err, wire.ErrBadOrder) {
+	if err := errorOverPipe(wire.ErrBadOrder); !errors.Is(err, wire.ErrBadOrder) {
 		t.Errorf("ErrBadOrder lost its class over the wire: %v", err)
 	}
-	if err := errorOverPipe(wire.ErrSessionBusy, false); !errors.Is(err, wire.ErrSessionBusy) {
+	if err := errorOverPipe(wire.ErrSessionBusy); !errors.Is(err, wire.ErrSessionBusy) {
 		t.Errorf("ErrSessionBusy lost its class over the wire: %v", err)
 	}
-	if err := errorOverPipe(wire.ErrOverloaded, false); !errors.Is(err, wire.ErrOverloaded) {
+	if err := errorOverPipe(wire.ErrOverloaded); !errors.Is(err, wire.ErrOverloaded) {
 		t.Errorf("ErrOverloaded lost its class over the wire: %v", err)
 	}
-	if err := errorOverPipe(wire.ErrTooLarge, false); !errors.Is(err, wire.ErrTooLarge) {
+	if err := errorOverPipe(wire.ErrTooLarge); !errors.Is(err, wire.ErrTooLarge) {
 		t.Errorf("ErrTooLarge lost its class over the wire: %v", err)
 	}
-	if err := errorOverPipe(wire.ErrInternal, false); !errors.Is(err, wire.ErrInternal) {
+	if err := errorOverPipe(wire.ErrInternal); !errors.Is(err, wire.ErrInternal) {
 		t.Errorf("ErrInternal lost its class over the wire: %v", err)
 	}
 }

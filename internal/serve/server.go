@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,25 +17,22 @@ import (
 
 // Defaults for Config zero values.
 const (
-	// DefaultQueueDepth bounds the per-connection request and response
-	// queues. Deep enough to keep a pipelining client's worker busy,
-	// shallow enough that one slow client holds only a bounded number
-	// of response frames in memory.
-	DefaultQueueDepth = 32
 	// DefaultMaxFrame bounds a frame body (4 MiB): far above any sane
 	// batch, far below an allocation a hostile length prefix could
 	// weaponize.
 	DefaultMaxFrame = 4 << 20
 	// DefaultMaxBatch bounds events per batch frame.
 	DefaultMaxBatch = 8192
-	// DefaultShedTimeout is how long a worker waits on the full
-	// response queue of a non-draining client before shedding it.
-	DefaultShedTimeout = 2 * time.Second
 )
 
-// errorFrameTimeout bounds each socket write on the way out of a
-// server-initiated close — flushing queued responses, then the error
-// frame — so a peer that stopped reading cannot pin the connection.
+// shedTimeout bounds each response write. A client that has not taken
+// a response within it is shed with wire.ErrOverloaded, so a peer that
+// stops reading cannot pin its connection and session.
+const shedTimeout = 2 * time.Second
+
+// errorFrameTimeout bounds the error frame's socket write on the way
+// out of a server-initiated close, so a peer that stopped reading
+// cannot pin the connection.
 const errorFrameTimeout = 100 * time.Millisecond
 
 // Config parameterizes a Server. The zero value serves DefaultConfig
@@ -43,22 +41,15 @@ type Config struct {
 	// Filter configures the perceptron filter each new session wraps.
 	// Zero means core.DefaultConfig().
 	Filter core.Config
-	// QueueDepth bounds the per-connection request/response queues.
-	QueueDepth int
 	// MaxFrame bounds an incoming frame body in bytes.
 	MaxFrame int
 	// MaxBatch bounds the events accepted in one batch frame.
 	MaxBatch int
-	// ShedTimeout is the patience before a non-draining client is shed.
-	ShedTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.Filter.Features == nil && c.Filter.TauHi == 0 && c.Filter.TauLo == 0 {
 		c.Filter = core.DefaultConfig()
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = DefaultQueueDepth
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
@@ -66,19 +57,16 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
 	}
-	if c.ShedTimeout <= 0 {
-		c.ShedTimeout = DefaultShedTimeout
-	}
 	return c
 }
 
 // Server accepts prefetch-decision streams. Each connection leases one
-// session and gets a three-stage pipeline — reader, worker, writer —
-// joined by bounded queues: the reader parses frames and stops reading
-// (TCP backpressure) when the worker falls behind; the worker drives
-// the session single-threaded; the writer drains responses to the
-// socket. A client that stops draining responses is shed after
-// ShedTimeout with wire.ErrOverloaded rather than pinning server memory.
+// session and is served on its own goroutine, one request at a time:
+// read a frame, apply it to the session, write and flush the response,
+// then read the next. A client that sends faster than it is served is
+// held back by TCP, since the server reads nothing until the current
+// response is written. A client that stops reading responses is shed
+// with wire.ErrOverloaded once a response write has waited shedTimeout.
 type Server struct {
 	cfg Config
 	reg registry
@@ -164,7 +152,7 @@ func (s *Server) Serve(lis net.Listener) error {
 }
 
 // Close stops the listener, severs every live connection, and waits for
-// their pipelines to unwind. Sessions stay registered; a server is
+// their handlers to return. Sessions stay registered; a server is
 // single-use but its registry state is inspectable after Close.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -186,15 +174,18 @@ func (s *Server) Close() error {
 	return err
 }
 
-// request is one parsed client frame handed from reader to worker.
-type request struct {
-	op     uint8
-	events []engine.Event
+// stream is one served connection's state: the leased session and the
+// buffers every batch reuses. The buffers grow to the largest batch
+// seen, at most MaxBatch events.
+type stream struct {
+	sess      *engine.Session
+	events    []engine.Event
+	decisions []core.Decision
 }
 
-// handle runs one connection's lifecycle: hello handshake, then the
-// reader/worker/writer pipeline until EOF, protocol error, shed, or
-// server close.
+// handle runs one connection's lifecycle: the hello handshake, then one
+// request at a time until EOF, a protocol error, a shed, or server
+// close.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
@@ -202,152 +193,65 @@ func (s *Server) handle(conn net.Conn) {
 
 	key, err := s.readHello(br)
 	if err != nil {
-		s.writeErrorFrame(conn, bw, err)
+		s.writeErrorFrame(conn, err)
 		return
 	}
 	sess, err := s.reg.acquire(key, s.cfg.Filter)
 	if err != nil {
-		s.writeErrorFrame(conn, bw, err)
+		s.writeErrorFrame(conn, err)
 		return
 	}
+	// The hello's acknowledgement needs no shed deadline: it is the first
+	// write to the socket, and five bytes always fit the empty send
+	// buffer.
 	var reason error
 	if wire.Send(bw, wire.Body(opOK, nil)) == nil {
-		reason = s.pipeline(conn, br, bw, sess)
+		reason = s.serve(conn, br, bw, &stream{sess: sess})
 	}
-	// The pipeline's worker has exited, so nothing drives the session:
-	// release the lease, exactly once, and only then tell the client why
-	// the server is closing. A client that reconnects with the same key
-	// as soon as it reads the error frame finds the lease free.
+	// Nothing drives the session any more: release the lease, and only
+	// then tell the client why the server is closing. A client that
+	// reconnects with the same key as soon as it reads the error frame
+	// finds the lease free.
 	s.reg.release(key)
 	if reason != nil {
-		s.writeErrorFrame(conn, nil, reason)
+		s.writeErrorFrame(conn, reason)
 	}
 }
 
-// pipeline serves an acquired session until the client leaves, the
+// serve answers requests in order until the client leaves, the
 // transport fails, the server closes, or the server ends the stream
-// itself (a protocol error or a shed). It returns once the worker and
-// the writer have exited, with the error the client is owed when the
-// server ended the stream, nil otherwise.
-func (s *Server) pipeline(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, sess *engine.Session) error {
-	reqCh := make(chan request, s.cfg.QueueDepth)
-	respCh := make(chan []byte, s.cfg.QueueDepth)
-	done := make(chan struct{})
-	var (
-		stopOnce sync.Once
-		reason   error
-	)
-	// stop ends the pipeline, once. A nil cause means the client or the
-	// transport ended it, and closing the connection unblocks every
-	// stage. A server-initiated close keeps the connection open for the
-	// error frame, so deadlines cut the reader's and the writer's
-	// blocking socket calls short instead.
-	stop := func(cause error) {
-		stopOnce.Do(func() {
-			reason = cause
-			close(done)
-			if cause == nil {
-				conn.Close()
-				return
-			}
-			now := time.Now() //ppflint:allow determinism socket deadline, not report data
-			conn.SetReadDeadline(now)
-			conn.SetWriteDeadline(now.Add(errorFrameTimeout))
-		})
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-
-	// Worker: single goroutine per session — the lock-free hot path.
-	go func() {
-		defer wg.Done()
-		defer close(respCh)
-		buf := make([]core.Decision, 0, s.cfg.MaxBatch)
-		shed := time.NewTimer(s.cfg.ShedTimeout)
-		defer shed.Stop()
-		for {
-			var req request
-			var ok bool
-			select {
-			case req, ok = <-reqCh:
-			case <-done:
-				return
-			}
-			if !ok {
-				return
-			}
-			resp := s.execute(sess, &req, buf[:0])
-			if !shed.Stop() {
-				select {
-				case <-shed.C:
-				default:
-				}
-			}
-			shed.Reset(s.cfg.ShedTimeout)
-			select {
-			case respCh <- resp:
-			case <-shed.C:
-				// The response queue sat full for the whole patience
-				// window: the client is not draining. Shed it.
-				s.sheds.Add(1)
-				stop(wire.ErrOverloaded)
-				return
-			case <-done:
-				return
-			}
-		}
-	}()
-
-	// Writer: drains responses to the socket.
-	go func() {
-		defer wg.Done()
-		for resp := range respCh {
-			if err := wire.WriteFrame(bw, resp); err != nil {
-				stop(nil)
-				return
-			}
-			// Flush when the queue runs dry so a pipelining client's
-			// responses coalesce into few syscalls.
-			if len(respCh) == 0 {
-				if err := bw.Flush(); err != nil {
-					stop(nil)
-					return
-				}
-			}
-		}
-		bw.Flush()
-	}()
-
-	// Reader: this goroutine. Blocking on a full reqCh is deliberate —
-	// it stops the TCP read loop, which is the backpressure signal to a
-	// client outrunning its worker.
+// itself (a protocol error or a shed). It returns the error the client
+// is owed when the server ended the stream, nil otherwise. Each
+// response is flushed before the next read, so the buffered writer is
+// empty whenever an error frame is due.
+func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, st *stream) error {
 	for {
 		f, err := wire.ReadRequest(br, s.cfg.MaxFrame, s.bound)
-		var req request
+		var op uint8
 		if err == nil {
-			req, err = s.parseRequest(f)
+			op, err = s.parseRequest(st, f)
 		}
 		if err != nil {
 			// A malformed or oversized frame is owed its typed error; EOF
 			// and transport failures end the stream silently.
 			var we *wire.Error
-			if !errors.As(err, &we) {
-				err = nil
+			if errors.As(err, &we) {
+				return err
 			}
-			stop(err)
-			break
+			return nil
 		}
-		select {
-		case reqCh <- req:
-			continue
-		case <-done:
+		// The deadline covers the write, not just the flush: bufio
+		// writes through on its own once a response outgrows its buffer.
+		conn.SetWriteDeadline(time.Now().Add(shedTimeout)) //ppflint:allow determinism socket deadline, not report data
+		if err := wire.Send(bw, s.execute(st, op)); err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				// The client has not taken a response for shedTimeout.
+				s.sheds.Add(1)
+				return wire.ErrOverloaded
+			}
+			return nil
 		}
-		break
 	}
-	close(reqCh)
-	wg.Wait()
-	return reason
 }
 
 // bound is the server's frame-size table: boundFor at the configured
@@ -375,60 +279,56 @@ func (s *Server) readHello(br *bufio.Reader) (string, error) {
 }
 
 // parseRequest decodes one post-hello frame, already held to its op's
-// bound.
-func (s *Server) parseRequest(f wire.Frame) (request, error) {
+// bound, and returns its op. A batch decodes into st.events.
+func (s *Server) parseRequest(st *stream, f wire.Frame) (uint8, error) {
 	switch f.Op {
 	case opBatch:
-		events, err := decodeBatch(f.W, s.cfg.MaxBatch)
+		events, err := decodeBatch(f.W, s.cfg.MaxBatch, st.events)
 		if err != nil {
-			return request{}, err
+			return 0, err
 		}
-		return request{op: f.Op, events: events}, nil
+		st.events = events
 	case opStats, opSnapshot, opReset:
 		if err := wire.Finish(f.W); err != nil {
-			return request{}, err
+			return 0, err
 		}
-		return request{op: f.Op}, nil
 	case opHello:
-		return request{}, fmt.Errorf("%w: duplicate hello", wire.ErrBadOrder)
+		return 0, fmt.Errorf("%w: duplicate hello", wire.ErrBadOrder)
 	default:
-		return request{}, fmt.Errorf("%w: unknown op 0x%02x", wire.ErrBadFrame, f.Op)
+		return 0, fmt.Errorf("%w: unknown op 0x%02x", wire.ErrBadFrame, f.Op)
 	}
+	return f.Op, nil
 }
 
-// execute runs one request against the session and builds the response
-// frame body. buf is the worker's reusable decision buffer.
-func (s *Server) execute(sess *engine.Session, req *request, buf []core.Decision) []byte {
-	switch req.op {
+// execute runs one parsed request against the session and builds the
+// response frame body.
+func (s *Server) execute(st *stream, op uint8) []byte {
+	switch op {
 	case opBatch:
-		return encodeDecisions(sess.ApplyBatch(req.events, buf))
+		st.decisions = st.sess.ApplyBatch(st.events, st.decisions[:0])
+		return encodeDecisions(st.decisions)
 	case opStats:
-		st := sess.Stats()
-		return wire.Body(opStatsRep, st.SnapshotWalk)
+		stats := st.sess.Stats()
+		return wire.Body(opStatsRep, stats.SnapshotWalk)
 	case opSnapshot:
-		blob, err := sess.Snapshot()
+		blob, err := st.sess.Snapshot()
 		if err != nil {
 			return wire.ErrorBody(err, wire.CodeInternal)
 		}
 		return encodeSnapRep(blob)
 	case opReset:
-		sess.Reset()
+		st.sess.Reset()
 		return wire.Body(opOK, nil)
 	default:
-		return wire.ErrorBody(fmt.Errorf("unknown op 0x%02x", req.op), wire.CodeBadFrame)
+		return wire.ErrorBody(fmt.Errorf("unknown op 0x%02x", op), wire.CodeBadFrame)
 	}
 }
 
 // writeErrorFrame best-effort delivers a typed error before the
-// connection dies. When bw is nil (the writer goroutine owns the
-// buffered writer), the frame goes straight to the socket under a short
-// deadline so a stuck peer cannot pin this goroutine.
-func (s *Server) writeErrorFrame(conn net.Conn, bw *bufio.Writer, err error) {
-	body := wire.ErrorBody(err, wire.CodeInternal)
-	if bw != nil {
-		wire.Send(bw, body)
-		return
-	}
+// connection dies. No response is ever left in a buffered writer, so
+// the frame goes straight to the socket, under a short deadline so a
+// stuck peer cannot pin this goroutine.
+func (s *Server) writeErrorFrame(conn net.Conn, err error) {
 	conn.SetWriteDeadline(time.Now().Add(errorFrameTimeout)) //ppflint:allow determinism socket deadline, not report data
-	wire.WriteFrame(conn, body)
+	wire.WriteFrame(conn, wire.ErrorBody(err, wire.CodeInternal))
 }

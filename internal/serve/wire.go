@@ -14,6 +14,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -117,15 +118,16 @@ func encodeSnapRep(blob []byte) []byte {
 	return wire.Body(opSnapRep, func(w *snap.Walker) { wire.PutBytes(w, blob) })
 }
 
-// decodeBatch parses an opBatch payload into events, bounding the
-// announced count by the server's batch cap.
-func decodeBatch(w *snap.Walker, maxBatch int) ([]engine.Event, error) {
+// decodeBatch parses an opBatch payload into buf's storage, growing it
+// as needed, and returns the events. The announced count is bounded by
+// the server's batch cap before buf grows.
+func decodeBatch(w *snap.Walker, maxBatch int, buf []engine.Event) ([]engine.Event, error) {
 	var n int
 	w.Len(&n) // a rejected count latches and reads as 0
 	if n > maxBatch {
 		return nil, fmt.Errorf("%w: batch of %d exceeds cap %d", wire.ErrTooLarge, n, maxBatch)
 	}
-	events := make([]engine.Event, n)
+	events := slices.Grow(buf[:0], n)[:n]
 	for i := range events {
 		events[i].SnapshotWalk(w)
 	}

@@ -63,12 +63,6 @@ type Core struct {
 	startCycle   uint64
 }
 
-// ID returns the core's index.
-func (c *Core) ID() int { return c.id }
-
-// Retired returns the number of retired instructions.
-func (c *Core) Retired() uint64 { return c.retired }
-
 // Filter returns the attached PPF filter, or nil.
 func (c *Core) Filter() *ppf.Filter { return c.filter.Filter() }
 

@@ -21,8 +21,10 @@ const (
 	snapMagic = 0x5050534E // "PPSN"
 	// Version history: 1 = original layout; 2 = record-table entries
 	// carry the full Decision byte (was a bool issued flag), so a v1
-	// payload would decode issued entries into the wrong verdicts.
-	snapVersion = 2
+	// payload would decode issued entries into the wrong verdicts; 3 =
+	// each cache walks its MSHR completion bound (was recomputed on
+	// decode, which a promotion could make resume differently).
+	snapVersion = 3
 	snapHdrLen  = 20
 )
 

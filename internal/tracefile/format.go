@@ -60,21 +60,6 @@ type Record struct {
 	SrcMem [NumSources]uint64
 }
 
-// HasMemory reports whether the record touches memory.
-func (r *Record) HasMemory() bool {
-	for _, a := range r.SrcMem {
-		if a != 0 {
-			return true
-		}
-	}
-	for _, a := range r.DestMem {
-		if a != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Encode serialises the record into b, which must hold RecordSize bytes.
 func (r *Record) Encode(b []byte) {
 	_ = b[RecordSize-1]

@@ -57,9 +57,8 @@ const (
 	// CodeSessionBusy: the ppfd session key is leased to another live
 	// connection.
 	CodeSessionBusy
-	// CodeOverloaded: ppfd shed this client — it stopped draining
-	// responses (or stopped supplying requests mid-frame) past the
-	// configured patience while its bounded queues were full.
+	// CodeOverloaded: ppfd shed this client, because it left a
+	// response unread past the server's write deadline.
 	CodeOverloaded
 	// CodeTooLarge: a frame exceeded the frame cap or its op's bound, or
 	// a count inside it exceeded a configured cap.
