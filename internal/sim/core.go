@@ -9,11 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// loadRing is the size of the per-core ring buffer that remembers load
-// completion times so that pointer-chase dependencies (Inst.Dep) can be
-// resolved. It exceeds the maximum encodable dependency distance.
-const loadRing = 1 << 16
-
 // Core models one out-of-order core: a fetch/dispatch front end feeding a
 // ROB window with in-order retirement. Loads issue at dispatch (or when a
 // flagged pointer-chase dependency resolves) and complete when the memory
@@ -39,6 +34,10 @@ type Core struct {
 	robHead  int
 	robCount int
 
+	// loadDone remembers load completion cycles for pointer-chase
+	// dependencies (Inst.Dep), indexed by instruction number modulo its
+	// length: the next power of two at or above ROBSize, so no in-flight
+	// instruction's slot has been reused by a newer load.
 	loadDone  []uint64
 	instCount uint64
 
@@ -252,15 +251,19 @@ func (c *Core) Tick(cycle uint64) {
 			}
 		case trace.KindLoad:
 			issueAt := cycle
-			if in.Dep > 0 && uint64(in.Dep) <= idx {
-				if dep := c.loadDone[(idx-uint64(in.Dep))&(loadRing-1)]; dep > issueAt {
+			// Only an in-flight producer can delay the load: one more
+			// than robCount back has retired, and retiring needed its
+			// completion to be at or before this cycle.
+			mask := uint64(len(c.loadDone) - 1)
+			if d := int(in.Dep); d > 0 && d <= c.robCount {
+				if dep := c.loadDone[(idx-uint64(d))&mask]; dep > issueAt {
 					issueAt = dep
 				}
 			}
 			c.curIsData = true
 			c.curPC = in.PC
 			done = c.l1d.Read(in.Addr, issueAt)
-			c.loadDone[idx&(loadRing-1)] = done
+			c.loadDone[idx&mask] = done
 		case trace.KindStore:
 			c.curIsData = true
 			c.curPC = in.PC

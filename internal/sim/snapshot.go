@@ -23,8 +23,9 @@ const (
 	// carry the full Decision byte (was a bool issued flag), so a v1
 	// payload would decode issued entries into the wrong verdicts; 3 =
 	// each cache walks its MSHR completion bound (was recomputed on
-	// decode, which a promotion could make resume differently).
-	snapVersion = 3
+	// decode, which a promotion could make resume differently); 4 = each
+	// core's loadDone ring is sized to its ROB (was 65,536 entries).
+	snapVersion = 4
 	snapHdrLen  = 20
 )
 
@@ -80,7 +81,6 @@ func (s *System) Snapshot() ([]byte, error) {
 		if _, ok := c.pf.(prefetch.Snapshotter); !ok {
 			return nil, fmt.Errorf("sim: core %d prefetcher %q is not snapshottable", c.id, c.pf.Name())
 		}
-		c.clampLoadDone(s.cycle)
 	}
 	w := snap.NewEncoder()
 	s.snapshotWalk(w)
@@ -135,20 +135,6 @@ func (s *System) snapshotWalk(w *snap.Walker) {
 		c.snapshotWalk(w)
 	}
 	w.Static(s.cfg, s.legacyLoop)
-}
-
-// clampLoadDone zeroes loadDone entries at or before the current
-// cycle. Dependency resolution only ever compares an entry against an
-// issue cycle that is strictly greater than the clock when the entry
-// is consulted, so entries in the past can never win the comparison —
-// clamping them is semantically invisible, and it turns the ring into
-// a mostly-zero buffer that compresses well on disk.
-func (c *Core) clampLoadDone(cycle uint64) {
-	for i, v := range c.loadDone {
-		if v <= cycle {
-			c.loadDone[i] = 0
-		}
-	}
 }
 
 func (c *Core) snapshotWalk(w *snap.Walker) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -142,7 +143,7 @@ func NewSystem(cfg Config, setups []CoreSetup) (*System, error) {
 			pf:       pf,
 			filter:   engine.Wrap(su.Filter),
 			rob:      make([]uint64, cfg.ROBSize),
-			loadDone: make([]uint64, loadRing),
+			loadDone: make([]uint64, 1<<bits.Len(uint(cfg.ROBSize-1))),
 		}
 		c.wire()
 		s.cores = append(s.cores, c)

@@ -10,9 +10,7 @@ package simstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log"
 	"net/http"
@@ -26,11 +24,6 @@ import (
 // remotePrefix is the URL path prefix both halves speak:
 // {prefix}/{r|w}/{hex sha-256 of the key}.
 const remotePrefix = "/ppfs/"
-
-// maxRemoteEntry bounds a fetched or uploaded entry (64 MiB): far above
-// any real snapshot, far below what a hostile length header could make
-// either side buffer.
-const maxRemoteEntry = 64 << 20
 
 // Remote is the client backend: Load/Save against a store server.
 // It is safe for concurrent use; every validation failure counts as a
@@ -154,12 +147,12 @@ func (r *Remote) get(url string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("simstore: remote status %s", resp.Status)
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxRemoteEntry+1))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxEntry+1))
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) > maxRemoteEntry {
-		return nil, fmt.Errorf("simstore: remote entry exceeds %d bytes", maxRemoteEntry)
+	if len(raw) > maxEntry {
+		return nil, fmt.Errorf("simstore: remote entry exceeds %d bytes", maxEntry)
 	}
 	return raw, nil
 }
@@ -218,12 +211,12 @@ func Handler(st *Store) http.Handler {
 		case http.MethodGet, http.MethodHead:
 			http.ServeFile(w, req, path)
 		case http.MethodPut:
-			blob, err := io.ReadAll(io.LimitReader(req.Body, maxRemoteEntry+1))
+			blob, err := io.ReadAll(io.LimitReader(req.Body, maxEntry+1))
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			if len(blob) > maxRemoteEntry {
+			if len(blob) > maxEntry {
 				http.Error(w, "entry too large", http.StatusRequestEntityTooLarge)
 				return
 			}
@@ -314,22 +307,6 @@ func (t *Tiered) Stats() Stats {
 // ReportLine renders both layers' summaries.
 func (t *Tiered) ReportLine() string {
 	return t.local.ReportLine() + "; " + t.remote.ReportLine()
-}
-
-// checkEnvelope verifies the entry framing a server can check without
-// the key: the magic prefix and the trailing CRC-32 over the body.
-func checkEnvelope(blob []byte) error {
-	if len(blob) < 4+9+4 {
-		return fmt.Errorf("entry too short (%d bytes)", len(blob))
-	}
-	if string(blob[:4]) != magic {
-		return fmt.Errorf("bad magic %q", blob[:4])
-	}
-	body, crc := blob[:len(blob)-4], binary.LittleEndian.Uint32(blob[len(blob)-4:])
-	if got := crc32.ChecksumIEEE(body); got != crc {
-		return fmt.Errorf("checksum mismatch (got %08x, want %08x)", got, crc)
-	}
-	return nil
 }
 
 // Interface conformance.

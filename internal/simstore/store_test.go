@@ -2,11 +2,14 @@ package simstore
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"hash/crc32"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -140,6 +143,91 @@ func TestVersionMismatch(t *testing.T) {
 	}
 	if st := s.Stats(); st.Corrupt != 1 {
 		t.Fatalf("stats = %+v; want 1 corrupt", st)
+	}
+}
+
+// entryAtLevel assembles an entry in the store's layout by hand, with
+// its payload compressed at the given gzip level.
+func entryAtLevel(t *testing.T, kind uint8, key string, payload []byte, level int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	buf.Write(binary.LittleEndian.AppendUint32(nil, version))
+	buf.WriteByte(kind)
+	buf.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(key))))
+	buf.WriteString(key)
+	zw, err := gzip.NewWriterLevel(&buf, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.ChecksumIEEE(buf.Bytes()))
+}
+
+// TestLoadsDefaultCompressionEntry pins that the compression level is
+// not part of the entry format: an entry compressed at
+// gzip.DefaultCompression, not the BestSpeed the store writes, still
+// loads.
+func TestLoadsDefaultCompressionEntry(t *testing.T) {
+	s := openTemp(t)
+	var payload []byte
+	for i := uint32(0); i < 8192; i++ {
+		payload = binary.LittleEndian.AppendUint32(payload, i*i%1021)
+	}
+	raw := entryAtLevel(t, kindSnapshot, "warm-key", payload, gzip.DefaultCompression)
+	fast, err := encodeEntry(kindSnapshot, "warm-key", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(raw, fast) {
+		t.Fatal("DefaultCompression and BestSpeed wrote identical entries; the test checks nothing")
+	}
+	if err := os.WriteFile(s.path(kindSnapshot, "warm-key"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.LoadSnapshot("warm-key")
+	if !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("DefaultCompression entry: ok=%v, %d of %d bytes", ok, len(got), len(payload))
+	}
+}
+
+// TestLyingSizeTrailer pins the bound on decode's presize: an entry whose
+// envelope checksum is valid but whose gzip trailer claims a 4 GiB
+// payload is a corrupt miss, and loading it allocates no more than the
+// maxEntry cap.
+func TestLyingSizeTrailer(t *testing.T) {
+	s := openTemp(t)
+	if err := s.SaveSnapshot("k", bytes.Repeat([]byte("machine state "), 64)); err != nil {
+		t.Fatal(err)
+	}
+	path := entryFile(t, s, "w")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := raw[:len(raw)-4]
+	binary.LittleEndian.PutUint32(body[len(body)-4:], math.MaxUint32) // gzip ISIZE
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok := s.LoadSnapshot("k")
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("entry with a lying size trailer served a hit")
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.SnapshotMisses != 1 {
+		t.Fatalf("stats = %+v; want 1 corrupt miss", st)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxEntry+1<<20 {
+		t.Fatalf("load allocated %d bytes, past the %d-byte presize cap", grew, maxEntry)
 	}
 }
 
