@@ -57,12 +57,15 @@ perfbench-check:
 # packages guardedby annotates; the race detector checks the same
 # invariants dynamically that ppflint checks statically. -count=1
 # defeats the test cache so the schedules actually re-run. The second
-# line repeats the serve lease and shed tests 50 times (about 4 s): a
+# line repeats the serve lease, shed and pipelining tests 50 times: a
 # lease released after its error frame is written shows up as an
-# intermittent ErrSessionBusy there.
+# intermittent ErrSessionBusy there. TestPipelinedClientOrdering queues
+# 16 batches ahead of the server, which reads each frame into the
+# connection's one reused receive buffer; a frame read over a batch
+# still being decoded or applied shows up as a wrong verdict.
 race:
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/engine/... ./internal/runner/...
-	$(GO) test -race -count=50 -run 'TestLeaseFreeAfterErrorFrame|TestProtocolErrors|TestSessionBusy|TestSlowClientShed' ./internal/serve/
+	$(GO) test -race -count=50 -run 'TestLeaseFreeAfterErrorFrame|TestProtocolErrors|TestSessionBusy|TestSlowClientShed|TestPipelinedClientOrdering' ./internal/serve/
 
 # determinism re-runs only the golden tests that prove -j 1 and -j 8
 # produce byte-identical experiment reports.

@@ -61,23 +61,6 @@ func (d *Decision) SnapshotWalk(w *snap.Walker) {
 	}
 }
 
-// SnapshotWalk serializes a FeatureInput with the walker's fixed-width
-// conventions. Filter snapshots do not contain inputs — the scratch memo
-// is parked in Static — but the ppfd wire framing (internal/engine,
-// internal/serve) reuses this walk to move candidate events, so the
-// event encoding cannot drift from the snapshot codec's conventions.
-//
-//ppflint:hotpath
-func (in *FeatureInput) SnapshotWalk(w *snap.Walker) {
-	w.Uint64(&in.Addr)
-	w.Uint64(&in.PC)
-	w.Uint64s(in.PCHist[:])
-	w.Int(&in.Depth)
-	w.Uint16(&in.Signature)
-	w.Int(&in.Confidence)
-	w.Int(&in.Delta)
-}
-
 // SnapshotWalk round-trips every filter counter.
 //
 //ppflint:hotpath

@@ -178,45 +178,6 @@ func TestWrapNil(t *testing.T) {
 	}
 }
 
-func TestEventCodec(t *testing.T) {
-	events := eventStream(13, 256)
-	enc := snap.NewEncoder()
-	for i := range events {
-		events[i].SnapshotWalk(enc)
-	}
-	blob, err := enc.Bytes()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	dec := snap.NewDecoder(blob)
-	out := make([]Event, len(events))
-	for i := range out {
-		out[i].SnapshotWalk(dec)
-	}
-	if err := dec.Finish(); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	for i := range out {
-		if out[i] != events[i] {
-			t.Fatalf("event %d round trip diverged: %+v vs %+v", i, out[i], events[i])
-		}
-	}
-}
-
-func TestEventDecodeRejectsBadKind(t *testing.T) {
-	ev := Candidate(core.FeatureInput{Addr: 0x1000})
-	enc := snap.NewEncoder()
-	ev.SnapshotWalk(enc)
-	blob, _ := enc.Bytes()
-	blob[0] = 0x7F // kind byte is first
-	var out Event
-	dec := snap.NewDecoder(blob)
-	out.SnapshotWalk(dec)
-	if !errors.Is(dec.Err(), ErrBadKind) {
-		t.Fatalf("decoding kind byte 0x7F latched %v, want ErrBadKind", dec.Err())
-	}
-}
-
 func TestParseKind(t *testing.T) {
 	for b := uint8(0); b < uint8(kindCount); b++ {
 		k, err := ParseKind(b)

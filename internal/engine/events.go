@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/snap"
 )
 
 // Kind discriminates the events a session consumes. The set mirrors the
@@ -43,8 +42,8 @@ func ParseKind(b uint8) (Kind, error) {
 	return Kind(b), nil
 }
 
-// errBadKindByte is outlined so ParseKind inlines into the batch decode
-// walk without fmt.Errorf's argument boxing escaping on the error
+// errBadKindByte is outlined so ParseKind inlines into ppfd's batch
+// decoder without fmt.Errorf's argument boxing escaping on the error
 // branch.
 //
 //go:noinline
@@ -70,8 +69,8 @@ func (k Kind) String() string {
 
 // Event is one element of a session's input stream. Training events
 // reuse the Input struct for their address/PC payload rather than
-// carrying a parallel field, so the wire encoding is one fixed-width
-// shape for every kind.
+// carrying a parallel field, so ppfd's wire encoding (internal/serve)
+// is one fixed-width block for every kind.
 type Event struct {
 	Kind  Kind
 	Input core.FeatureInput
@@ -90,24 +89,4 @@ func LoadPC(pc uint64) Event { return Event{Kind: KindLoadPC, Input: core.Featur
 // Evict builds an eviction-training event.
 func Evict(addr uint64, used bool) Event {
 	return Event{Kind: KindEvict, Input: core.FeatureInput{Addr: addr}, Used: used}
-}
-
-// SnapshotWalk round-trips the event with the snapshot codec's
-// fixed-width conventions; the ppfd wire framing moves batches as a
-// count followed by this walk per event. Decode validates the kind byte
-// through ParseKind, so a corrupt frame latches ErrBadKind instead of
-// dispatching an undefined event.
-//
-//ppflint:hotpath
-func (e *Event) SnapshotWalk(w *snap.Walker) {
-	b := uint8(e.Kind)
-	w.Uint8(&b)
-	if w.Decoding() {
-		k, err := ParseKind(b)
-		if w.Check(err) {
-			e.Kind = k
-		}
-	}
-	e.Input.SnapshotWalk(w)
-	w.Bool(&e.Used)
 }

@@ -204,8 +204,9 @@ type SPP struct {
 	depthSum   uint64
 	depthCount uint64
 
-	// lastMeta captures the metadata of the most recent candidate, used
-	// by PPF's feature construction (exported via Meta on candidates).
+	// issued counts the candidates the lookahead walk produced (path
+	// confidence over the threshold, target on the page), whether or not
+	// the sink then accepted them. Issued reports it.
 	issued uint64
 
 	// burst/acc stage candidates for the batch emit path: lookahead

@@ -16,6 +16,8 @@ import (
 type Client struct {
 	conn net.Conn
 	wc   wire.Conn
+	// batch holds the last batch frame; the next Decide encodes over it.
+	batch []byte
 }
 
 // Dial connects to a server and leases the session for key. Reconnect
@@ -49,13 +51,16 @@ func (c *Client) Close() error { return c.conn.Close() }
 // Decide streams a batch of events and returns the filter's verdict for
 // each candidate event, in stream order. Training events contribute no
 // decision. The server applies the batch sequentially, so the result is
-// bit-identical to sending the events one at a time.
+// bit-identical to sending the events one at a time. The returned
+// slice is the caller's: the next call does not reuse it.
 func (c *Client) Decide(events []engine.Event) ([]core.Decision, error) {
-	f, err := c.wc.Exchange(encodeBatch(events), opDecisions)
+	c.batch = encodeBatch(c.batch, events)
+	f, err := c.wc.Exchange(c.batch, opDecisions)
 	if err != nil {
 		return nil, err
 	}
-	return decodeDecisions(f)
+	// A batch yields at most one verdict per event.
+	return decodeDecisions(f, make([]core.Decision, 0, len(events)))
 }
 
 // Stats fetches the session's filter counters.

@@ -114,12 +114,12 @@ func TestWireGolden(t *testing.T) {
 		want  string
 	}{
 		{"hello", framed(encodeHello("golden")), "0f000000010600000000000000676f6c64656e"},
-		{"batch", framed(encodeBatch(events[:2])), "910000000202000000000000000000be0d000000000000104000000000000001400000000000000240000000000000034000000000000600000000000000c50d320000000000000004000000000000000000007a0a0000000000001040000000000000014000000000000002400000000000000340000000000008000000000000003c074900000000000000040000000000000000"},
+		{"batch", framed(encodeBatch(nil, events[:2])), "910000000202000000000000000000be0d000000000000104000000000000001400000000000000240000000000000034000000000000600000000000000c50d320000000000000004000000000000000000007a0a0000000000001040000000000000014000000000000002400000000000000340000000000008000000000000003c074900000000000000040000000000000000"},
 		{"stats", framed(wire.Body(opStats, nil)), "0100000003"},
 		{"snapshot", framed(wire.Body(opSnapshot, nil)), "0100000004"},
 		{"reset", framed(wire.Body(opReset, nil)), "0100000005"},
 		{"ok", framed(wire.Body(opOK, nil)), "0100000080"},
-		{"decisions", framed(encodeDecisions(decisions)), "0c000000810300000000000000020100"},
+		{"decisions", framed(encodeDecisions(nil, decisions)), "0c000000810300000000000000020100"},
 		{"stats reply", framed(srv.execute(st, opStats)), "590000008277000000000000007700000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
 		{"snapshot reply", framed(srv.execute(st, opSnapshot)), "len 180780 sha256 ddb613fa05f9eb2d7fab6fd79c0674d20d44f8d513e51243d879bec7af02725c"},
 		{"bad-frame", errorFrameBytes(wire.ErrBadFrame), "19000000ff010f000000000000006d616c666f726d6564206672616d65"},

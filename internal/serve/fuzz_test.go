@@ -1,14 +1,15 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/snap"
 	"repro/internal/wire"
 )
 
@@ -16,6 +17,8 @@ import (
 // runs on untrusted bytes: the server's hello and request parsing, and
 // the client's response decoding behind each call. Nothing may panic,
 // and since the frame is complete, every error must carry a wire class.
+// A body the server accepts as a batch must also round-trip: its
+// events re-encode to the same bytes and decode back to themselves.
 func FuzzServeFrame(f *testing.F) {
 	const maxBatch = 64
 	srv := NewServer(Config{MaxBatch: maxBatch})
@@ -23,12 +26,12 @@ func FuzzServeFrame(f *testing.F) {
 	st.sess.ApplyBatch(syntheticEvents(2, 64), nil)
 	seeds := [][]byte{
 		encodeHello("seed"),
-		encodeBatch(syntheticEvents(1, 4)),
+		encodeBatch(nil, syntheticEvents(1, 4)),
 		wire.Body(opStats, nil),
 		wire.Body(opSnapshot, nil),
 		wire.Body(opReset, nil),
 		wire.Body(opOK, nil),
-		encodeDecisions([]core.Decision{core.FillL2, core.FillLLC, core.Drop}),
+		encodeDecisions(nil, []core.Decision{core.FillL2, core.FillLLC, core.Drop}),
 		srv.execute(st, opStats),
 		encodeSnapRep([]byte("blob")),
 		// The wire contract's edge frames.
@@ -55,17 +58,20 @@ func FuzzServeFrame(f *testing.F) {
 		var framed bytes.Buffer
 		wire.WriteFrame(&framed, body)
 		frame := framed.Bytes()
-		reader := func() *bufio.Reader { return bufio.NewReader(bytes.NewReader(frame)) }
+		reader := func() *wire.Reader { return wire.NewReader(bytes.NewReader(frame), srv.cfg.MaxFrame) }
 
 		if _, err := srv.readHello(reader()); err != nil {
 			requireWireClass(t, "hello", err)
 		}
-		req, err := wire.ReadRequest(reader(), srv.cfg.MaxFrame, srv.bound)
+		parsed := &stream{}
+		req, err := wire.ReadRequest(reader(), srv.bound)
 		if err == nil {
-			_, err = srv.parseRequest(&stream{}, req)
+			_, err = srv.parseRequest(parsed, req)
 		}
 		if err != nil {
 			requireWireClass(t, "request", err)
+		} else if req.Op == opBatch {
+			requireBatchRoundTrip(t, body, parsed.events)
 		}
 		for name, call := range calls {
 			rw := struct {
@@ -78,6 +84,24 @@ func FuzzServeFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// requireBatchRoundTrip checks the batch codec on events the server
+// decoded from body: encoding them gives body back byte for byte, and
+// decoding that encoding gives the events back.
+func requireBatchRoundTrip(t *testing.T, body []byte, events []engine.Event) {
+	t.Helper()
+	enc := encodeBatch(nil, events)
+	if !bytes.Equal(enc, body) {
+		t.Fatalf("batch of %d events re-encodes to different bytes:\n got %x\nwant %x", len(events), enc, body)
+	}
+	back, err := decodeBatch(snap.NewDecoder(enc[1:]), len(events), nil)
+	if err != nil {
+		t.Fatalf("decoding the re-encoded batch: %v", err)
+	}
+	if !slices.Equal(back, events) {
+		t.Fatalf("batch round trip diverged:\n got %+v\nwant %+v", back, events)
+	}
 }
 
 // wireClasses lists every wire sentinel.

@@ -250,7 +250,7 @@ func TestSlowClientShed(t *testing.T) {
 		t.Fatalf("hello: %v", err)
 	}
 	// The server severs the pipe once it sheds us.
-	batch := encodeBatch(syntheticEvents(1, 256))
+	batch := encodeBatch(nil, syntheticEvents(1, 256))
 	for wire.WriteFrame(cli, batch) == nil {
 	}
 	<-handled
@@ -285,7 +285,7 @@ func TestPipelinedClientOrdering(t *testing.T) {
 	const batches, size = 16, 300
 	events := syntheticEvents(11, batches*size)
 	for b := 0; b < batches; b++ {
-		if err := wire.WriteFrame(conn, encodeBatch(events[b*size:(b+1)*size])); err != nil {
+		if err := wire.WriteFrame(conn, encodeBatch(nil, events[b*size:(b+1)*size])); err != nil {
 			t.Fatalf("write batch %d: %v", b, err)
 		}
 	}
@@ -295,7 +295,7 @@ func TestPipelinedClientOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("response %d: %v", b, err)
 		}
-		served, err := decodeDecisions(f)
+		served, err := decodeDecisions(f, nil)
 		if err != nil {
 			t.Fatalf("decode response %d: %v", b, err)
 		}
@@ -335,7 +335,7 @@ type protocolErrorCase struct {
 func protocolErrorCases(t *testing.T) []protocolErrorCase {
 	t.Helper()
 	hello := encodeHello("proto")
-	bigBatch := encodeBatch(syntheticEvents(3, 65))
+	bigBatch := encodeBatch(nil, syntheticEvents(3, 65))
 	badKind := append([]byte(nil), hello...) // reuse framing, op 0x5A
 	badKind[0] = 0x5A
 	return []protocolErrorCase{
@@ -447,7 +447,7 @@ func rawReadError(rw io.ReadWriter) error {
 // undefined Decision (the ParseDecision satellite, exercised at the
 // client's decode boundary).
 func TestDecisionValidationOnClientDecode(t *testing.T) {
-	body := encodeDecisions([]core.Decision{core.FillL2, core.FillLLC})
+	body := encodeDecisions(nil, []core.Decision{core.FillL2, core.FillLLC})
 	body[len(body)-1] = 0x66 // corrupt the last decision byte
 	var buf bytes.Buffer
 	wire.WriteFrame(&buf, body)
@@ -456,7 +456,7 @@ func TestDecisionValidationOnClientDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recv: %v", err)
 	}
-	if _, err := decodeDecisions(f); !errors.Is(err, core.ErrBadDecision) {
+	if _, err := decodeDecisions(f, nil); !errors.Is(err, core.ErrBadDecision) {
 		t.Fatalf("err = %v, want core.ErrBadDecision", err)
 	}
 }
@@ -527,8 +527,8 @@ func TestSentinelCodesSurviveWire(t *testing.T) {
 }
 
 // TestWireSizeConstants pins the per-item wire sizes boundFor assumes
-// against the actual codec, so a snap or struct change that alters an
-// encoding cannot silently invalidate the frame-size bound table.
+// against the actual encoders, so a codec or struct change that alters
+// an encoding cannot silently invalidate the frame-size bound table.
 func TestWireSizeConstants(t *testing.T) {
 	measure := func(name string, walk func(w *snap.Walker)) int {
 		t.Helper()
@@ -543,13 +543,16 @@ func TestWireSizeConstants(t *testing.T) {
 	if got := measure("Len", func(w *snap.Walker) { n := 0; w.Len(&n) }); got != wire.LenSize {
 		t.Errorf("Len field encodes to %d bytes, wire.LenSize = %d", got, wire.LenSize)
 	}
-	ev := syntheticEvents(1, 1)[0]
-	if got := measure("Event", ev.SnapshotWalk); got != eventWireSize {
-		t.Errorf("Event encodes to %d bytes, eventWireSize = %d", got, eventWireSize)
+	// A batch or decisions body is the op byte, a Len count, then the items.
+	const head = 1 + wire.LenSize
+	if got := len(encodeBatch(nil, nil)); got != head {
+		t.Errorf("empty batch encodes to %d bytes, want op + Len = %d", got, head)
 	}
-	d := core.FillL2
-	if got := measure("Decision", d.SnapshotWalk); got != decisionWireSize {
-		t.Errorf("Decision encodes to %d bytes, decisionWireSize = %d", got, decisionWireSize)
+	if got := len(encodeBatch(nil, syntheticEvents(1, 3))) - head; got != 3*eventWireSize {
+		t.Errorf("3 events encode to %d bytes, eventWireSize = %d", got, eventWireSize)
+	}
+	if got := len(encodeDecisions(nil, []core.Decision{core.FillL2, core.Drop})) - head; got != 2*decisionWireSize {
+		t.Errorf("2 decisions encode to %d bytes, decisionWireSize = %d", got, decisionWireSize)
 	}
 	var st core.Stats
 	if got := measure("Stats", st.SnapshotWalk); got != statsWireSize {

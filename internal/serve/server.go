@@ -181,6 +181,9 @@ type stream struct {
 	sess      *engine.Session
 	events    []engine.Event
 	decisions []core.Decision
+	// reply holds the last decisions frame; the next batch encodes over
+	// it once the frame has been sent.
+	reply []byte
 }
 
 // handle runs one connection's lifecycle: the hello handshake, then one
@@ -188,10 +191,10 @@ type stream struct {
 // close.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReader(conn)
+	rd := wire.NewReader(conn, s.cfg.MaxFrame)
 	bw := bufio.NewWriter(conn)
 
-	key, err := s.readHello(br)
+	key, err := s.readHello(rd)
 	if err != nil {
 		s.writeErrorFrame(conn, err)
 		return
@@ -206,7 +209,7 @@ func (s *Server) handle(conn net.Conn) {
 	// buffer.
 	var reason error
 	if wire.Send(bw, wire.Body(opOK, nil)) == nil {
-		reason = s.serve(conn, br, bw, &stream{sess: sess})
+		reason = s.serve(conn, rd, bw, &stream{sess: sess})
 	}
 	// Nothing drives the session any more: release the lease, and only
 	// then tell the client why the server is closing. A client that
@@ -224,9 +227,9 @@ func (s *Server) handle(conn net.Conn) {
 // is owed when the server ended the stream, nil otherwise. Each
 // response is flushed before the next read, so the buffered writer is
 // empty whenever an error frame is due.
-func (s *Server) serve(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, st *stream) error {
+func (s *Server) serve(conn net.Conn, rd *wire.Reader, bw *bufio.Writer, st *stream) error {
 	for {
-		f, err := wire.ReadRequest(br, s.cfg.MaxFrame, s.bound)
+		f, err := wire.ReadRequest(rd, s.bound)
 		var op uint8
 		if err == nil {
 			op, err = s.parseRequest(st, f)
@@ -260,8 +263,8 @@ func (s *Server) bound(op uint8) int { return boundFor(op, s.cfg.MaxFrame, s.cfg
 
 // readHello enforces the handshake: the first frame must be opHello
 // with a non-empty key.
-func (s *Server) readHello(br *bufio.Reader) (string, error) {
-	f, err := wire.ReadHello(br, s.cfg.MaxFrame, opHello, s.bound)
+func (s *Server) readHello(rd *wire.Reader) (string, error) {
+	f, err := wire.ReadHello(rd, opHello, s.bound)
 	if err != nil {
 		return "", err
 	}
@@ -306,7 +309,8 @@ func (s *Server) execute(st *stream, op uint8) []byte {
 	switch op {
 	case opBatch:
 		st.decisions = st.sess.ApplyBatch(st.events, st.decisions[:0])
-		return encodeDecisions(st.decisions)
+		st.reply = encodeDecisions(st.reply, st.decisions)
+		return st.reply
 	case opStats:
 		stats := st.sess.Stats()
 		return wire.Body(opStatsRep, stats.SnapshotWalk)

@@ -48,6 +48,11 @@ func NewEncoder() *Walker { return &Walker{encoding: true} }
 // NewDecoder returns a walker that assigns walked fields from data.
 func NewDecoder(data []byte) *Walker { return &Walker{buf: data} }
 
+// ResetDecoder makes w a fresh decoder over data, dropping any latched
+// error, so a connection can decode every frame it reads with one
+// walker instead of allocating one per frame.
+func (w *Walker) ResetDecoder(data []byte) { *w = Walker{buf: data} }
+
 // Err returns the first error the walk latched, if any.
 func (w *Walker) Err() error { return w.err }
 
@@ -297,6 +302,24 @@ func (w *Walker) LenCapped(v *int, max int) {
 		w.err = errBadLenCap(*v, max)
 		*v = 0
 	}
+}
+
+// Take consumes the next n input bytes of a decoder and returns them
+// without copying, for fixed-layout records a caller parses itself.
+// The slice aliases the decoder's input. Short input, or a negative n,
+// latches ErrTruncated and returns nil; an encoder returns nil.
+//
+//ppflint:hotpath
+func (w *Walker) Take(n int) []byte {
+	if n < 0 {
+		w.fail()
+	}
+	if w.encoding || !w.need(n) {
+		return nil
+	}
+	b := w.buf[w.off : w.off+n : w.off+n]
+	w.off += n
+	return b
 }
 
 // Uint64s walks a fixed-length []uint64 in place.

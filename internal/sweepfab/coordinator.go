@@ -222,9 +222,9 @@ func (c *Coordinator) RunCell(spec experiment.CellSpec) sim.Result {
 // hello, then a strict request/response loop.
 func (c *Coordinator) handle(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReader(conn)
+	rd := wire.NewReader(conn, c.cfg.MaxFrame)
 	bw := bufio.NewWriter(conn)
-	name, err := c.readHello(br)
+	name, err := c.readHello(rd)
 	if err != nil {
 		wire.Send(bw, wire.ErrorBody(err, wire.CodeBadFrame))
 		return
@@ -241,7 +241,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 		}
 	}()
 	for {
-		f, err := wire.ReadRequest(br, c.cfg.MaxFrame, c.bound)
+		f, err := wire.ReadRequest(rd, c.bound)
 		var resp []byte
 		if err == nil {
 			resp, err = c.dispatch(owner, f)
@@ -303,8 +303,8 @@ func (c *Coordinator) dispatch(owner string, f wire.Frame) ([]byte, error) {
 }
 
 // readHello consumes and validates the opening frame.
-func (c *Coordinator) readHello(br *bufio.Reader) (string, error) {
-	f, err := wire.ReadHello(br, c.cfg.MaxFrame, opFabHello, c.bound)
+func (c *Coordinator) readHello(rd *wire.Reader) (string, error) {
+	f, err := wire.ReadHello(rd, opFabHello, c.bound)
 	if err != nil {
 		return "", err
 	}

@@ -1,7 +1,6 @@
 package sweepfab
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -48,14 +47,14 @@ func FuzzFabricFrame(f *testing.F) {
 		var framed bytes.Buffer
 		wire.WriteFrame(&framed, body)
 		frame := framed.Bytes()
-		reader := func() *bufio.Reader { return bufio.NewReader(bytes.NewReader(frame)) }
 
 		c := NewCoordinator(Config{Store: store})
 		c.Board().Submit("cell", []byte("cell-spec"))
+		reader := func() *wire.Reader { return wire.NewReader(bytes.NewReader(frame), c.cfg.MaxFrame) }
 		if _, err := c.readHello(reader()); err != nil {
 			requireWireClass(t, "hello", err)
 		}
-		req, err := wire.ReadRequest(reader(), c.cfg.MaxFrame, c.bound)
+		req, err := wire.ReadRequest(reader(), c.bound)
 		if err == nil {
 			_, err = c.dispatch("fuzz", req)
 		}

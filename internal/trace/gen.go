@@ -45,7 +45,7 @@ type GenConfig struct {
 	// hot set (locals, spilled registers, small lookup tables) rather
 	// than the workload's pattern mix. Real programs satisfy most loads
 	// from the L1; this keeps simulated baselines from being pathologically
-	// memory-bound. Defaults to 0.55 when left zero; set to a negative
+	// memory-bound. Defaults to 0.65 when left zero; set to a negative
 	// value to disable hot loads entirely.
 	HotLoadRatio float64
 	// BlockReuse is how many consecutive pattern loads touch each cache

@@ -16,7 +16,9 @@
 // body encoder, Len-prefixed byte fields, the one Code table with its
 // typed Error and sentinels, the error frame (op 0xFF: a code byte and
 // a Len-prefixed message), the server's per-frame step and the client's
-// synchronous exchange.
+// synchronous exchange. Each connection reads its frames into one
+// reused buffer (Reader), so a received Frame lives only until the next
+// read on its connection.
 package wire
 
 import (
@@ -135,31 +137,22 @@ func WriteFrame(w io.Writer, body []byte) error {
 	return err
 }
 
-// Send writes one frame and flushes it.
+// Send writes one frame and flushes it. The length prefix goes into
+// w's own buffer, so a send allocates nothing.
 func Send(w *bufio.Writer, body []byte) error {
-	if err := WriteFrame(w, body); err != nil {
+	if w.Available() < hdrLen {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(body)))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	if _, err := w.Write(body); err != nil {
 		return err
 	}
 	return w.Flush()
-}
-
-// readFrame reads one frame body, refusing an announced length above
-// maxFrame with ErrTooLarge before allocating for it, so a corrupt or
-// hostile peer cannot make us allocate unbounded memory.
-func readFrame(r *bufio.Reader, maxFrame int) ([]byte, error) {
-	var hdr [hdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if int(n) > maxFrame {
-		return nil, fmt.Errorf("%w: frame length %d > max %d", ErrTooLarge, n, maxFrame)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
 }
 
 // Body builds an op-tagged frame body; walk, when not nil, writes the
@@ -260,50 +253,97 @@ func frameBound(op uint8, maxFrame int, bound func(op uint8) int) int {
 }
 
 // Frame is one received frame: its op, a decoder positioned after the
-// op, and the body length, which caps Len-prefixed fields.
+// op, and the body length, which caps Len-prefixed fields. The payload
+// W decodes is the Reader's reused buffer, so a frame, and any slice
+// that aliases its payload (snap.Walker.Take), is valid only until the
+// next read on the same connection. Copy what must outlive it;
+// ReadBytes copies.
 type Frame struct {
 	Op  uint8
 	W   *snap.Walker
 	Len int
 }
 
-// newFrame takes the op of a non-empty body.
-func newFrame(body []byte) Frame {
-	return Frame{Op: body[0], W: snap.NewDecoder(body[1:]), Len: len(body)}
+// Reader reads one connection's frames. It reads every body into one
+// buffer and decodes it with one walker, both reused by the next read,
+// so a steady stream of frames allocates nothing; the buffer grows to
+// the largest frame the connection has carried, at most the frame cap.
+// A Reader is not safe for concurrent use.
+type Reader struct {
+	br       *bufio.Reader
+	maxFrame int
+	hdr      [hdrLen]byte
+	body     []byte
+	dec      snap.Walker
+}
+
+// NewReader buffers r for frame reads capped at maxFrame bytes.
+func NewReader(r io.Reader, maxFrame int) *Reader {
+	return &Reader{br: bufio.NewReader(r), maxFrame: maxFrame}
+}
+
+// readFrame reads one frame body into the reused buffer, refusing an
+// announced length above the frame cap with ErrTooLarge before growing
+// for it, so a corrupt or hostile peer cannot make us allocate
+// unbounded memory.
+func (r *Reader) readFrame() ([]byte, error) {
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(r.hdr[:]))
+	if n > r.maxFrame {
+		return nil, fmt.Errorf("%w: frame length %d > max %d", ErrTooLarge, n, r.maxFrame)
+	}
+	if cap(r.body) < n {
+		r.body = make([]byte, n)
+	}
+	body := r.body[:n]
+	if _, err := io.ReadFull(r.br, body); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
+// frame takes the op of a non-empty body and points the reused walker
+// past it.
+func (r *Reader) frame(body []byte) Frame {
+	r.dec.ResetDecoder(body[1:])
+	return Frame{Op: body[0], W: &r.dec, Len: len(body)}
 }
 
 // ReadHello reads a connection's opening frame, which must carry the
 // hello op. The op is checked before the bound: an empty frame or any
 // other op is ErrBadOrder whatever its size within the frame cap, and
 // only a hello is held to its bound (ErrTooLarge). bound is the
-// protocol's frame-size table.
+// protocol's frame-size table. The frame is valid until the next read
+// from r.
 //
 //ppflint:wiredecode
-func ReadHello(r *bufio.Reader, maxFrame int, hello uint8, bound func(op uint8) int) (Frame, error) {
-	body, err := readFrame(r, maxFrame)
+func ReadHello(r *Reader, hello uint8, bound func(op uint8) int) (Frame, error) {
+	body, err := r.readFrame()
 	if err != nil {
 		return Frame{}, err
 	}
 	if len(body) == 0 || body[0] != hello {
 		return Frame{}, fmt.Errorf("%w: first frame is not a hello", ErrBadOrder)
 	}
-	return checkBound(newFrame(body), maxFrame, bound)
+	return checkBound(r.frame(body), r.maxFrame, bound)
 }
 
 // ReadRequest is the server's step for each request after the hello:
 // read a frame, take its op and hold the frame to the op's bound before
 // any payload is decoded. An empty frame is ErrBadFrame and an
 // oversized one ErrTooLarge; transport errors, io.EOF included, return
-// as they are.
-func ReadRequest(r *bufio.Reader, maxFrame int, bound func(op uint8) int) (Frame, error) {
-	body, err := readFrame(r, maxFrame)
+// as they are. The frame is valid until the next read from r.
+func ReadRequest(r *Reader, bound func(op uint8) int) (Frame, error) {
+	body, err := r.readFrame()
 	if err != nil {
 		return Frame{}, err
 	}
 	if len(body) == 0 {
 		return Frame{}, fmt.Errorf("%w: empty frame", ErrBadFrame)
 	}
-	return checkBound(newFrame(body), maxFrame, bound)
+	return checkBound(r.frame(body), r.maxFrame, bound)
 }
 
 // checkBound rejects a frame larger than its op's bound.
@@ -318,17 +358,16 @@ func checkBound(f Frame, maxFrame int, bound func(op uint8) int) (Frame, error) 
 // request frame and blocks for its one response, so responses need no
 // tags. A Conn is not safe for concurrent use.
 type Conn struct {
-	r        *bufio.Reader
-	w        *bufio.Writer
-	maxFrame int
-	bound    func(op uint8) int
+	rd    Reader
+	w     *bufio.Writer
+	bound func(op uint8) int
 }
 
 // NewConn buffers rw for exchanges. Responses are held to maxFrame and
 // to bound, the protocol's frame-size table, instead of trusting the
 // peer.
 func NewConn(rw io.ReadWriter, maxFrame int, bound func(op uint8) int) Conn {
-	return Conn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw), maxFrame: maxFrame, bound: bound}
+	return Conn{rd: *NewReader(rw, maxFrame), w: bufio.NewWriter(rw), bound: bound}
 }
 
 // Exchange writes body as one frame, flushes it and reads the response
@@ -346,23 +385,24 @@ func (c *Conn) Exchange(body []byte, want ...uint8) (Frame, error) {
 // Recv reads one response frame. An error frame decodes into the *Error
 // it carries. Any other response must carry one of the want ops, else
 // ErrBadFrame, and fit that op's bound, else ErrTooLarge, so trailing
-// garbage fails typed even where the caller skips Finish.
+// garbage fails typed even where the caller skips Finish. The frame is
+// valid until the next Recv or Exchange on c.
 //
 //ppflint:wiredecode
 func (c *Conn) Recv(want ...uint8) (Frame, error) {
-	body, err := readFrame(c.r, c.maxFrame)
+	body, err := c.rd.readFrame()
 	if err != nil {
 		return Frame{}, err
 	}
 	if len(body) == 0 {
 		return Frame{}, fmt.Errorf("%w: empty response", ErrBadFrame)
 	}
-	f := newFrame(body)
+	f := c.rd.frame(body)
 	if f.Op == opErr {
 		return Frame{}, decodeError(f)
 	}
 	if !slices.Contains(want, f.Op) {
 		return Frame{}, fmt.Errorf("%w: unexpected response op 0x%02x", ErrBadFrame, f.Op)
 	}
-	return checkBound(f, c.maxFrame, c.bound)
+	return checkBound(f, c.rd.maxFrame, c.bound)
 }

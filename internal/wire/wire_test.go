@@ -85,3 +85,62 @@ func TestRecvPrecedence(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameLifetime: a connection reads every frame into one reused
+// buffer, so a frame's payload lives only until the next read. A large
+// frame followed by a small one overwrites the front of that buffer; a
+// field copied out of the first frame with ReadBytes stays intact. Both
+// read paths share the buffer: the server's ReadRequest and the
+// client's Recv.
+func TestFrameLifetime(t *testing.T) {
+	const opBig, opSmall uint8 = 0x81, 0x82
+	big := bytes.Repeat([]byte("first frame "), 100)
+	frames := func() *bytes.Buffer {
+		var buf bytes.Buffer
+		for _, body := range [][]byte{
+			Body(opBig, func(w *snap.Walker) { PutBytes(w, big) }),
+			Body(opSmall, func(w *snap.Walker) { PutBytes(w, []byte("second")) }),
+		} {
+			if err := WriteFrame(&buf, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return &buf
+	}
+	bound := func(uint8) int { return 4096 }
+	server := NewReader(frames(), 4096)
+	client := NewConn(frames(), 4096, bound)
+	paths := []struct {
+		name string
+		rd   *Reader
+		read func() (Frame, error)
+	}{
+		{"ReadRequest", server, func() (Frame, error) { return ReadRequest(server, bound) }},
+		{"Recv", &client.rd, func() (Frame, error) { return client.Recv(opBig, opSmall) }},
+	}
+	for _, p := range paths {
+		f, err := p.read()
+		if err != nil {
+			t.Fatalf("%s: first frame: %v", p.name, err)
+		}
+		copied, err := ReadBytes(f.W, f.Len)
+		if err != nil {
+			t.Fatalf("%s: first field: %v", p.name, err)
+		}
+		alias := p.rd.body[:f.Len] // what an uncopied view of the first payload would see
+		g, err := p.read()
+		if err != nil {
+			t.Fatalf("%s: second frame: %v", p.name, err)
+		}
+		small, err := ReadBytes(g.W, g.Len)
+		if err != nil || g.Op != opSmall || string(small) != "second" {
+			t.Fatalf("%s: second frame op 0x%02x field %q, %v", p.name, g.Op, small, err)
+		}
+		if alias[0] != opSmall {
+			t.Fatalf("%s: the second frame did not reuse the first frame's buffer", p.name)
+		}
+		if !bytes.Equal(copied, big) {
+			t.Fatalf("%s: the copied field changed after the next read", p.name)
+		}
+	}
+}
