@@ -1,343 +1,131 @@
-// Command bench measures the simulator's hot kernels and end-to-end
-// simulation rates, writing two snapshots: BENCH_kernel.json (the
-// micro-kernel trajectory, schema internal/stats.KernelBench) and
-// BENCH_sim.json (per-scheme sim rates under the event-horizon and
-// legacy run loops, schema internal/stats.SimBench).
+// Command bench measures every layer the repository records a speed
+// for and writes the rows as one envelope, BENCH_layers.json (schema
+// internal/stats.Bench):
+//
+//   - kernel: the seven per-access micro-kernels, ns/op and allocs/op
+//     (internal/kernelbench);
+//   - sim: single-core Figure 9 cells end to end, simulated
+//     instructions per second (internal/kernelbench);
+//   - serve: ppfd decisions per second at 1, 8 and 64 streams against
+//     an in-process server (serve.RunLoad);
+//   - sweep: the threshold sweep's cells per second through a loopback
+//     fleet of 1, 2 and 4 workers, cold and warm (sweepfab.Bench).
 //
 // Usage:
 //
-//	bench                          # full run, writes both snapshots
-//	bench -out f.json -simout g.json
-//	bench -quick                   # shorter sim cells for CI smoke runs
-//	bench -skip-sim                # micro-kernels only
-//	bench -kernels cache_read_hit,spp_trigger
-//	bench -count 5                 # median of 5 repetitions per row
-//	bench -failonalloc             # exit 1 if any kernel allocates
-//	bench -baseline old.json       # print per-kernel deltas vs a snapshot
-//	bench -baseline old.json -maxregress 15   # exit 1 on >15% slowdown
-//	bench -sweep                   # also run the distributed-sweep rows
-//	bench -sweeponly -sweepout BENCH_sweep.json
+//	bench -out BENCH_layers.json
+//	bench -baseline BENCH_layers.json -out BENCH_layers.smoke.json
 //
-// Each micro-kernel runs under testing.Benchmark (the standard ~1s
-// auto-scaling harness); the sim rows time fixed Figure 9 cells end to
-// end and report simulated instructions per wall second. With -count N
-// every row is measured N times and the median reported, so noisy CI
-// machines don't produce spurious BENCH deltas; the chosen count is
-// recorded in both snapshots.
+// Every layer runs five times, interleaved, and each row keeps its best
+// value: co-tenant noise only ever slows a run, so best-of-N converges
+// on the true cost where a median swings with the host's load. Every
+// run also checks what the producers guarantee (store hits and misses,
+// the fleet's single-flight, no shed serve client); a violation exits 1
+// naming its row.
 //
-// -sweep adds the distributed-sweep benchmark (BENCH_sweep.json, schema
-// internal/stats.SweepBench): the threshold sweep run cold through a
-// loopback coordinator/worker fleet at each listed fleet size, then
-// replayed warm from the published store. -sweeponly skips the kernel
-// and sim rows for a sweep-only run (the CI sweep-smoke job).
+// -baseline gates the run against an earlier envelope (stats.Gate):
+// every baseline row is compared with the run's row of the same layer,
+// name, params and unit, in the row's direction, against its layer's
+// bound. A row slower than that, or a baseline row the run did not
+// produce, exits 1. The output is written before the gate fires, so a
+// failing run still leaves its measurements behind.
 //
-// -baseline diffs the run against an earlier kernel snapshot (typically
-// the committed BENCH_kernel.json) by kernel name; -maxregress turns any
-// ns/op slowdown beyond the given percentage into a nonzero exit, which
-// is the CI bench-smoke regression gate. Snapshots are written before
-// the gate fires, so a failing run still leaves its measurements behind
-// for inspection.
+// To time one kernel while working on it, use the root wrappers, e.g.
+// `go test -run '^$' -bench BenchmarkKernelSPPTrigger .`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"sort"
-	"strings"
-	"testing"
 
-	"repro/internal/experiment"
 	"repro/internal/kernelbench"
+	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/sweepfab"
 )
 
-// pickBy returns one representative row out of n measurements: the
-// median (lower middle for even n, so the reported row is always a real
-// measurement, not an interpolation) or, with useMin, the minimum.
-// Median is the honest central estimate for the committed trajectory;
-// min is the noise-robust estimator for regression gating — co-tenant
-// interference only ever adds time, so min-of-N converges on the true
-// cost and stays stable across windows where the median swings 20-30%.
-func pickBy[T any](n int, useMin bool, measure func() T, key func(T) float64) T {
-	rows := make([]T, n)
-	for i := range rows {
-		rows[i] = measure()
-	}
-	sort.Slice(rows, func(i, j int) bool { return key(rows[i]) < key(rows[j]) })
-	if useMin {
-		return rows[0]
-	}
-	return rows[(n-1)/2]
+// runs is how many times every row is measured; it reports the best.
+const runs = 5
+
+// layers are the row producers, in run order.
+var layers = []struct {
+	name string
+	rows func() ([]stats.Row, error)
+}{
+	{stats.LayerKernel, func() ([]stats.Row, error) { return kernelbench.KernelRows(), nil }},
+	{stats.LayerSim, kernelbench.SimRows},
+	{stats.LayerServe, func() ([]stats.Row, error) { return serve.RunLoad(serve.LoadConfig{}) }},
+	{stats.LayerSweep, sweepfab.Bench},
 }
 
-func main() { os.Exit(run()) }
-
-// run is main's body, returning the exit code instead of calling
-// os.Exit so deferred cleanup (the -cpuprofile flush) runs on every
-// path, including the regression-gate failure.
-func run() int {
-	out := flag.String("out", "BENCH_kernel.json", "output path for the kernel JSON snapshot")
-	simOut := flag.String("simout", "BENCH_sim.json", "output path for the sim-rate JSON snapshot")
-	quick := flag.Bool("quick", false, "use a short sim budget (CI smoke)")
-	skipSim := flag.Bool("skip-sim", false, "skip the figure-level sim-rate rows")
-	kernelsCSV := flag.String("kernels", "", "comma-separated kernel names to run (default: all)")
-	count := flag.Int("count", 1, "repetitions per row; the -stat statistic is reported")
-	stat := flag.String("stat", "median", "which of the -count repetitions each row reports: median (central estimate) or min (noise-robust, for regression gating)")
-	failOnAlloc := flag.Bool("failonalloc", false, "exit nonzero if any kernel reports allocs/op > 0")
-	baseline := flag.String("baseline", "", "kernel snapshot to diff this run against (path to an earlier BENCH_kernel.json)")
-	maxRegress := flag.Float64("maxregress", 0, "with -baseline: exit nonzero if any kernel's ns/op regresses by more than this percentage (0 disables the gate)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the whole measurement run to this file")
-	sweep := flag.Bool("sweep", false, "also run the distributed-sweep benchmark (coordinator + workers over loopback)")
-	sweepOnly := flag.Bool("sweeponly", false, "run only the distributed-sweep benchmark (implies -sweep, skips kernels and sim rows)")
-	sweepOut := flag.String("sweepout", "BENCH_sweep.json", "output path for the distributed-sweep JSON snapshot")
-	sweepWorkers := flag.String("sweepworkers", "1,2,4", "comma-separated fleet sizes for the sweep benchmark's cold rows")
+func main() {
+	out := flag.String("out", "BENCH_layers.json", "output path for the envelope")
+	baseline := flag.String("baseline", "", "envelope to gate this run against (e.g. the committed BENCH_layers.json)")
 	flag.Parse()
-	if *count < 1 {
-		*count = 1
+	if err := run(*out, *baseline); err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		os.Exit(1)
 	}
-	if *sweepOnly {
-		*sweep = true
-		*skipSim = true
-	}
-	useMin := false
-	switch *stat {
-	case "median":
-	case "min":
-		useMin = true
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -stat %q; want median or min\n", *stat)
-		return 2
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating %s: %v\n", *cpuProfile, err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "starting CPU profile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	kernels := []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"filter_decide_train", kernelbench.FilterDecideTrain},
-		{"cache_read_hit", kernelbench.CacheReadHit},
-		{"cache_read_miss", kernelbench.CacheReadMiss},
-		{"cache_read_miss_256", kernelbench.CacheReadMiss256},
-		{"cache_prefetch_saturated", kernelbench.CachePrefetchSaturated},
-		{"spp_trigger", kernelbench.SPPTrigger},
-		{"spp_lookahead_only", kernelbench.SPPLookaheadOnly},
-	}
-	if *kernelsCSV != "" {
-		want := map[string]bool{}
-		for _, n := range strings.Split(*kernelsCSV, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-		var selected []struct {
-			name string
-			fn   func(*testing.B)
-		}
-		for _, k := range kernels {
-			if want[k.name] {
-				selected = append(selected, k)
-				delete(want, k.name)
-			}
-		}
-		if len(want) > 0 {
-			var unknown []string
-			for n := range want {
-				unknown = append(unknown, n)
-			}
-			sort.Strings(unknown)
-			var known []string
-			for _, k := range kernels {
-				known = append(known, k.name)
-			}
-			fmt.Fprintf(os.Stderr, "unknown kernel(s) %s; known: %s\n",
-				strings.Join(unknown, ", "), strings.Join(known, ", "))
-			return 2
-		}
-		kernels = selected
-	}
-	if *sweepOnly {
-		kernels = nil
-	}
-
-	snap := stats.KernelBench{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Count:     *count,
-	}
-	allocRegression := false
-	for _, k := range kernels {
-		row := pickBy(*count, useMin, func() stats.KernelResult {
-			r := testing.Benchmark(k.fn)
-			return stats.KernelResult{
-				Name:        k.name,
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				Iterations:  int64(r.N),
-			}
-		}, func(r stats.KernelResult) float64 { return r.NsPerOp })
-		snap.Kernels = append(snap.Kernels, row)
-		fmt.Printf("%-24s %12.1f ns/op %8d B/op %6d allocs/op  (n=%d)\n",
-			k.name, row.NsPerOp, row.BytesPerOp, row.AllocsPerOp, row.Iterations)
-		if row.AllocsPerOp > 0 {
-			allocRegression = true
-			fmt.Fprintf(os.Stderr, "ALLOC REGRESSION: %s reports %d allocs/op (expected 0)\n",
-				k.name, row.AllocsPerOp)
-		}
-	}
-
-	if !*skipSim {
-		warmup, detail := uint64(200_000), uint64(1_000_000)
-		if *quick {
-			warmup, detail = 30_000, 120_000
-		}
-		simSnap := stats.SimBench{
-			GoVersion: runtime.Version(),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			Count:     *count,
-		}
-		for _, cell := range kernelbench.DefaultSimCells() {
-			cell := cell
-			// Rate rows invert the estimator: noise only lowers
-			// instructions/sec, so the max-rate run is the robust pick.
-			row := pickBy(*count, useMin, func() stats.SimRateRow {
-				m := cell.RunDetailed(warmup, detail)
-				sec := m.Elapsed.Seconds()
-				return stats.SimRateRow{
-					Name:                cell.Name,
-					Scheme:              cell.Scheme,
-					Workload:            strings.Join(cell.Workloads, "+"),
-					LegacyLoop:          cell.LegacyLoop,
-					MemoRuns:            cell.MemoRuns,
-					StoreMode:           cell.StoreMode,
-					StoreResultHits:     m.StoreResultHits,
-					StoreResultMisses:   m.StoreResultMisses,
-					StoreSnapshotHits:   m.StoreSnapshotHits,
-					StoreSnapshotMisses: m.StoreSnapshotMisses,
-					WarmupInstructions:  warmup,
-					DetailInstructions:  detail,
-					Instructions:        m.Instructions,
-					Seconds:             sec,
-					InstructionsPerSec:  float64(m.Instructions) / sec,
-				}
-			}, func(r stats.SimRateRow) float64 { return -r.InstructionsPerSec })
-			simSnap.Rows = append(simSnap.Rows, row)
-			fmt.Printf("%-24s %12.0f sim-instructions/sec (%d instructions in %.2fs)\n",
-				row.Name, row.InstructionsPerSec, row.Instructions, row.Seconds)
-		}
-		if err := simSnap.WriteFile(*simOut); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *simOut, err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *simOut)
-	}
-
-	if *sweep {
-		var fleets []int
-		for _, f := range strings.Split(*sweepWorkers, ",") {
-			n := 0
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "bad -sweepworkers entry %q\n", f)
-				return 2
-			}
-			fleets = append(fleets, n)
-		}
-		budget := experiment.Budget{Warmup: 1_000, Detail: 4_000}
-		if *quick {
-			budget = experiment.Budget{Warmup: 500, Detail: 2_000}
-		}
-		rows, err := sweepfab.Bench(sweepfab.BenchOptions{
-			Workers: fleets,
-			Budget:  budget,
-			Log:     os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep bench: %v\n", err)
-			return 1
-		}
-		sweepSnap := stats.SweepBench{
-			GoVersion: runtime.Version(),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			Rows:      rows,
-		}
-		for _, r := range rows {
-			fmt.Printf("sweep %-4s %d worker(s) %12.1f cells/sec (%d cells in %.2fs)\n",
-				r.Mode, r.Workers, r.CellsPerSec, r.Cells, r.Seconds)
-		}
-		if err := sweepSnap.WriteFile(*sweepOut); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *sweepOut, err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *sweepOut)
-	}
-
-	if len(snap.Kernels) > 0 {
-		if err := snap.WriteFile(*out); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *out, err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-
-	speedRegression := false
-	if *baseline != "" {
-		base, err := stats.ReadKernelBench(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reading baseline %s: %v\n", *baseline, err)
-			return 1
-		}
-		speedRegression = diffKernels(base, snap, *baseline, *maxRegress)
-	}
-	if (*failOnAlloc && allocRegression) || speedRegression {
-		return 1
-	}
-	return 0
 }
 
-// diffKernels prints the per-kernel ns/op delta of cur against base and
-// reports whether any kernel regressed beyond maxRegress percent
-// (maxRegress <= 0 disables the gate; the comparison is by kernel name,
-// and rows absent from the baseline are informational only).
-func diffKernels(base, cur stats.KernelBench, basePath string, maxRegress float64) bool {
-	baseBy := make(map[string]stats.KernelResult, len(base.Kernels))
-	for _, r := range base.Kernels {
-		baseBy[r.Name] = r
-	}
-	fmt.Printf("\nbaseline %s (go %s, count=%d):\n", basePath, base.GoVersion, base.Count)
-	regressed := false
-	for _, r := range cur.Kernels {
-		b, ok := baseBy[r.Name]
-		if !ok || b.NsPerOp <= 0 {
-			fmt.Printf("%-24s %38.1f ns/op  (no baseline row)\n", r.Name, r.NsPerOp)
-			continue
+func run(out, baseline string) error {
+	// The baseline is read first, so a bad path fails before the runs.
+	var base stats.Bench
+	if baseline != "" {
+		var err error
+		if base, err = stats.ReadBench(baseline); err != nil {
+			return err
 		}
-		delta := (r.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
-		marker := ""
-		if maxRegress > 0 && delta > maxRegress {
-			regressed = true
-			marker = "  REGRESSION"
+	}
+	cur := stats.NewBench(runs)
+	for i := 1; i <= runs; i++ {
+		for _, l := range layers {
+			fmt.Fprintf(os.Stderr, "run %d/%d: %s\n", i, runs, l.name)
+			rows, err := l.rows()
+			if err != nil {
+				return err
+			}
+			for _, r := range rows {
+				cur.Add(r)
+			}
 		}
-		fmt.Printf("%-24s %12.1f -> %12.1f ns/op  %+7.1f%%%s\n",
-			r.Name, b.NsPerOp, r.NsPerOp, delta, marker)
 	}
-	if regressed {
-		fmt.Fprintf(os.Stderr, "kernel ns/op regression beyond %.1f%% vs %s\n", maxRegress, basePath)
+	failed := 0
+	for _, c := range stats.Gate(base, cur) {
+		printCheck(c)
+		if c.Fail {
+			failed++
+		}
 	}
-	return regressed
+	if err := cur.WriteFile(out); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", out)
+	if failed > 0 {
+		return fmt.Errorf("%d row(s) failed the gate against %s", failed, baseline)
+	}
+	return nil
+}
+
+// printCheck prints one row, with its baseline value and change when
+// the baseline has it.
+func printCheck(c stats.Check) {
+	fmt.Printf("%-6s %-24s %-48s %-11s", c.Layer, c.Name, c.Params, c.Unit)
+	switch {
+	case c.Missing:
+		fmt.Printf(" %12.4g -> missing from the run  FAIL\n", c.Base)
+	case !c.HasBase:
+		fmt.Printf(" %12s    %12.4g\n", "", c.Value)
+	default:
+		change := ""
+		if c.Base != 0 {
+			change = fmt.Sprintf("%+7.1f%%", (c.Value-c.Base)/c.Base*100)
+		}
+		verdict := ""
+		if c.Fail {
+			verdict = fmt.Sprintf("  FAIL: %s is better, bound %.0f%%", c.Better, c.Bound*100)
+		}
+		fmt.Printf(" %12.4g -> %12.4g %8s%s\n", c.Base, c.Value, change, verdict)
+	}
 }

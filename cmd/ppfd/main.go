@@ -9,14 +9,15 @@
 //
 //	ppfd                            # serve on 127.0.0.1:9177
 //	ppfd -addr :9177                # serve on all interfaces
-//	ppfd -loadtest                  # spin an in-process server, measure
-//	                                # decisions/sec, write BENCH_serve.json
+//	ppfd -loadtest                  # spin an in-process server and
+//	                                # print decisions/sec per level
 //	ppfd -loadtest -addr host:port  # load-test a remote server instead
-//	ppfd -loadtest -streams 1,8,64 -events 200000 -batch 512
+//	ppfd -loadtest -streams 1,8,64 -events 200000 -batch 512 -out f.json
 //
-// The load-test report (schema internal/stats.ServeBench) is the
-// serving-throughput trajectory tracked alongside BENCH_kernel.json and
-// BENCH_sim.json.
+// The load test prints one serve row per stream count, and with -out
+// also writes them as an envelope (schema internal/stats.Bench). The
+// same in-process rows are part of cmd/bench's BENCH_layers.json;
+// -addr is what only this command can measure.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 	"strings"
 
 	"repro/internal/serve"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -36,7 +38,7 @@ func main() {
 	events := flag.Int("events", 200_000, "loadtest: events per stream")
 	batch := flag.Int("batch", 512, "loadtest: events per batch frame")
 	seed := flag.Uint64("seed", 1, "loadtest: base seed for the synthetic event streams")
-	out := flag.String("out", "BENCH_serve.json", "loadtest: output path for the JSON snapshot")
+	out := flag.String("out", "", "loadtest: also write the rows to this envelope file")
 	flag.Parse()
 
 	if *loadtest {
@@ -64,7 +66,7 @@ func runLoadtest(addr, streamsCSV string, events, batch int, seed uint64, out st
 	if err != nil {
 		return err
 	}
-	bench, err := serve.RunLoad(serve.LoadConfig{
+	rows, err := serve.RunLoad(serve.LoadConfig{
 		Addr:            addr,
 		Streams:         streams,
 		EventsPerStream: events,
@@ -74,15 +76,15 @@ func runLoadtest(addr, streamsCSV string, events, batch int, seed uint64, out st
 	if err != nil {
 		return err
 	}
-	for _, row := range bench.Rows {
-		fmt.Printf("streams=%-4d batch=%-5d events=%-9d %12.0f decisions/sec %12.0f events/sec",
-			row.Streams, row.Batch, row.Events, row.DecisionsPerSec, row.EventsPerSec)
-		if row.Sheds > 0 {
-			fmt.Printf("  (%d shed)", row.Sheds)
-		}
-		fmt.Println()
+	for _, row := range rows {
+		fmt.Printf("%-40s %12.0f %s\n", row.Params, row.Value, row.Unit)
 	}
-	if err := bench.WriteFile(out); err != nil {
+	if out == "" {
+		return nil
+	}
+	b := stats.NewBench(1)
+	b.Rows = rows
+	if err := b.WriteFile(out); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", out)

@@ -1,14 +1,15 @@
-// Package kernelbench defines the micro-benchmarks of the simulator's
-// per-access hot kernels: the PPF filter decide+train cycle, cache read
-// hit/miss servicing, prefetch servicing in a saturated hierarchy, and
-// the SPP trigger path. The bodies live here so
-// the same code runs both under `go test -bench` (via the Benchmark*
-// wrappers in the repository root) and under cmd/bench, which executes
-// them with testing.Benchmark and emits BENCH_kernel.json — the perf
-// trajectory of the simulation kernel across PRs.
+// Package kernelbench produces the kernel and sim rows of
+// BENCH_layers.json. The kernel rows are micro-benchmarks of the
+// simulator's per-access hot paths: the PPF filter decide+train cycle,
+// cache read hit/miss servicing, prefetch servicing in a saturated
+// hierarchy, and the SPP trigger path. Their bodies live here so the
+// same code runs under `go test -bench` (the BenchmarkKernel* wrappers
+// in the repository root) and under cmd/bench. The sim rows time fixed
+// single-core Figure 9 cells end to end.
 package kernelbench
 
 import (
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/sim"
 	"repro/internal/simstore"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -179,169 +181,170 @@ func SPPLookaheadOnly(b *testing.B) {
 	}
 }
 
-// SimCell describes one end-to-end sim-rate measurement: a fixed
-// workload per core under a named scheme, optionally forced onto the
-// legacy +1 cycle loop, optionally requested repeatedly through a run
-// cache, optionally routed through a persistent sim store. These are
-// the rows of BENCH_sim.json.
-type SimCell struct {
-	// Name labels the row in BENCH_sim.json.
-	Name string
-	// Scheme is an experiment scheme name ("none", "spp", "ppf").
-	Scheme string
-	// Workloads names the simulated benchmark of each core; the machine
-	// has one core per name. MemoRuns and StoreMode cells are
-	// single-core.
-	Workloads []string
-	// Seeds holds each core's trace seed; nil means seed 1 on every core.
-	Seeds []uint64
-	// LegacyLoop forces the pre-event-horizon one-cycle-at-a-time loop,
-	// so paired rows isolate the cycle-skipping speedup.
-	LegacyLoop bool
-	// MemoRuns > 1 requests the cell that many times through a fresh run
-	// cache: one real simulation plus MemoRuns-1 cached replays. The
-	// returned instruction count includes the replayed work, so the rate
-	// is the effective throughput a duplicated suite cell sees.
-	MemoRuns int
-	// StoreMode routes the cell through a persistent sim store in a
-	// temporary directory: "cold" measures a first invocation (simulate
-	// plus entry writes), "warm" measures a repeat invocation against the
-	// already-populated store (stored-result replay). Paired rows bound
-	// the store's write overhead and read speedup.
-	StoreMode string
+// kernels lists the micro-benchmarks KernelRows measures, by row name.
+var kernels = []struct {
+	name string
+	fn   func(*testing.B)
+}{
+	{"filter_decide_train", FilterDecideTrain},
+	{"cache_read_hit", CacheReadHit},
+	{"cache_read_miss", CacheReadMiss},
+	{"cache_read_miss_256", CacheReadMiss256},
+	{"cache_prefetch_saturated", CachePrefetchSaturated},
+	{"spp_trigger", SPPTrigger},
+	{"spp_lookahead_only", SPPLookaheadOnly},
 }
 
-// SimCellMetrics is one RunDetailed measurement: the simulated (or
-// replayed) instruction count, the elapsed wall time, and — for
-// store-backed cells — the persistent store's traffic counters.
-type SimCellMetrics struct {
-	Instructions uint64
-	Elapsed      time.Duration
-	// Store traffic for StoreMode cells (zero otherwise).
-	StoreResultHits     uint64
-	StoreResultMisses   uint64
-	StoreSnapshotHits   uint64
-	StoreSnapshotMisses uint64
-}
-
-// DefaultSimCells returns the standard BENCH_sim.json row set: the
-// Figure 9 PPF cell plus SPP and no-prefetch variants, each with the
-// event-horizon and legacy loops, the memoized effective rate for the
-// duplicated-cell case (Figure 10 re-requests every Figure 9 cell),
-// the persistent-store cold/warm pair bounding the disk cache's write
-// overhead and replay speedup, and the first Figure 11 mix without
-// prefetching, where four cores contend for the shared LLC and DRAM.
-func DefaultSimCells() []SimCell {
-	wl := []string{"603.bwaves_s"}
-	mix, mixSeeds := experiment.Mix(workload.SPEC2017MemIntensive(), 4, 0)
-	return []SimCell{
-		{Name: "fig9_ppf_skip", Scheme: "ppf", Workloads: wl},
-		{Name: "fig9_ppf_legacy", Scheme: "ppf", Workloads: wl, LegacyLoop: true},
-		{Name: "fig9_spp_skip", Scheme: "spp", Workloads: wl},
-		{Name: "fig9_spp_legacy", Scheme: "spp", Workloads: wl, LegacyLoop: true},
-		{Name: "fig9_none_skip", Scheme: "none", Workloads: wl},
-		{Name: "fig9_none_legacy", Scheme: "none", Workloads: wl, LegacyLoop: true},
-		{Name: "fig9_ppf_memoized_x2", Scheme: "ppf", Workloads: wl, MemoRuns: 2},
-		{Name: "fig9_ppf_coldstore", Scheme: "ppf", Workloads: wl, StoreMode: "cold"},
-		{Name: "fig9_ppf_warmstore", Scheme: "ppf", Workloads: wl, StoreMode: "warm"},
-		{Name: "mix4_none_skip", Scheme: "none", Workloads: workload.Names(mix), Seeds: mixSeeds},
+// KernelRows runs each kernel once under testing.Benchmark, the ~1 s
+// auto-scaling harness, and returns its ns/op and allocs/op rows. The
+// kernels run allocation-free, so an allocs/op baseline of 0 fails the
+// gate on any allocation.
+func KernelRows() []stats.Row {
+	rows := make([]stats.Row, 0, 2*len(kernels))
+	for _, k := range kernels {
+		r := testing.Benchmark(k.fn)
+		rows = append(rows,
+			stats.Row{Layer: stats.LayerKernel, Name: k.name, Unit: "ns/op", Better: stats.Lower,
+				Value: float64(r.T.Nanoseconds()) / float64(r.N)},
+			stats.Row{Layer: stats.LayerKernel, Name: k.name, Unit: "allocs/op", Better: stats.Lower,
+				Value: float64(r.AllocsPerOp())})
 	}
+	return rows
 }
 
-// seed returns core i's trace seed.
-func (c SimCell) seed(i int) uint64 {
-	if c.Seeds == nil {
-		return 1
+// The sim rows run one core on 603.bwaves_s at trace seed 1, at the
+// Figure 9 budget.
+const (
+	simWorkload = "603.bwaves_s"
+	simWarmup   = 200_000
+	simDetail   = 1_000_000
+)
+
+// simCell is one sim row: the cell under a scheme, optionally forced
+// onto the legacy one-cycle-at-a-time loop, requested repeatedly
+// through a run cache, or routed through a persistent sim store.
+type simCell struct {
+	name   string
+	scheme experiment.Scheme
+	// legacyLoop forces the pre-event-horizon loop, so a scheme's skip
+	// and legacy rows isolate the cycle-skipping speedup.
+	legacyLoop bool
+	// memoRuns > 1 requests the cell that many times through a fresh
+	// run cache: one simulation plus memoRuns-1 replays, all counted, so
+	// the rate is the effective throughput a duplicated suite cell sees.
+	memoRuns int
+	// storeMode "cold" times a first request against an empty store
+	// (simulation plus entry writes), "warm" a repeat request replaying
+	// the stored result.
+	storeMode string
+}
+
+// simCells are the sim rows. perfbench's ppf-1c and mix4-nopf measure
+// the PPF cell and a 4-core mix end to end, so these keep what it does
+// not: skip against legacy loop for SPP and no prefetching, the
+// memoized effective rate, and cold against warm store replay.
+var simCells = []simCell{
+	{name: "fig9_spp_skip", scheme: experiment.SchemeSPP},
+	{name: "fig9_spp_legacy", scheme: experiment.SchemeSPP, legacyLoop: true},
+	{name: "fig9_none_skip", scheme: experiment.SchemeNone},
+	{name: "fig9_none_legacy", scheme: experiment.SchemeNone, legacyLoop: true},
+	{name: "fig9_ppf_memoized_x2", scheme: experiment.SchemePPF, memoRuns: 2},
+	{name: "fig9_ppf_coldstore", scheme: experiment.SchemePPF, storeMode: "cold"},
+	{name: "fig9_ppf_warmstore", scheme: experiment.SchemePPF, storeMode: "warm"},
+}
+
+// SimRows runs each sim cell once and returns its simulated
+// instructions per wall second. The count includes warmup, which is
+// simulated work too, and the replays of memoized and warm-store cells.
+// An error names its row.
+func SimRows() ([]stats.Row, error) {
+	params := fmt.Sprintf("%s seed=1 warmup=%d detail=%d", simWorkload, simWarmup, simDetail)
+	rows := make([]stats.Row, 0, len(simCells))
+	for _, c := range simCells {
+		instructions, elapsed, err := c.run()
+		if err != nil {
+			return nil, fmt.Errorf("sim row %s: %w", c.name, err)
+		}
+		rows = append(rows, stats.Row{Layer: stats.LayerSim, Name: c.name, Params: params,
+			Unit: "instr/s", Better: stats.Higher, Value: float64(instructions) / elapsed.Seconds()})
 	}
-	return c.Seeds[i]
+	return rows, nil
 }
 
-// Run executes the cell at the given budget and returns the simulated
-// instruction count over all cores (including warmup — it is simulated
-// work too, and including cached replays for MemoRuns > 1 or a warm
-// store) and the elapsed wall time.
-func (c SimCell) Run(warmup, detail uint64) (instructions uint64, elapsed time.Duration) {
-	m := c.RunDetailed(warmup, detail)
-	return m.Instructions, m.Elapsed
-}
-
-// RunDetailed executes the cell at the given budget and returns the
-// full measurement, including persistent-store traffic for StoreMode
-// cells.
-func (c SimCell) RunDetailed(warmup, detail uint64) SimCellMetrics {
-	scheme := experiment.Scheme(c.Scheme)
-	b := experiment.Budget{Warmup: warmup, Detail: detail}
-	if c.StoreMode != "" {
-		return c.runStore(scheme, workload.MustByName(c.Workloads[0]), b)
+// run executes the cell and returns the instructions it simulated or
+// replayed and the elapsed wall time.
+func (c simCell) run() (uint64, time.Duration, error) {
+	w := workload.MustByName(simWorkload)
+	b := experiment.Budget{Warmup: simWarmup, Detail: simDetail}
+	if c.storeMode != "" {
+		return c.runStore(w, b)
 	}
-	if c.MemoRuns > 1 {
-		w := workload.MustByName(c.Workloads[0])
+	if c.memoRuns > 1 {
 		x := experiment.Exec{Workers: 1, Cache: experiment.NewRunCache()}
 		var instructions uint64
 		start := time.Now()
-		for i := 0; i < c.MemoRuns; i++ {
-			res := x.RunSingle(sim.DefaultConfig(1), scheme, w, c.seed(0), b)
-			instructions += warmup + res.PerCore[0].Instructions
+		for i := 0; i < c.memoRuns; i++ {
+			res := x.RunSingle(sim.DefaultConfig(1), c.scheme, w, 1, b)
+			instructions += b.Warmup + res.PerCore[0].Instructions
 		}
-		return SimCellMetrics{Instructions: instructions, Elapsed: time.Since(start)}
+		return instructions, time.Since(start), nil
 	}
-	setups := make([]sim.CoreSetup, len(c.Workloads))
-	for i, name := range c.Workloads {
-		setups[i] = experiment.NewSetup(scheme, workload.MustByName(name), c.seed(i))
-	}
-	sys, err := sim.NewSystem(sim.DefaultConfig(len(setups)), setups)
+	sys, err := sim.NewSystem(sim.DefaultConfig(1), []sim.CoreSetup{experiment.NewSetup(c.scheme, w, 1)})
 	if err != nil {
-		panic(err)
+		return 0, 0, err
 	}
-	sys.SetLegacyLoop(c.LegacyLoop)
+	sys.SetLegacyLoop(c.legacyLoop)
 	start := time.Now()
 	res := sys.Run(b.Warmup, b.Detail)
-	elapsed := time.Since(start)
-	var instructions uint64
-	for _, pc := range res.PerCore {
-		instructions += warmup + pc.Instructions
-	}
-	return SimCellMetrics{Instructions: instructions, Elapsed: elapsed}
+	return b.Warmup + res.PerCore[0].Instructions, time.Since(start), nil
 }
 
-// runStore measures one invocation against a persistent sim store in a
-// fresh temporary directory. "cold" times the first request — the full
-// simulation plus snapshot/result entry writes. "warm" first populates
-// the store untimed, then times a second invocation through a fresh
-// RunCache over the same directory, which replays the stored result.
-func (c SimCell) runStore(scheme experiment.Scheme, w workload.Workload, b experiment.Budget) SimCellMetrics {
+// runStore times one request against a persistent sim store in a fresh
+// temporary directory, through a fresh run cache. A warm cell first
+// populates the store untimed.
+func (c simCell) runStore(w workload.Workload, b experiment.Budget) (uint64, time.Duration, error) {
 	dir, err := os.MkdirTemp("", "simstore-bench-*")
 	if err != nil {
-		panic(err)
+		return 0, 0, err
 	}
 	defer os.RemoveAll(dir)
-	if c.StoreMode == "warm" {
-		prime, err := simstore.Open(dir)
+	request := func() (sim.Result, time.Duration, simstore.Stats, error) {
+		st, err := simstore.Open(dir)
 		if err != nil {
-			panic(err)
+			return sim.Result{}, 0, simstore.Stats{}, err
 		}
 		rc := experiment.NewRunCache()
-		rc.AttachStore(prime)
+		rc.AttachStore(st)
 		x := experiment.Exec{Workers: 1, Cache: rc}
-		x.RunSingle(sim.DefaultConfig(1), scheme, w, c.seed(0), b)
+		start := time.Now()
+		res := x.RunSingle(sim.DefaultConfig(1), c.scheme, w, 1, b)
+		return res, time.Since(start), st.Stats(), nil
 	}
-	st, err := simstore.Open(dir)
+	if c.storeMode == "warm" {
+		if _, _, _, err := request(); err != nil {
+			return 0, 0, err
+		}
+	}
+	res, elapsed, st, err := request()
 	if err != nil {
-		panic(err)
+		return 0, 0, err
 	}
-	rc := experiment.NewRunCache()
-	rc.AttachStore(st)
-	x := experiment.Exec{Workers: 1, Cache: rc}
-	start := time.Now()
-	res := x.RunSingle(sim.DefaultConfig(1), scheme, w, c.seed(0), b)
-	elapsed := time.Since(start)
-	s := st.Stats()
-	return SimCellMetrics{
-		Instructions:        b.Warmup + res.PerCore[0].Instructions,
-		Elapsed:             elapsed,
-		StoreResultHits:     s.ResultHits,
-		StoreResultMisses:   s.ResultMisses,
-		StoreSnapshotHits:   s.SnapshotHits,
-		StoreSnapshotMisses: s.SnapshotMisses,
+	if err := checkStore(c.storeMode, st); err != nil {
+		return 0, 0, err
 	}
+	return b.Warmup + res.PerCore[0].Instructions, elapsed, nil
+}
+
+// checkStore is the store rows' producer check: a cold request misses
+// both store layers, the result and the post-warmup snapshot, and a
+// warm one replays the stored result.
+func checkStore(mode string, st simstore.Stats) error {
+	want := simstore.Stats{ResultHits: 1}
+	if mode == "cold" {
+		want = simstore.Stats{ResultMisses: 1, SnapshotMisses: 1}
+	}
+	if st != want {
+		return fmt.Errorf("%s store request saw %+v, want %+v", mode, st, want)
+	}
+	return nil
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
@@ -24,8 +23,8 @@ type LoadConfig struct {
 	// Addr is the server to drive. Empty means the harness starts an
 	// in-process server on a loopback port and tears it down after.
 	Addr string
-	// Streams lists the concurrency levels to measure, one ServeRow
-	// each. Nil means {1, 8, 64}.
+	// Streams lists the concurrency levels to measure, one row each.
+	// Nil means {1, 8, 64}.
 	Streams []int
 	// EventsPerStream is the synthetic events each stream sends
 	// (default 200k).
@@ -114,11 +113,13 @@ func syntheticEvents(seed uint64, n int) []engine.Event {
 }
 
 // RunLoad measures serving throughput at each configured concurrency
-// level and returns the BENCH_serve.json snapshot. Each stream leases
+// level and returns one decisions/s row per level. Each stream leases
 // its own session (the sharded-server design point: zero cross-client
 // contention), so levels scale with server cores until the socket or
-// scheduler saturates.
-func RunLoad(cfg LoadConfig) (stats.ServeBench, error) {
+// scheduler saturates. A level that sheds a client of the in-process
+// server, or leaves a candidate without a verdict, is an error naming
+// its row.
+func RunLoad(cfg LoadConfig) ([]stats.Row, error) {
 	cfg = cfg.withDefaults()
 	addr := cfg.Addr
 	var srv *Server
@@ -138,33 +139,63 @@ func RunLoad(cfg LoadConfig) (stats.ServeBench, error) {
 		select {
 		case addr = <-ready:
 		case err := <-errCh:
-			return stats.ServeBench{}, err
+			return nil, err
 		}
 		defer srv.Close()
 	}
 
-	bench := stats.ServeBench{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-	}
+	var rows []stats.Row
 	for _, streams := range cfg.Streams {
-		row, err := runLevel(addr, srv, streams, cfg)
-		if err != nil {
-			return stats.ServeBench{}, fmt.Errorf("level %d: %w", streams, err)
+		lv, err := runLevel(addr, srv, streams, cfg)
+		if err == nil {
+			err = lv.check()
 		}
-		bench.Rows = append(bench.Rows, row)
+		if err != nil {
+			return nil, fmt.Errorf("serve row %s: %w", lv.row.Params, err)
+		}
+		rows = append(rows, lv.row)
 	}
-	return bench, nil
+	return rows, nil
+}
+
+// level is one concurrency level's row and the counts that prove it
+// clean.
+type level struct {
+	row stats.Row
+	// candidates counts the candidate events sent, verdicts the
+	// decisions received; each candidate gets exactly one.
+	candidates, verdicts uint64
+	// sheds counts clients the in-process server shed (0 against a
+	// remote server, whose sheds the harness cannot see).
+	sheds uint64
+}
+
+// check is the level's producer check: no client was shed and every
+// candidate got its verdict.
+func (l level) check() error {
+	if l.sheds > 0 {
+		return fmt.Errorf("server shed %d client(s)", l.sheds)
+	}
+	if l.verdicts != l.candidates {
+		return fmt.Errorf("%d verdicts for %d candidates", l.verdicts, l.candidates)
+	}
+	return nil
 }
 
 // runLevel drives one concurrency level to completion.
-func runLevel(addr string, srv *Server, streams int, cfg LoadConfig) (stats.ServeRow, error) {
+func runLevel(addr string, srv *Server, streams int, cfg LoadConfig) (level, error) {
 	type result struct {
-		decisions uint64
-		err       error
+		candidates, verdicts uint64
+		err                  error
 	}
 	results := make([]result, streams)
+	lv := level{row: stats.Row{
+		Layer:  stats.LayerServe,
+		Name:   "decisions",
+		Params: fmt.Sprintf("streams=%d batch=%d events=%d", streams, cfg.Batch, cfg.EventsPerStream),
+		Unit:   "decisions/s",
+		Better: stats.Higher,
+	}}
 	shedsBefore := uint64(0)
 	if srv != nil {
 		shedsBefore = srv.Sheds()
@@ -176,11 +207,11 @@ func runLevel(addr string, srv *Server, streams int, cfg LoadConfig) (stats.Serv
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = result{}
+			r := &results[i]
 			key := fmt.Sprintf("load-%d-of-%d", i, streams)
 			c, err := Dial(addr, key)
 			if err != nil {
-				results[i].err = err
+				r.err = err
 				return
 			}
 			defer c.Close()
@@ -189,37 +220,33 @@ func runLevel(addr string, srv *Server, streams int, cfg LoadConfig) (stats.Serv
 			for remaining := cfg.EventsPerStream; remaining > 0; remaining -= cfg.Batch {
 				n := min(cfg.Batch, remaining)
 				gen.fill(batch[:n])
+				for _, ev := range batch[:n] {
+					if ev.Kind == engine.KindCandidate {
+						r.candidates++
+					}
+				}
 				ds, err := c.Decide(batch[:n])
 				if err != nil {
-					results[i].err = err
+					r.err = err
 					return
 				}
-				results[i].decisions += uint64(len(ds))
+				r.verdicts += uint64(len(ds))
 			}
 		}(i)
 	}
 	wg.Wait()
 	elapsed := time.Since(start) //ppflint:allow determinism load-test wall timing is the measurement, not report-determinism data
 
-	row := stats.ServeRow{
-		Streams:         streams,
-		Batch:           cfg.Batch,
-		EventsPerStream: cfg.EventsPerStream,
-		Events:          uint64(streams) * uint64(cfg.EventsPerStream),
-		Seconds:         elapsed.Seconds(),
-	}
 	for _, r := range results {
 		if r.err != nil {
-			return stats.ServeRow{}, r.err
+			return lv, r.err
 		}
-		row.Decisions += r.decisions
+		lv.candidates += r.candidates
+		lv.verdicts += r.verdicts
 	}
-	if row.Seconds > 0 {
-		row.DecisionsPerSec = float64(row.Decisions) / row.Seconds
-		row.EventsPerSec = float64(row.Events) / row.Seconds
-	}
+	lv.row.Value = float64(lv.verdicts) / elapsed.Seconds()
 	if srv != nil {
-		row.Sheds = srv.Sheds() - shedsBefore
+		lv.sheds = srv.Sheds() - shedsBefore
 	}
-	return row, nil
+	return lv, nil
 }

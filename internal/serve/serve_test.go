@@ -306,7 +306,10 @@ func TestPipelinedClientOrdering(t *testing.T) {
 	}
 }
 
-// rawRequest drives the protocol by hand for malformed-input cases.
+// rawRequest drives the protocol by hand for malformed-input cases. It
+// half-closes after the frames and reads under a deadline, so a server
+// that wrongly accepts every frame fails the test with EOF or a timeout
+// instead of leaving it blocked.
 func rawRequest(t *testing.T, addr string, frames ...[]byte) error {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -318,6 +321,12 @@ func rawRequest(t *testing.T, addr string, frames ...[]byte) error {
 		if err := wire.WriteFrame(conn, f); err != nil {
 			t.Fatalf("write frame %d: %v", i, err)
 		}
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatalf("half-close: %v", err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatalf("read deadline: %v", err)
 	}
 	return rawReadError(conn)
 }
@@ -568,9 +577,10 @@ func TestWireSizeConstants(t *testing.T) {
 }
 
 // TestLoadHarnessSmoke runs the miniature version of cmd/ppfd -loadtest
-// end to end and sanity-checks the emitted rows.
+// end to end, then plants a shed and a lost verdict in a level and
+// requires its producer check to fail on each.
 func TestLoadHarnessSmoke(t *testing.T) {
-	bench, err := RunLoad(LoadConfig{
+	rows, err := RunLoad(LoadConfig{
 		Streams:         []int{1, 4},
 		EventsPerStream: 4000,
 		Batch:           256,
@@ -578,18 +588,20 @@ func TestLoadHarnessSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunLoad: %v", err)
 	}
-	if len(bench.Rows) != 2 {
-		t.Fatalf("%d rows, want 2", len(bench.Rows))
+	if len(rows) != 2 || rows[1].Params != "streams=4 batch=256 events=4000" {
+		t.Fatalf("rows = %+v, want streams 1 and 4", rows)
 	}
-	for _, row := range bench.Rows {
-		if row.Decisions == 0 || row.DecisionsPerSec <= 0 {
+	for _, row := range rows {
+		if row.Value <= 0 {
 			t.Fatalf("row %+v has no throughput", row)
 		}
-		if row.Events != uint64(row.Streams)*uint64(row.EventsPerStream) {
-			t.Fatalf("row %+v event accounting is off", row)
-		}
-		if row.Sheds != 0 {
-			t.Fatalf("row %+v shed clients during a healthy run", row)
+	}
+	for _, lv := range []level{
+		{candidates: 10, verdicts: 10, sheds: 1},
+		{candidates: 10, verdicts: 9},
+	} {
+		if lv.check() == nil {
+			t.Errorf("level %+v passed its check", lv)
 		}
 	}
 }

@@ -2,185 +2,180 @@ package stats
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"runtime"
 )
 
-// KernelResult is one micro-benchmark row of BENCH_kernel.json.
-type KernelResult struct {
-	// Name identifies the kernel (e.g. "filter_decide_train").
-	Name string `json:"name"`
-	// NsPerOp is wall nanoseconds per kernel operation.
-	NsPerOp float64 `json:"ns_per_op"`
-	// BytesPerOp and AllocsPerOp are the per-operation heap costs; the
-	// hot kernels are expected to hold these at zero.
-	BytesPerOp  int64 `json:"bytes_per_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	// Iterations is the measured b.N, for judging noise.
-	Iterations int64 `json:"iterations"`
+// The layers of BENCH_layers.json. Each has its own gate bound.
+const (
+	LayerKernel = "kernel"
+	LayerSim    = "sim"
+	LayerServe  = "serve"
+	LayerSweep  = "sweep"
+)
+
+// The directions a row's value improves in.
+const (
+	Lower  = "lower"
+	Higher = "higher"
+)
+
+// layerBound returns the largest slowdown Gate lets a row of layer
+// through, as a fraction of its baseline value (0.25 passes a kernel up
+// to 1.25x slower), or 0 for an unknown layer. The sim, serve and sweep
+// bound sits above the largest best-of-5 max/min spread of unchanged
+// code on a shared 2-vCPU host (up to 1.62x) and below 1, so a 2x
+// slowdown fails; EXPERIMENTS.md has the measurements.
+func layerBound(layer string) float64 {
+	switch layer {
+	case LayerKernel:
+		return 0.25
+	case LayerSim, LayerServe, LayerSweep:
+		return 0.8
+	}
+	return 0
 }
 
-// KernelBench is the schema of BENCH_kernel.json, the repository's
-// kernel-performance trajectory. cmd/bench emits one of these per run;
-// successive PRs append comparable snapshots.
-type KernelBench struct {
+// Row is one measured value of BENCH_layers.json.
+type Row struct {
+	// Layer is one of the Layer constants.
+	Layer string `json:"layer"`
+	// Name and Params identify what was measured; Params holds the
+	// inputs, so a row measured at other inputs is a different row.
+	Name   string `json:"name"`
+	Params string `json:"params"`
+	// Unit names what Value counts; Better is Lower or Higher.
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Value  float64 `json:"value"`
+}
+
+// rowKey identifies a row across runs. The unit is part of it because a
+// kernel has an ns/op and an allocs/op row under one name.
+type rowKey struct{ layer, name, params, unit string }
+
+func (r Row) key() rowKey { return rowKey{r.Layer, r.Name, r.Params, r.Unit} }
+
+// beats reports whether r's value is better than o's in r's direction.
+func (r Row) beats(o Row) bool {
+	if r.Better == Higher {
+		return r.Value > o.Value
+	}
+	return r.Value < o.Value
+}
+
+// Bench is the schema of BENCH_layers.json: a host header written once,
+// then one row per measured value, each the best of Count runs.
+type Bench struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// Count is the number of repetitions each row is the median of
-	// (cmd/bench -count); 1 means a single measurement.
-	Count   int            `json:"count"`
-	Kernels []KernelResult `json:"kernels"`
+	NumCPU    int    `json:"nproc"`
+	Count     int    `json:"count"`
+	Rows      []Row  `json:"rows"`
 }
 
-// SimRateRow is one end-to-end measurement of BENCH_sim.json: a fixed
-// single-core cell timed wall-clock under a named scheme and run-loop
-// variant.
-type SimRateRow struct {
-	// Name labels the row (e.g. "fig9_ppf_skip").
-	Name string `json:"name"`
-	// Scheme is the prefetching configuration ("none", "spp", "ppf").
-	Scheme string `json:"scheme"`
-	// Workload is the simulated benchmark.
-	Workload string `json:"workload"`
-	// LegacyLoop is true when the row forced the pre-event-horizon
-	// one-cycle-at-a-time loop; comparing a scheme's legacy and skip rows
-	// isolates the cycle-skipping speedup.
-	LegacyLoop bool `json:"legacy_loop"`
-	// MemoRuns, when > 1, means the cell was requested that many times
-	// through a fresh run cache (one simulation + MemoRuns-1 replays);
-	// Instructions then counts the replayed work too, so the row reports
-	// the *effective* throughput duplicated suite cells see.
-	MemoRuns int `json:"memo_runs,omitempty"`
-	// StoreMode, when non-empty, means the cell ran against a persistent
-	// sim store in a fresh temporary directory: "cold" is the first
-	// invocation (full simulation plus snapshot/result entry writes),
-	// "warm" a repeat invocation replaying the stored result. The delta
-	// between the paired rows is the store's write overhead and read
-	// speedup.
-	StoreMode string `json:"store_mode,omitempty"`
-	// Store traffic counters for StoreMode rows (absent otherwise).
-	StoreResultHits     uint64  `json:"store_result_hits,omitempty"`
-	StoreResultMisses   uint64  `json:"store_result_misses,omitempty"`
-	StoreSnapshotHits   uint64  `json:"store_snapshot_hits,omitempty"`
-	StoreSnapshotMisses uint64  `json:"store_snapshot_misses,omitempty"`
-	WarmupInstructions  uint64  `json:"warmup_instructions"`
-	DetailInstructions  uint64  `json:"detail_instructions"`
-	Instructions        uint64  `json:"instructions"`
-	Seconds             float64 `json:"seconds"`
-	InstructionsPerSec  float64 `json:"instructions_per_sec"`
-}
-
-// SimBench is the schema of BENCH_sim.json: the end-to-end sim-rate
-// trajectory, per scheme and run-loop variant (cycle skipping vs the
-// legacy loop, plus the memoized effective rate).
-type SimBench struct {
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	// Count is the number of repetitions each row is the median of.
-	Count int          `json:"count"`
-	Rows  []SimRateRow `json:"rows"`
-}
-
-// ServeRow is one load-test measurement of BENCH_serve.json: N
-// concurrent client streams driving the decision server flat out.
-type ServeRow struct {
-	// Streams is the number of concurrent client connections.
-	Streams int `json:"streams"`
-	// Batch is the events-per-frame batch size each stream used.
-	Batch int `json:"batch"`
-	// EventsPerStream is the synthetic events each stream sent.
-	EventsPerStream int `json:"events_per_stream"`
-	// Events and Decisions aggregate across streams; Decisions counts
-	// candidate verdicts only (training events return none).
-	Events    uint64 `json:"events"`
-	Decisions uint64 `json:"decisions"`
-	// Seconds is the wall time from first dial to last response.
-	Seconds float64 `json:"seconds"`
-	// DecisionsPerSec is the headline serving throughput.
-	DecisionsPerSec float64 `json:"decisions_per_sec"`
-	// EventsPerSec includes training traffic.
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Sheds counts clients the server dropped under backpressure during
-	// the row (expected 0 in a healthy run).
-	Sheds uint64 `json:"sheds,omitempty"`
-}
-
-// ServeBench is the schema of BENCH_serve.json: the decision-serving
-// throughput trajectory emitted by cmd/ppfd -loadtest.
-type ServeBench struct {
-	GoVersion string     `json:"go_version"`
-	GOOS      string     `json:"goos"`
-	GOARCH    string     `json:"goarch"`
-	Rows      []ServeRow `json:"rows"`
-}
-
-// SweepRow is one distributed-sweep measurement of BENCH_sweep.json:
-// a fixed experiment grid run through a coordinator and N workers over
-// loopback, cold (every cell simulates) or warm (every cell replays
-// from the shared store).
-type SweepRow struct {
-	// Workers is the fleet size.
-	Workers int `json:"workers"`
-	// Mode is "cold" (fresh store, every cell simulates once fleet-wide)
-	// or "warm" (same store, every cell is a remote replay).
-	Mode string `json:"mode"`
-	// Cells is the number of unique cells in the grid.
-	Cells uint64 `json:"cells"`
-	// Seconds is the wall time of the sweep; CellsPerSec the headline
-	// rate (cold rows should scale with Workers, warm rows measure store
-	// round-trip latency).
-	Seconds     float64 `json:"seconds"`
-	CellsPerSec float64 `json:"cells_per_sec"`
-	// Lease-board counters proving single-flight: Leases should equal
-	// Cells on a clean cold run and be zero on a warm one.
-	Leases      uint64 `json:"leases"`
-	Completions uint64 `json:"completions"`
-	Requeues    uint64 `json:"requeues,omitempty"`
-	// WorkerCells sums the cells the workers actually simulated (cold:
-	// == Cells, the exactly-once proof; warm: 0).
-	WorkerCells uint64 `json:"worker_cells"`
-}
-
-// SweepBench is the schema of BENCH_sweep.json: the distributed-sweep
-// throughput trajectory emitted by cmd/bench -sweep.
-type SweepBench struct {
-	GoVersion string     `json:"go_version"`
-	GOOS      string     `json:"goos"`
-	GOARCH    string     `json:"goarch"`
-	Rows      []SweepRow `json:"rows"`
-}
-
-// WriteFile marshals the snapshot as indented JSON to path.
-func (s SweepBench) WriteFile(path string) error { return writeJSON(path, s) }
-
-// WriteFile marshals the snapshot as indented JSON to path.
-func (s ServeBench) WriteFile(path string) error { return writeJSON(path, s) }
-
-// WriteFile marshals the snapshot as indented JSON to path.
-func (k KernelBench) WriteFile(path string) error { return writeJSON(path, k) }
-
-// ReadKernelBench loads a previously written BENCH_kernel.json snapshot,
-// the baseline side of cmd/bench's -baseline comparison.
-func ReadKernelBench(path string) (KernelBench, error) {
-	var k KernelBench
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return k, err
+// NewBench returns an empty envelope stamped with this host and the
+// number of runs each row will be the best of.
+func NewBench(count int) Bench {
+	return Bench{
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
+		Count:     count,
 	}
-	if err := json.Unmarshal(blob, &k); err != nil {
-		return k, err
-	}
-	return k, nil
 }
 
-// WriteFile marshals the snapshot as indented JSON to path.
-func (s SimBench) WriteFile(path string) error { return writeJSON(path, s) }
+// Add records one measurement: the first of a row appends it, and a
+// later one replaces the kept value when it is better, so after N runs
+// each row holds its best of N.
+func (b *Bench) Add(r Row) {
+	for i := range b.Rows {
+		if b.Rows[i].key() == r.key() {
+			if r.beats(b.Rows[i]) {
+				b.Rows[i].Value = r.Value
+			}
+			return
+		}
+	}
+	b.Rows = append(b.Rows, r)
+}
 
-func writeJSON(path string, v any) error {
-	blob, err := json.MarshalIndent(v, "", "  ")
+// WriteFile marshals the envelope as indented JSON to path.
+func (b Bench) WriteFile(path string) error {
+	blob, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
+}
+
+// ReadBench loads an envelope written by WriteFile, the baseline side of
+// Gate. A row with an unknown layer or direction is an error, since the
+// gate could not judge it.
+func ReadBench(path string) (Bench, error) {
+	var b Bench
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return b, err
+	}
+	if err := json.Unmarshal(blob, &b); err != nil {
+		return b, fmt.Errorf("%s: %w", path, err)
+	}
+	for _, r := range b.Rows {
+		if layerBound(r.Layer) == 0 || (r.Better != Lower && r.Better != Higher) {
+			return b, fmt.Errorf("%s: row %s %s %q: unknown layer or direction %q", path, r.Layer, r.Name, r.Params, r.Better)
+		}
+	}
+	return b, nil
+}
+
+// Check is Gate's verdict on one row.
+type Check struct {
+	// Row is the run's row, or the baseline's when the run lacks it.
+	Row
+	// HasBase is false for a run row the baseline does not have, which
+	// is informational; Base is then 0.
+	HasBase bool
+	Base    float64
+	// Missing marks a baseline row the run did not produce.
+	Missing bool
+	// Bound is the row's layer bound; Fail is set for a missing row and
+	// for a row slower than Base by more than Bound.
+	Bound float64
+	Fail  bool
+}
+
+// Gate compares every row of cur with the baseline row of the same
+// layer, name, params and unit, in the row's direction, against its
+// layer's bound. It returns one Check per run row, in run order, then
+// one per baseline row the run lacks, which fails: a renamed or dropped
+// row must not leave the gate unnoticed.
+func Gate(base, cur Bench) []Check {
+	baseBy := make(map[rowKey]Row, len(base.Rows))
+	for _, r := range base.Rows {
+		baseBy[r.key()] = r
+	}
+	var checks []Check
+	for _, r := range cur.Rows {
+		c := Check{Row: r, Bound: layerBound(r.Layer)}
+		if b, ok := baseBy[r.key()]; ok {
+			c.HasBase, c.Base = true, b.Value
+			if r.Better == Higher {
+				c.Fail = b.Value > r.Value*(1+c.Bound)
+			} else {
+				c.Fail = r.Value > b.Value*(1+c.Bound)
+			}
+			delete(baseBy, r.key())
+		}
+		checks = append(checks, c)
+	}
+	for _, r := range base.Rows {
+		if _, ok := baseBy[r.key()]; ok {
+			checks = append(checks, Check{Row: r, HasBase: true, Base: r.Value, Missing: true, Bound: layerBound(r.Layer), Fail: true})
+		}
+	}
+	return checks
 }

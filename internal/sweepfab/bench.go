@@ -2,7 +2,6 @@ package sweepfab
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -20,69 +19,93 @@ import (
 // rather than on their own CPUs.
 const benchEnumWorkers = 8
 
-// BenchOptions parameterizes Bench.
-type BenchOptions struct {
-	// Workers lists the fleet sizes to measure (default 1, 2, 4).
-	Workers []int
-	// Budget is the per-cell simulation budget (default 1k warmup / 4k
-	// detail: tiny cells, so the rows weigh fabric and store overhead,
-	// the thing this benchmark exists to track, over simulator speed).
-	Budget experiment.Budget
-	// Log receives progress lines (nil = silent).
-	Log io.Writer
-}
+// benchBudget is the per-cell simulation budget: tiny cells, so the
+// rows weigh fabric and store overhead, the thing this benchmark exists
+// to track, over simulator speed.
+var benchBudget = experiment.Budget{Warmup: 1_000, Detail: 4_000}
 
-func (o BenchOptions) withDefaults() BenchOptions {
-	if len(o.Workers) == 0 {
-		o.Workers = []int{1, 2, 4}
-	}
-	if o.Budget == (experiment.Budget{}) {
-		o.Budget = experiment.Budget{Warmup: 1_000, Detail: 4_000}
-	}
-	return o
-}
-
-// Bench measures the distributed threshold sweep over loopback: for
-// each fleet size, a cold run against a fresh store (every cell leased
-// to a worker, simulated once fleet-wide, published over HTTP) and then
-// a warm replay over the published entries (every cell a remote store
-// hit, no fleet involved). The cold rows' cells/sec should scale with
-// the fleet; the warm row is the store's replay throughput floor.
-func Bench(opt BenchOptions) ([]stats.SweepRow, error) {
-	opt = opt.withDefaults()
-	var rows []stats.SweepRow
-	for _, n := range opt.Workers {
-		if n < 1 {
-			return rows, fmt.Errorf("sweepfab: bench fleet size %d", n)
+// Bench measures the distributed threshold sweep over loopback at 1, 2
+// and 4 workers and returns a cold and a warm cells/s row for each. The
+// cold row runs against a fresh store: every cell is leased to a
+// worker, simulated once fleet-wide and published over HTTP. The warm
+// row then replays the published entries with no fleet: every cell is
+// a remote store hit. Cold rows should scale with the fleet; the warm
+// row is the store's replay floor. A fleet whose counters break
+// single-flight is an error naming its rows.
+func Bench() ([]stats.Row, error) {
+	var rows []stats.Row
+	for _, n := range []int{1, 2, 4} {
+		f, err := benchFleet(n, benchBudget)
+		if err == nil {
+			err = f.check()
 		}
-		logf(opt.Log, "sweep bench: cold run, %d worker(s)", n)
-		cold, warm, err := benchFleet(n, opt.Budget)
 		if err != nil {
-			return rows, err
+			return nil, fmt.Errorf("sweep rows workers=%d: %w", n, err)
 		}
-		logf(opt.Log, "sweep bench: %d worker(s): cold %.1f cells/sec, warm %.1f replays/sec",
-			n, cold.CellsPerSec, warm.CellsPerSec)
-		rows = append(rows, cold, warm)
+		rows = append(rows, f.rows(benchBudget)...)
 	}
 	return rows, nil
+}
+
+// fleetBench is one fleet size's timings and the counters that prove
+// them clean.
+type fleetBench struct {
+	workers int
+	// cells counts the unique cells of the grid.
+	cells            uint64
+	coldSec, warmSec float64
+	// cold is the lease board after the cold run, warmLeases the leases
+	// granted during the warm replay.
+	cold       Counters
+	warmLeases uint64
+	// workerCells sums the cells the workers ran.
+	workerCells uint64
+	// warm is the replay's store traffic.
+	warm simstore.Stats
+}
+
+// check is the fleet's producer check: the cold run's workers ran
+// exactly the unique cells, each completed once with no requeue, and
+// the warm replay leased nothing, missed nothing and hit every cell.
+func (f fleetBench) check() error {
+	if f.workerCells != f.cells || f.cold.Completions != f.cells || f.cold.Requeues != 0 {
+		return fmt.Errorf("cold run: workers ran %d cells for %d unique, %d completions, %d requeues",
+			f.workerCells, f.cells, f.cold.Completions, f.cold.Requeues)
+	}
+	if f.warmLeases != 0 || f.warm.ResultMisses != 0 || f.warm.ResultHits != f.cells {
+		return fmt.Errorf("warm replay: %d leases, %d result hits and %d misses for %d cells",
+			f.warmLeases, f.warm.ResultHits, f.warm.ResultMisses, f.cells)
+	}
+	return nil
+}
+
+// rows returns the fleet's cold and warm cells/s rows.
+func (f fleetBench) rows(b experiment.Budget) []stats.Row {
+	params := fmt.Sprintf("workers=%d warmup=%d detail=%d", f.workers, b.Warmup, b.Detail)
+	row := func(name string, sec float64) stats.Row {
+		return stats.Row{Layer: stats.LayerSweep, Name: name, Params: params,
+			Unit: "cells/s", Better: stats.Higher, Value: float64(f.cells) / sec}
+	}
+	return []stats.Row{row("cold", f.coldSec), row("warm", f.warmSec)}
 }
 
 // benchFleet measures one fleet size: spin a store server, coordinator
 // and n workers on loopback, run the sweep cold, tear the fleet down,
 // then replay warm from the published store.
-func benchFleet(n int, b experiment.Budget) (cold, warm stats.SweepRow, err error) {
+func benchFleet(n int, b experiment.Budget) (f fleetBench, err error) {
+	f.workers = n
 	dir, err := os.MkdirTemp("", "sweepbench-")
 	if err != nil {
-		return cold, warm, err
+		return f, err
 	}
 	defer os.RemoveAll(dir)
 	st, err := simstore.Open(dir)
 	if err != nil {
-		return cold, warm, err
+		return f, err
 	}
 	httpLis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return cold, warm, err
+		return f, err
 	}
 	srv := &http.Server{Handler: simstore.Handler(st)}
 	go srv.Serve(httpLis)
@@ -96,7 +119,7 @@ func benchFleet(n int, b experiment.Budget) (cold, warm stats.SweepRow, err erro
 	})
 	fabLis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return cold, warm, err
+		return f, err
 	}
 	go coord.Serve(fabLis)
 
@@ -121,55 +144,28 @@ func benchFleet(n int, b experiment.Budget) (cold, warm stats.SweepRow, err erro
 	start := time.Now() //ppflint:allow determinism bench wall-clock measurement
 	experiment.ThresholdSweep(experiment.Exec{Workers: benchEnumWorkers, Cache: rc}, b)
 	coldSec := time.Since(start).Seconds() //ppflint:allow determinism bench wall-clock measurement
-	counters := coord.Board().Counters()
+	f.cold = coord.Board().Counters()
 	coord.Close()
 	wg.Wait()
 	for i, werr := range workerErrs {
 		if werr != nil {
-			return cold, warm, fmt.Errorf("sweepfab: bench worker %d: %w", i, werr)
+			return f, fmt.Errorf("sweepfab: bench worker %d: %w", i, werr)
 		}
 	}
-	var ran uint64
 	for _, ws := range workerStats {
-		ran += ws.Cells
+		f.workerCells += ws.Cells
 	}
-	unique := counters.Submitted - counters.Deduped
-	cold = stats.SweepRow{
-		Workers:     n,
-		Mode:        "cold",
-		Cells:       unique,
-		Seconds:     coldSec,
-		CellsPerSec: float64(unique) / coldSec,
-		Leases:      counters.Leases,
-		Completions: counters.Completions,
-		Requeues:    counters.Requeues,
-		WorkerCells: ran,
-	}
+	f.cells = f.cold.Submitted - f.cold.Deduped
 
 	// Warm replay: a fresh cache over the published store re-renders the
-	// sweep with no fleet at all — every cell must be a remote hit.
+	// sweep with no fleet at all, so the board must grant no lease.
 	warmRC := experiment.NewRunCache()
 	warmRC.AttachStore(simstore.NewRemote(storeURL, nil))
 	start = time.Now() //ppflint:allow determinism bench wall-clock measurement
 	experiment.ThresholdSweep(experiment.Exec{Workers: benchEnumWorkers, Cache: warmRC}, b)
 	warmSec := time.Since(start).Seconds() //ppflint:allow determinism bench wall-clock measurement
-	sst := warmRC.Store().Stats()
-	if sst.ResultMisses != 0 {
-		return cold, warm, fmt.Errorf("sweepfab: warm replay re-simulated %d cell(s)", sst.ResultMisses)
-	}
-	warm = stats.SweepRow{
-		Workers:     n,
-		Mode:        "warm",
-		Cells:       sst.ResultHits,
-		Seconds:     warmSec,
-		CellsPerSec: float64(sst.ResultHits) / warmSec,
-	}
-	return cold, warm, nil
-}
-
-// logf writes one progress line when a log sink is attached.
-func logf(w io.Writer, format string, args ...any) {
-	if w != nil {
-		fmt.Fprintf(w, format+"\n", args...)
-	}
+	f.warm = warmRC.Store().Stats()
+	f.warmLeases = coord.Board().Counters().Leases - f.cold.Leases
+	f.coldSec, f.warmSec = coldSec, warmSec
+	return f, nil
 }

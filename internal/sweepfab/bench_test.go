@@ -4,43 +4,44 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/simstore"
 )
 
-// TestBenchSmoke runs the smallest possible sweep benchmark and checks
-// the rows carry the single-flight proof: the cold row's worker cells
-// equal its unique cell count, and the warm row replayed everything
-// without a single lease.
+// TestBenchSmoke runs the smallest possible sweep benchmark fleet and
+// checks its single-flight proof: the cold run's workers ran exactly
+// the unique cells, each completed once with no requeue, and the warm
+// replay hit every cell without a lease. Then it plants one violation
+// of each kind and requires the fleet's producer check to fail on it.
 func TestBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench smoke runs a full (tiny) cold sweep")
 	}
-	rows, err := Bench(BenchOptions{
-		Workers: []int{2},
-		Budget:  experiment.Budget{Warmup: 500, Detail: 2_000},
-	})
+	f, err := benchFleet(2, experiment.Budget{Warmup: 500, Detail: 2_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want cold+warm", len(rows))
+	if f.cells == 0 || f.coldSec <= 0 || f.warmSec <= 0 {
+		t.Fatalf("degenerate fleet run: %+v", f)
 	}
-	cold, warm := rows[0], rows[1]
-	if cold.Mode != "cold" || warm.Mode != "warm" {
-		t.Fatalf("row modes = %q, %q", cold.Mode, warm.Mode)
+	if f.workerCells != f.cells || f.cold.Completions != f.cells || f.cold.Requeues != 0 {
+		t.Fatalf("cold run: fleet ran %d cells for %d unique keys, counters %+v", f.workerCells, f.cells, f.cold)
 	}
-	if cold.Cells == 0 || cold.CellsPerSec <= 0 || warm.CellsPerSec <= 0 {
-		t.Fatalf("degenerate rows: %+v / %+v", cold, warm)
+	if f.warm.ResultHits != f.cells || f.warm.ResultMisses != 0 || f.warmLeases != 0 {
+		t.Fatalf("warm replay: store %+v, %d leases, for %d cells", f.warm, f.warmLeases, f.cells)
 	}
-	if cold.WorkerCells != cold.Cells {
-		t.Fatalf("cold run: fleet ran %d cells for %d unique keys", cold.WorkerCells, cold.Cells)
+	if err := f.check(); err != nil {
+		t.Fatalf("clean run failed its check: %v", err)
 	}
-	if cold.Completions != cold.Cells || cold.Requeues != 0 {
-		t.Fatalf("cold run: unclean counters %+v", cold)
-	}
-	if warm.Cells != cold.Cells {
-		t.Fatalf("warm replayed %d cells, cold ran %d", warm.Cells, cold.Cells)
-	}
-	if warm.Leases != 0 || warm.WorkerCells != 0 {
-		t.Fatalf("warm replay touched the fleet: %+v", warm)
+	for name, plant := range map[string]func(*fleetBench){
+		"worker reran a cell": func(g *fleetBench) { g.workerCells++ },
+		"requeue":             func(g *fleetBench) { g.cold.Requeues = 1 },
+		"warm lease":          func(g *fleetBench) { g.warmLeases = 1 },
+		"warm miss":           func(g *fleetBench) { g.warm = simstore.Stats{ResultHits: g.cells - 1, ResultMisses: 1} },
+	} {
+		g := f
+		plant(&g)
+		if g.check() == nil {
+			t.Errorf("%s: check passed", name)
+		}
 	}
 }

@@ -41,6 +41,9 @@ type rawConn struct {
 	wc   wire.Conn
 }
 
+// dialRaw connects a hand-driven worker. Its reads share one deadline,
+// so a coordinator that wrongly stays silent fails the test instead of
+// leaving it blocked.
 func dialRaw(t *testing.T, addr string) *rawConn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -48,6 +51,9 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
+	if err := conn.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
 	return &rawConn{t: t, conn: conn, wc: workerWire(conn)}
 }
 
