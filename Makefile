@@ -57,15 +57,17 @@ perfbench-check:
 # packages guardedby annotates; the race detector checks the same
 # invariants dynamically that ppflint checks statically. -count=1
 # defeats the test cache so the schedules actually re-run. The second
-# line repeats the serve lease, shed and pipelining tests 50 times: a
-# lease released after its error frame is written shows up as an
-# intermittent ErrSessionBusy there. TestPipelinedClientOrdering queues
-# 16 batches ahead of the server, which reads each frame into the
-# connection's one reused receive buffer; a frame read over a batch
-# still being decoded or applied shows up as a wrong verdict.
+# line repeats the serve lease, reattach, shed and pipelining tests 50
+# times: a lease released after its error frame is written, or after
+# the connection closes, shows up as an intermittent ErrSessionBusy
+# there (TestSessionReattach dials again once, right after Close).
+# TestPipelinedClientOrdering queues 16 batches ahead of the server,
+# which reads each frame into the connection's one reused receive
+# buffer; a frame read over a batch still being decoded or applied
+# shows up as a wrong verdict.
 race:
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/engine/... ./internal/runner/...
-	$(GO) test -race -count=50 -run 'TestLeaseFreeAfterErrorFrame|TestProtocolErrors|TestSessionBusy|TestSlowClientShed|TestPipelinedClientOrdering' ./internal/serve/
+	$(GO) test -race -count=50 -run 'TestLeaseFreeAfterErrorFrame|TestProtocolErrors|TestSessionBusy|TestSessionReattach|TestSlowClientShed|TestPipelinedClientOrdering' ./internal/serve/
 
 # determinism re-runs only the golden tests that prove -j 1 and -j 8
 # produce byte-identical experiment reports.
@@ -95,10 +97,14 @@ serve-smoke:
 # sweep-smoke runs the distributed-sweep fabric's suite under the race
 # detector: the remote store round trips (corruption tolerance, tiering,
 # path escapes) and the fleet goldens — byte-identical tables at 1/2/4
-# workers, crash -> lease expiry -> exactly-once re-run, corrupt publish
-# -> reopen.
+# workers, crash -> requeue -> exactly-once re-run, corrupt publish ->
+# one re-run. The second line repeats the lease tests 50 times: each
+# waits on a blocking lease instead of sleeping, so a lease granted
+# twice, a requeue lost on disconnect or a wake-up missed by a blocked
+# lease shows up as a wrong op, a wrong counter or a hang there.
 sweep-smoke:
 	$(GO) test -race -count=1 ./internal/simstore/ ./internal/sweepfab/
+	$(GO) test -race -count=50 -run 'TestWireLeaseGrantAndCompletion|TestWireDisconnectRequeues|TestFleetCrashRerunsOnce|TestFleetCorruptPublishReopens|TestBoard' ./internal/sweepfab/
 
 # fuzz-smoke runs each native fuzz target briefly on top of its
 # committed seed corpus: the ChampSim trace decode path, the

@@ -23,9 +23,11 @@
 //	experiments -run thresholds -coordinate :9402 -storeurl http://host:9401
 //	experiments -worker host:9402 -storeurl http://host:9401   # on each box
 //
-// The coordinator runs the experiments normally; cells missing from the
-// shared store are leased to workers over a length-prefixed TCP
-// protocol (internal/sweepfab) and fetched back once published. Tables
+// The coordinator runs the experiments normally; its run cache submits
+// each cell missing from the shared store once, the cell is leased to
+// one worker at a time over a length-prefixed TCP protocol
+// (internal/sweepfab), and the result is fetched back once published.
+// Idle workers block on a lease request until a cell is queued. Tables
 // are byte-identical to a local -j N run at any fleet size. -storeurl
 // alone (no -coordinate/-worker) reads and writes the remote store
 // directly; combined with -cachedir it layers the local disk store in
@@ -124,8 +126,13 @@ func main() {
 	coordinate := flag.String("coordinate", "", "listen address for fleet workers: lease store-missed cells to them instead of simulating locally (requires a shared store)")
 	workerMode := flag.String("worker", "", "run as a fleet worker against the coordinator at this address (requires a shared store; ignores -run)")
 	workerName := flag.String("workername", "", "worker label in coordinator logs (default: hostname)")
-	leaseTimeout := flag.Duration("leasetimeout", 5*time.Minute, "coordinator lease lifetime before a cell requeues (size to the slowest expected cell)")
+	leaseTimeout := flag.Duration("leasetimeout", 5*time.Minute, "coordinator lease lifetime before a cell requeues (size to the slowest expected cell; must be positive)")
 	flag.Parse()
+
+	if *leaseTimeout <= 0 {
+		fmt.Fprintf(os.Stderr, "-leasetimeout must be positive, got %s\n", *leaseTimeout)
+		os.Exit(2)
+	}
 
 	if *workerMode != "" {
 		os.Exit(runFleetWorker(*workerMode, *workerName, *storeURL, *cachedir, *nocache))
@@ -282,10 +289,10 @@ func main() {
 		}
 	}
 	if coord != nil {
-		coord.Close() // polling workers receive shutdown on their next lease request
+		coord.Close() // workers blocked on a lease receive shutdown
 		c := coord.Board().Counters()
-		fmt.Printf("fleet: %d unique cell(s) leased to workers (%d completion(s), %d requeue(s))\n",
-			c.Submitted-c.Deduped, c.Completions, c.Requeues)
+		fmt.Printf("fleet: %d cell(s) submitted to workers (%d completion(s), %d requeue(s), %d failure(s))\n",
+			c.Submitted, c.Completions, c.Requeues, c.Failures)
 	}
 	if cache != nil {
 		fmt.Println(cache.ReportLine())
@@ -339,8 +346,8 @@ func runFleetWorker(addr, name, storeURL, cachedir string, nocache bool) int {
 	rc.AttachStore(st)
 	fmt.Fprintf(os.Stderr, "worker %s: leasing cells from %s, publishing to %s\n", name, addr, storeURL)
 	ws, err := sweepfab.RunWorker(addr, sweepfab.WorkerConfig{Name: name, Exec: experiment.Exec{Cache: rc}})
-	fmt.Fprintf(os.Stderr, "worker %s: ran %d cell(s) (%d failed, %d stale), %d idle poll(s)\n",
-		name, ws.Cells, ws.Failed, ws.StaleLeases, ws.Waits)
+	fmt.Fprintf(os.Stderr, "worker %s: ran %d cell(s) (%d failed, %d stale)\n",
+		name, ws.Cells, ws.Failed, ws.StaleLeases)
 	fmt.Fprintln(os.Stderr, rc.ReportLine())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "worker %s: %v\n", name, err)

@@ -33,10 +33,9 @@ func NewCellSpec(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b B
 	return CellSpec{Config: cfg, Scheme: s, Suite: w.Suite, Workload: w.Name, Seed: seed, Budget: b}
 }
 
-// Key returns the cell's canonical store/lease key — identical to the
-// key the run cache computes for the same cell, so the coordinator's
-// lease board, every worker's run cache, and the shared store all
-// agree on cell identity.
+// Key returns the cell's canonical store key — identical to the key
+// the run cache computes for the same cell, so the coordinator, every
+// worker's run cache, and the shared store all agree on cell identity.
 func (c CellSpec) Key() string {
 	w := workload.Workload{Name: c.Workload, Suite: c.Suite}
 	return cellKey(c.Config, c.Scheme, w, c.Seed, c.Budget)

@@ -45,9 +45,9 @@ type RunCache struct {
 	// fabric, when non-nil, replaces local simulation of store-missed
 	// cells: the cell is described by a CellSpec and handed to the fleet
 	// (internal/sweepfab's coordinator), which returns the result once a
-	// worker has published it to the shared store. The memo above still
-	// single-flights within this process; the fabric's lease board
-	// single-flights across the fleet.
+	// worker has published it to the shared store. The memo above is
+	// the fleet's one single-flight: it hands each cell key to the
+	// fabric once.
 	fabric func(CellSpec) sim.Result
 }
 

@@ -220,15 +220,12 @@ const (
 	simDetail   = 1_000_000
 )
 
-// simCell is one sim row: the cell under a scheme, optionally forced
-// onto the legacy one-cycle-at-a-time loop, requested repeatedly
-// through a run cache, or routed through a persistent sim store.
+// simCell is one sim row: the cell under a scheme, optionally
+// requested repeatedly through a run cache, or routed through a
+// persistent sim store.
 type simCell struct {
 	name   string
 	scheme experiment.Scheme
-	// legacyLoop forces the pre-event-horizon loop, so a scheme's skip
-	// and legacy rows isolate the cycle-skipping speedup.
-	legacyLoop bool
 	// memoRuns > 1 requests the cell that many times through a fresh
 	// run cache: one simulation plus memoRuns-1 replays, all counted, so
 	// the rate is the effective throughput a duplicated suite cell sees.
@@ -241,13 +238,14 @@ type simCell struct {
 
 // simCells are the sim rows. perfbench's ppf-1c and mix4-nopf measure
 // the PPF cell and a 4-core mix end to end, so these keep what it does
-// not: skip against legacy loop for SPP and no prefetching, the
-// memoized effective rate, and cold against warm store replay.
+// not: the production loop under SPP and no prefetching, the memoized
+// effective rate, and cold against warm store replay. How many tick
+// rounds the event-horizon loop skips on this cell is pinned by
+// internal/sim's TestSkipActuallySkips, not timed here: the skip and
+// legacy rates differ by less than their run-to-run spread.
 var simCells = []simCell{
 	{name: "fig9_spp_skip", scheme: experiment.SchemeSPP},
-	{name: "fig9_spp_legacy", scheme: experiment.SchemeSPP, legacyLoop: true},
 	{name: "fig9_none_skip", scheme: experiment.SchemeNone},
-	{name: "fig9_none_legacy", scheme: experiment.SchemeNone, legacyLoop: true},
 	{name: "fig9_ppf_memoized_x2", scheme: experiment.SchemePPF, memoRuns: 2},
 	{name: "fig9_ppf_coldstore", scheme: experiment.SchemePPF, storeMode: "cold"},
 	{name: "fig9_ppf_warmstore", scheme: experiment.SchemePPF, storeMode: "warm"},
@@ -293,7 +291,6 @@ func (c simCell) run() (uint64, time.Duration, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	sys.SetLegacyLoop(c.legacyLoop)
 	start := time.Now()
 	res := sys.Run(b.Warmup, b.Detail)
 	return b.Warmup + res.PerCore[0].Instructions, time.Since(start), nil

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"io"
 	"net"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -25,12 +27,11 @@ type Client struct {
 // key fails with wire.ErrSessionBusy.
 //
 // The server frees a lease once it has stopped serving the connection
-// that held it. When the server ends a stream itself, with a typed error
-// frame, it frees the lease before sending the frame, so a reconnect
-// right after that error is accepted. When the client drops the link
-// (Close, or a broken connection), the server notices asynchronously,
-// so a Dial with the same key right after the drop may still fail with
-// wire.ErrSessionBusy; that error is then retryable after a short wait.
+// that held it, and before it closes that connection. When the server
+// ends a stream itself, with a typed error frame, it frees the lease
+// before sending the frame, so a reconnect right after that error is
+// accepted. Close waits for the server to close its side, so a
+// reconnect right after Close is accepted too.
 func Dial(addr, key string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -44,9 +45,24 @@ func Dial(addr, key string) (*Client, error) {
 	return c, nil
 }
 
-// Close severs the connection, releasing the session lease server-side
-// once the server notices (see Dial).
-func (c *Client) Close() error { return c.conn.Close() }
+// closeWait bounds how long Close waits for the server to close its
+// side of the connection.
+const closeWait = 2 * time.Second
+
+// Close ends the session. It half-closes the connection, reads until the
+// server closes its side, which the server does only after releasing
+// the session lease, and then closes the connection. Once Close returns,
+// a Dial with the same key finds the lease free, unless the server took
+// longer than closeWait to close.
+func (c *Client) Close() error {
+	if c.conn.(*net.TCPConn).CloseWrite() == nil {
+		// A read deadline in the past interrupts the read below.
+		expire := time.AfterFunc(closeWait, func() { c.conn.SetReadDeadline(time.Unix(1, 0)) })
+		io.Copy(io.Discard, c.conn)
+		expire.Stop()
+	}
+	return c.conn.Close()
+}
 
 // Decide streams a batch of events and returns the filter's verdict for
 // each candidate event, in stream order. Training events contribute no

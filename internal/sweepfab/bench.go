@@ -15,8 +15,8 @@ import (
 
 // benchEnumWorkers is the coordinator-side enumeration parallelism: how
 // many cells the sweep keeps in flight on the lease board. It must be
-// at least the largest fleet size or the workers starve on the board
-// rather than on their own CPUs.
+// at least the largest fleet size, or workers sit blocked on an empty
+// lease queue instead of simulating.
 const benchEnumWorkers = 8
 
 // benchBudget is the per-cell simulation budget: tiny cells, so the
@@ -51,7 +51,8 @@ func Bench() ([]stats.Row, error) {
 // them clean.
 type fleetBench struct {
 	workers int
-	// cells counts the unique cells of the grid.
+	// cells counts the unique cells of the grid: the coordinator run
+	// cache's memo misses.
 	cells            uint64
 	coldSec, warmSec float64
 	// cold is the lease board after the cold run, warmLeases the leases
@@ -64,13 +65,14 @@ type fleetBench struct {
 	warm simstore.Stats
 }
 
-// check is the fleet's producer check: the cold run's workers ran
-// exactly the unique cells, each completed once with no requeue, and
-// the warm replay leased nothing, missed nothing and hit every cell.
+// check is the fleet's producer check: the cold run submitted each
+// unique cell once, its workers ran exactly those cells, each completed
+// once with no requeue, and the warm replay leased nothing, missed
+// nothing and hit every cell.
 func (f fleetBench) check() error {
-	if f.workerCells != f.cells || f.cold.Completions != f.cells || f.cold.Requeues != 0 {
-		return fmt.Errorf("cold run: workers ran %d cells for %d unique, %d completions, %d requeues",
-			f.workerCells, f.cells, f.cold.Completions, f.cold.Requeues)
+	if f.cold.Submitted != f.cells || f.workerCells != f.cells || f.cold.Completions != f.cells || f.cold.Requeues != 0 {
+		return fmt.Errorf("cold run: %d submissions and %d worker runs for %d unique cells, %d completions, %d requeues",
+			f.cold.Submitted, f.workerCells, f.cells, f.cold.Completions, f.cold.Requeues)
 	}
 	if f.warmLeases != 0 || f.warm.ResultMisses != 0 || f.warm.ResultHits != f.cells {
 		return fmt.Errorf("warm replay: %d leases, %d result hits and %d misses for %d cells",
@@ -115,7 +117,6 @@ func benchFleet(n int, b experiment.Budget) (f fleetBench, err error) {
 	coord := NewCoordinator(Config{
 		Store:        simstore.NewRemote(storeURL, nil),
 		LeaseTimeout: time.Minute,
-		WaitHint:     2 * time.Millisecond,
 	})
 	fabLis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -155,7 +156,7 @@ func benchFleet(n int, b experiment.Budget) (f fleetBench, err error) {
 	for _, ws := range workerStats {
 		f.workerCells += ws.Cells
 	}
-	f.cells = f.cold.Submitted - f.cold.Deduped
+	_, f.cells = rc.Stats()
 
 	// Warm replay: a fresh cache over the published store re-renders the
 	// sweep with no fleet at all, so the board must grant no lease.

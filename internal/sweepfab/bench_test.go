@@ -8,10 +8,11 @@ import (
 )
 
 // TestBenchSmoke runs the smallest possible sweep benchmark fleet and
-// checks its single-flight proof: the cold run's workers ran exactly
-// the unique cells, each completed once with no requeue, and the warm
-// replay hit every cell without a lease. Then it plants one violation
-// of each kind and requires the fleet's producer check to fail on it.
+// checks its exactly-once proof: the cold run submitted each unique
+// cell once, its workers ran exactly those cells, each completed once
+// with no requeue, and the warm replay hit every cell without a lease.
+// Then it plants one violation of each kind and requires the fleet's
+// producer check to fail on it.
 func TestBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench smoke runs a full (tiny) cold sweep")
@@ -23,7 +24,7 @@ func TestBenchSmoke(t *testing.T) {
 	if f.cells == 0 || f.coldSec <= 0 || f.warmSec <= 0 {
 		t.Fatalf("degenerate fleet run: %+v", f)
 	}
-	if f.workerCells != f.cells || f.cold.Completions != f.cells || f.cold.Requeues != 0 {
+	if f.cold.Submitted != f.cells || f.workerCells != f.cells || f.cold.Completions != f.cells || f.cold.Requeues != 0 {
 		t.Fatalf("cold run: fleet ran %d cells for %d unique keys, counters %+v", f.workerCells, f.cells, f.cold)
 	}
 	if f.warm.ResultHits != f.cells || f.warm.ResultMisses != 0 || f.warmLeases != 0 {
@@ -33,6 +34,7 @@ func TestBenchSmoke(t *testing.T) {
 		t.Fatalf("clean run failed its check: %v", err)
 	}
 	for name, plant := range map[string]func(*fleetBench){
+		"cell resubmitted":    func(g *fleetBench) { g.cold.Submitted++ },
 		"worker reran a cell": func(g *fleetBench) { g.workerCells++ },
 		"requeue":             func(g *fleetBench) { g.cold.Requeues = 1 },
 		"warm lease":          func(g *fleetBench) { g.warmLeases = 1 },

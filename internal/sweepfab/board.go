@@ -1,78 +1,55 @@
 package sweepfab
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
 
-// cellPhase is a board entry's lifecycle position.
-type cellPhase uint8
-
-const (
-	phaseQueued cellPhase = iota
-	phaseLeased
-	phaseDone
-)
-
-// boardCell is one cell's lease-board entry.
+// boardCell is one submission's lease-board entry.
 type boardCell struct {
-	key  string
 	spec []byte
-	//ppflint:guardedby mu
-	phase cellPhase
-	//ppflint:guardedby mu
-	leaseID uint64
 	//ppflint:guardedby mu
 	worker string
 	//ppflint:guardedby mu
 	deadline time.Time
-	//ppflint:guardedby mu
-	fails int
-	// done is closed when the cell completes; Reopen replaces it, so
-	// holders of the old channel (a previous attempt) still unblock.
-	//ppflint:guardedby mu
+	// done is closed when a lease on the cell completes.
 	done chan struct{}
 }
 
-// Counters are the board's cumulative event counts, the audit trail
-// that proves the fleet's single-flight: with no crashes or corruption,
-// Completions == Submitted - Deduped and Requeues == Expirations == 0,
-// so every unique cell was simulated exactly once.
+// Counters are the board's cumulative event counts, the audit trail of
+// the fleet's work. Each submission is leased to one worker at a time
+// and completed once, so Completions == Submitted once the sweep ends;
+// with no crashed worker and no expired lease Requeues == 0 as well,
+// and every submission was simulated exactly once.
 type Counters struct {
-	// Submitted counts Submit calls; Deduped counts those that matched
-	// an existing entry (the cross-caller single-flight hits).
-	Submitted, Deduped uint64
-	// Leases counts grants; Completions successful completions.
-	Leases, Completions uint64
-	// Requeues counts cells returned to the queue for any reason;
-	// Expirations and Disconnects and Failures break it down by cause.
-	Requeues, Expirations, Disconnects, Failures uint64
-	// Reopens counts done cells reset by the coordinator after a store
-	// fetch failed (corrupt shared entry).
-	Reopens uint64
+	// Submitted counts Submit calls, one per store-missed cell the
+	// coordinator's run cache asked for (and one per re-run).
+	Submitted uint64
+	// Leases counts grants; Completions counts completed leases, and
+	// Failures those among them whose worker reported a failed run.
+	Leases, Completions, Failures uint64
+	// Requeues counts leases returned to the queue, Expirations and
+	// Disconnects break it down by cause.
+	Requeues, Expirations, Disconnects uint64
 }
 
-// maxCellFails bounds per-cell worker failure reports before the board
-// gives up and completes the cell anyway: the coordinator's store
-// recheck then fails and surfaces the error instead of the fleet
-// spinning on an unrunnable cell.
-const maxCellFails = 3
-
-// Board is the coordinator's lease board: the cross-fleet
-// generalization of runner.Memo. Submit is the single-flight entry
-// (one entry per key, later submitters share it), Lease hands queued
-// cells to workers one at a time, and Complete/Expire/ReleaseWorker
-// manage the lease lifecycle. All methods take explicit times so lease
-// expiry is testable with a fake clock.
+// Board is the coordinator's lease board: a FIFO queue of submitted
+// cells, each handed to one worker at a time. It does no deduplication;
+// the coordinator's run cache (runner.Memo) already single-flights cell
+// keys before they reach Submit. Lease blocks for the next queued cell,
+// and Complete/Expire/ReleaseWorker manage the lease lifecycle. Lease
+// deadlines come from the clock the board was built with, so expiry is
+// testable with a fake clock.
 type Board struct {
 	mu sync.Mutex
-	//ppflint:guardedby mu
-	cells map[string]*boardCell
 	// queue holds queued cells in submit order: the fleet works cells in
 	// the same deterministic order a local run enumerates them.
 	//ppflint:guardedby mu
 	queue []*boardCell
+	// queued is closed, and replaced, whenever a cell joins the queue,
+	// waking every blocked Lease.
+	//ppflint:guardedby mu
+	queued chan struct{}
 	//ppflint:guardedby mu
 	byLease map[uint64]*boardCell
 	//ppflint:guardedby mu
@@ -82,59 +59,65 @@ type Board struct {
 	// leaseTimeout is how long a lease lives without completion before
 	// Expire requeues it.
 	leaseTimeout time.Duration
+	// now is the lease clock.
+	now func() time.Time
 }
 
-// NewBoard returns an empty board with the given lease timeout.
-func NewBoard(leaseTimeout time.Duration) *Board {
+// NewBoard returns an empty board with the given lease timeout, reading
+// lease deadlines from now.
+func NewBoard(leaseTimeout time.Duration, now func() time.Time) *Board {
 	return &Board{
-		cells:        make(map[string]*boardCell),
+		queued:       make(chan struct{}),
 		byLease:      make(map[uint64]*boardCell),
 		leaseTimeout: leaseTimeout,
+		now:          now,
 	}
 }
 
-// Submit registers a cell (idempotently: one entry per key, however
-// many experiment goroutines request it) and returns the channel closed
-// on completion. A done cell returns its already-closed channel.
-func (b *Board) Submit(key string, spec []byte) <-chan struct{} {
+// Submit queues a fresh entry for spec and returns the channel closed
+// when a lease on it completes, whether the run succeeded or failed.
+func (b *Board) Submit(spec []byte) <-chan struct{} {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.counters.Submitted++
-	if c, ok := b.cells[key]; ok {
-		b.counters.Deduped++
-		return c.done
-	}
-	c := &boardCell{key: key, spec: spec, done: make(chan struct{})}
-	b.cells[key] = c
-	b.queue = append(b.queue, c)
+	c := &boardCell{spec: spec, done: make(chan struct{})}
+	b.enqueueLocked(c)
 	return c.done
 }
 
-// Lease grants the oldest queued cell to worker, stamping its deadline
-// from now. ok is false when nothing is queued.
-func (b *Board) Lease(worker string, now time.Time) (leaseID uint64, spec []byte, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.queue) == 0 {
-		return 0, nil, false
+// Lease grants the oldest queued cell to worker, blocking until a cell
+// is queued, and stamps the lease deadline at the grant. ok is false
+// when stop closes while nothing is queued.
+func (b *Board) Lease(worker string, stop <-chan struct{}) (leaseID uint64, spec []byte, ok bool) {
+	for {
+		b.mu.Lock()
+		if len(b.queue) > 0 {
+			break
+		}
+		queued := b.queued
+		b.mu.Unlock()
+		select {
+		case <-queued:
+		case <-stop:
+			return 0, nil, false
+		}
 	}
+	defer b.mu.Unlock()
 	c := b.queue[0]
 	b.queue = b.queue[1:]
 	b.nextLease++
-	c.phase = phaseLeased
-	c.leaseID = b.nextLease
 	c.worker = worker
-	c.deadline = now.Add(b.leaseTimeout)
-	b.byLease[c.leaseID] = c
+	c.deadline = b.now().Add(b.leaseTimeout)
+	b.byLease[b.nextLease] = c
 	b.counters.Leases++
-	return c.leaseID, c.spec, true
+	return b.nextLease, c.spec, true
 }
 
-// Complete resolves a lease: on ok the cell is done and its waiters
-// unblock; on !ok the cell requeues (bounded by maxCellFails, after
-// which it completes anyway so waiters surface the failure instead of
-// hanging). Unknown or stale lease ids return false — the cell expired
-// and was re-leased, so this worker's report is void.
+// Complete resolves a lease and closes its cell's done channel; ok
+// false counts a failure, and the coordinator's store recheck then
+// decides whether to submit again. Unknown or stale lease ids return
+// false — the cell expired and was re-leased, so this worker's report
+// is void.
 func (b *Board) Complete(leaseID uint64, ok bool) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -144,32 +127,27 @@ func (b *Board) Complete(leaseID uint64, ok bool) bool {
 	}
 	delete(b.byLease, leaseID)
 	if !ok {
-		c.fails++
 		b.counters.Failures++
-		if c.fails < maxCellFails {
-			b.requeueLocked(c)
-			return true
-		}
-		// Fall through: give up and complete, waiters re-check the store.
 	}
-	c.phase = phaseDone
 	b.counters.Completions++
 	close(c.done)
 	return true
 }
 
-// Expire requeues every lease whose deadline has passed at now. The
-// worker holding an expired lease may still be running; its eventual
-// Complete is void (stale lease id), and the store's atomic writes make
-// a double-publish harmless — both workers write the identical entry.
-func (b *Board) Expire(now time.Time) (expired int) {
+// Expire requeues every lease whose deadline has passed. The worker
+// holding an expired lease may still be running; its eventual Complete
+// is void (stale lease id), and the store's atomic writes make a
+// double-publish harmless — both workers write the identical entry.
+func (b *Board) Expire() (expired int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	now := b.now()
 	for id, c := range b.byLease {
 		if now.After(c.deadline) {
 			delete(b.byLease, id)
 			b.counters.Expirations++
-			b.requeueLocked(c)
+			b.counters.Requeues++
+			b.enqueueLocked(c)
 			expired++
 		}
 	}
@@ -185,47 +163,22 @@ func (b *Board) ReleaseWorker(worker string) (released int) {
 		if c.worker == worker {
 			delete(b.byLease, id)
 			b.counters.Disconnects++
-			b.requeueLocked(c)
+			b.counters.Requeues++
+			b.enqueueLocked(c)
 			released++
 		}
 	}
 	return released
 }
 
-// Reopen resets a done cell to queued with a fresh done channel (the
-// coordinator found the published store entry missing or corrupt) and
-// returns the new channel. A cell that is not done is returned as-is.
-func (b *Board) Reopen(key string) <-chan struct{} {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c, ok := b.cells[key]
-	if !ok {
-		// Nothing to reopen; hand back a closed channel so the caller's
-		// Submit-after-Reopen pattern still works.
-		ch := make(chan struct{})
-		close(ch)
-		return ch
-	}
-	if c.phase != phaseDone {
-		return c.done
-	}
-	c.phase = phaseQueued
-	c.fails = 0
-	c.done = make(chan struct{})
-	b.counters.Reopens++
-	b.queue = append(b.queue, c)
-	return c.done
-}
-
-// requeueLocked returns a leased cell to the queue. Callers hold mu.
+// enqueueLocked appends c to the queue and wakes blocked leases.
+// Callers hold mu.
 //
 //ppflint:locked mu
-func (b *Board) requeueLocked(c *boardCell) {
-	c.phase = phaseQueued
-	c.worker = ""
-	c.leaseID = 0
-	b.counters.Requeues++
+func (b *Board) enqueueLocked(c *boardCell) {
 	b.queue = append(b.queue, c)
+	close(b.queued)
+	b.queued = make(chan struct{})
 }
 
 // Counters returns a copy of the cumulative event counts.
@@ -233,23 +186,4 @@ func (b *Board) Counters() Counters {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.counters
-}
-
-// Idle reports whether the board holds no queued or leased work.
-func (b *Board) Idle() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.queue) == 0 && len(b.byLease) == 0
-}
-
-// Keys returns every submitted cell key in sorted order (tests).
-func (b *Board) Keys() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	keys := make([]string, 0, len(b.cells))
-	for k := range b.cells {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

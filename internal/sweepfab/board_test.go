@@ -5,82 +5,180 @@ import (
 	"time"
 )
 
-// boardClock is a fake clock: lease deadlines are pure functions of the
-// times handed to Lease/Expire, so expiry is tested without sleeping.
-var boardClock = time.Unix(1_700_000_000, 0)
+// fakeClock is a settable lease clock: lease deadlines are pure
+// functions of the times it returns, so expiry is tested without
+// sleeping.
+type fakeClock struct{ t time.Time }
 
-func TestBoardSingleFlight(t *testing.T) {
-	b := NewBoard(time.Minute)
-	d1 := b.Submit("cell-a", []byte("spec-a"))
-	d2 := b.Submit("cell-a", []byte("spec-a"))
-	if d1 != d2 {
-		t.Fatal("duplicate submits returned distinct done channels")
-	}
-	id, spec, ok := b.Lease("w1", boardClock)
+func (c *fakeClock) now() time.Time { return c.t }
+
+// boardEpoch is the fake clock's starting time.
+var boardEpoch = time.Unix(1_700_000_000, 0)
+
+// noWait is a closed stop channel: a Lease given it grants a queued cell
+// or returns ok false at once, so a board test never blocks on it.
+var noWait = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+func newTestBoard() (*Board, *fakeClock) {
+	clk := &fakeClock{t: boardEpoch}
+	return NewBoard(time.Minute, clk.now), clk
+}
+
+// TestBoardOneLeaseAtATime: a submission is leased to one worker at a
+// time, and its done channel closes when the lease completes, whether
+// the run succeeded or failed. A failed run does not requeue: the
+// coordinator decides whether to submit again.
+func TestBoardOneLeaseAtATime(t *testing.T) {
+	b, _ := newTestBoard()
+	done := b.Submit([]byte("spec-a"))
+	id, spec, ok := b.Lease("w1", noWait)
 	if !ok || string(spec) != "spec-a" {
 		t.Fatalf("Lease = %d, %q, %v", id, spec, ok)
 	}
-	if _, _, ok := b.Lease("w2", boardClock); ok {
+	if _, _, ok := b.Lease("w2", noWait); ok {
 		t.Fatal("a leased cell was leased twice")
 	}
 	if !b.Complete(id, true) {
 		t.Fatal("live lease completion rejected")
 	}
 	select {
-	case <-d1:
+	case <-done:
 	default:
 		t.Fatal("done channel not closed on completion")
 	}
-	c := b.Counters()
-	if c.Submitted != 2 || c.Deduped != 1 || c.Leases != 1 || c.Completions != 1 || c.Requeues != 0 {
-		t.Fatalf("counters = %+v", c)
+	if b.Complete(id, true) {
+		t.Fatal("a completed lease completed twice")
 	}
-	// A submit after completion returns the closed channel.
+
+	failed := b.Submit([]byte("spec-b"))
+	id, _, _ = b.Lease("w1", noWait)
+	if !b.Complete(id, false) {
+		t.Fatal("failure report rejected")
+	}
 	select {
-	case <-b.Submit("cell-a", []byte("spec-a")):
+	case <-failed:
 	default:
-		t.Fatal("submit of a done cell returned an open channel")
+		t.Fatal("done channel not closed on a failed run")
+	}
+	if _, _, ok := b.Lease("w2", noWait); ok {
+		t.Fatal("a failed run requeued its cell")
+	}
+	want := Counters{Submitted: 2, Leases: 2, Completions: 2, Failures: 1}
+	if c := b.Counters(); c != want {
+		t.Fatalf("counters = %+v, want %+v", c, want)
+	}
+}
+
+// TestBoardReopen: a completed cell runs again when the coordinator
+// submits it again. The board keys nothing, so the second Submit of the
+// same spec queues a fresh entry with its own open done channel instead
+// of handing back the first submission's closed one.
+func TestBoardReopen(t *testing.T) {
+	b, _ := newTestBoard()
+	d1 := b.Submit([]byte("spec"))
+	id1, _, _ := b.Lease("w", noWait)
+	b.Complete(id1, true)
+	<-d1
+
+	d2 := b.Submit([]byte("spec"))
+	if d2 == d1 {
+		t.Fatal("resubmission returned the completed submission's channel")
+	}
+	select {
+	case <-d2:
+		t.Fatal("resubmitted cell's channel is already closed")
+	default:
+	}
+	id2, spec, ok := b.Lease("w", noWait)
+	if !ok || string(spec) != "spec" {
+		t.Fatal("resubmitted cell did not queue with its spec")
+	}
+	if b.Complete(id1, true) {
+		t.Fatal("the first, completed lease completed the resubmission")
+	}
+	if !b.Complete(id2, true) {
+		t.Fatal("resubmission's completion rejected")
+	}
+	<-d2
+	want := Counters{Submitted: 2, Leases: 2, Completions: 2}
+	if c := b.Counters(); c != want {
+		t.Fatalf("counters = %+v, want %+v", c, want)
 	}
 }
 
 func TestBoardSubmitOrderIsLeaseOrder(t *testing.T) {
-	b := NewBoard(time.Minute)
-	b.Submit("first", nil)
-	b.Submit("second", nil)
-	b.Submit("third", nil)
+	b, _ := newTestBoard()
+	b.Submit([]byte("first"))
+	b.Submit([]byte("second"))
+	b.Submit([]byte("third"))
 	for _, want := range []string{"first", "second", "third"} {
-		id, _, ok := b.Lease("w", boardClock)
+		_, spec, ok := b.Lease("w", noWait)
 		if !ok {
 			t.Fatal("queue drained early")
 		}
-		b.mu.Lock()
-		got := b.byLease[id].key
-		b.mu.Unlock()
-		if got != want {
-			t.Fatalf("leased %q, want %q (submit order must be lease order)", got, want)
+		if string(spec) != want {
+			t.Fatalf("leased %q, want %q (submit order must be lease order)", spec, want)
 		}
 	}
 }
 
-// TestBoardExpiry is the crash-recovery half of the single-flight
-// guarantee: an expired lease requeues its cell exactly once, the cell
-// re-leases, and the dead worker's eventual completion is void.
+// TestBoardLeaseBlocks: a lease waits for the next submission, stamps
+// its deadline when it grants the cell rather than when it was asked
+// for, and gives up when stop closes.
+func TestBoardLeaseBlocks(t *testing.T) {
+	b, clk := newTestBoard()
+	stop := make(chan struct{})
+	granted := make(chan string)
+	go func() {
+		_, spec, _ := b.Lease("w", stop)
+		granted <- string(spec)
+	}()
+	clk.t = boardEpoch.Add(2 * time.Minute)
+	b.Submit([]byte("late"))
+	if spec := <-granted; spec != "late" {
+		t.Fatalf("blocked lease got %q", spec)
+	}
+	clk.t = boardEpoch.Add(2*time.Minute + 30*time.Second)
+	if n := b.Expire(); n != 0 {
+		t.Fatalf("lease expired %d cell(s) a minute before its deadline", n)
+	}
+
+	refused := make(chan bool)
+	go func() {
+		_, _, ok := b.Lease("w", stop)
+		refused <- !ok
+	}()
+	close(stop)
+	if !<-refused {
+		t.Fatal("lease granted with nothing queued")
+	}
+}
+
+// TestBoardExpiry is the crash-recovery half of the fleet's guarantee:
+// an expired lease requeues its cell exactly once, the cell re-leases,
+// and the dead worker's eventual completion is void.
 func TestBoardExpiry(t *testing.T) {
-	b := NewBoard(time.Minute)
-	done := b.Submit("cell", []byte("spec"))
-	staleID, _, ok := b.Lease("crashed", boardClock)
+	b, clk := newTestBoard()
+	done := b.Submit([]byte("spec"))
+	staleID, _, ok := b.Lease("crashed", noWait)
 	if !ok {
 		t.Fatal("lease failed")
 	}
-	if n := b.Expire(boardClock.Add(30 * time.Second)); n != 0 {
+	clk.t = boardEpoch.Add(30 * time.Second)
+	if n := b.Expire(); n != 0 {
 		t.Fatalf("lease expired %d cell(s) before its deadline", n)
 	}
-	if n := b.Expire(boardClock.Add(2 * time.Minute)); n != 1 {
+	clk.t = boardEpoch.Add(2 * time.Minute)
+	if n := b.Expire(); n != 1 {
 		t.Fatalf("Expire past deadline = %d, want 1", n)
 	}
 	// The cell re-leases to a live worker; the crashed worker's stale
 	// completion must be rejected, not complete the re-leased cell.
-	newID, _, ok := b.Lease("alive", boardClock.Add(2*time.Minute))
+	newID, _, ok := b.Lease("alive", noWait)
 	if !ok {
 		t.Fatal("expired cell did not requeue")
 	}
@@ -103,88 +201,23 @@ func TestBoardExpiry(t *testing.T) {
 }
 
 func TestBoardReleaseWorker(t *testing.T) {
-	b := NewBoard(time.Minute)
-	b.Submit("a", nil)
-	b.Submit("b", nil)
-	b.Lease("w1", boardClock)
-	b.Lease("w1", boardClock)
+	b, _ := newTestBoard()
+	b.Submit([]byte("a"))
+	b.Submit([]byte("b"))
+	b.Lease("w1", noWait)
+	b.Lease("w1", noWait)
 	if n := b.ReleaseWorker("w2"); n != 0 {
 		t.Fatalf("released %d cells for an unknown worker", n)
 	}
 	if n := b.ReleaseWorker("w1"); n != 2 {
 		t.Fatalf("ReleaseWorker = %d, want 2", n)
 	}
-	if b.Idle() {
-		t.Fatal("board idle with requeued cells pending")
-	}
 	for i := 0; i < 2; i++ {
-		if _, _, ok := b.Lease("w3", boardClock); !ok {
+		if _, _, ok := b.Lease("w3", noWait); !ok {
 			t.Fatal("released cells did not requeue")
 		}
 	}
 	if c := b.Counters(); c.Disconnects != 2 || c.Requeues != 2 {
 		t.Fatalf("counters = %+v", c)
-	}
-}
-
-// TestBoardFailureBounded: a cell failing on every worker requeues only
-// maxCellFails-1 times, then completes so waiters stop blocking and the
-// coordinator's store recheck surfaces the failure.
-func TestBoardFailureBounded(t *testing.T) {
-	b := NewBoard(time.Minute)
-	done := b.Submit("doomed", nil)
-	for i := 0; i < maxCellFails; i++ {
-		id, _, ok := b.Lease("w", boardClock)
-		if !ok {
-			t.Fatalf("lease %d: queue empty (cell completed too early)", i)
-		}
-		if !b.Complete(id, false) {
-			t.Fatalf("failure report %d rejected", i)
-		}
-	}
-	select {
-	case <-done:
-	default:
-		t.Fatal("cell did not complete after exhausting failure budget")
-	}
-	if _, _, ok := b.Lease("w", boardClock); ok {
-		t.Fatal("failed-out cell requeued past its budget")
-	}
-	if c := b.Counters(); c.Failures != maxCellFails || c.Requeues != maxCellFails-1 {
-		t.Fatalf("counters = %+v", c)
-	}
-}
-
-func TestBoardReopen(t *testing.T) {
-	b := NewBoard(time.Minute)
-	d1 := b.Submit("cell", []byte("spec"))
-	id, _, _ := b.Lease("w", boardClock)
-	b.Complete(id, true)
-	<-d1
-
-	d2 := b.Reopen("cell")
-	select {
-	case <-d2:
-		t.Fatal("reopened cell's channel is already closed")
-	default:
-	}
-	// Submit now joins the reopened attempt, not the stale closed chan.
-	if d3 := b.Submit("cell", []byte("spec")); d3 != d2 {
-		t.Fatal("submit after reopen returned a different channel")
-	}
-	id2, spec, ok := b.Lease("w", boardClock)
-	if !ok || string(spec) != "spec" {
-		t.Fatal("reopened cell did not requeue with its spec")
-	}
-	b.Complete(id2, true)
-	<-d2
-	if c := b.Counters(); c.Reopens != 1 || c.Completions != 2 {
-		t.Fatalf("counters = %+v", c)
-	}
-	// Reopening an unknown key hands back a closed channel.
-	select {
-	case <-b.Reopen("never-submitted"):
-	default:
-		t.Fatal("Reopen of unknown key returned an open channel")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -31,8 +30,8 @@ func TestHandshakePrecedence(t *testing.T) {
 	}{
 		{"empty first frame", [][]byte{{}}, wire.ErrBadOrder},
 		{"lease first, over its bound", [][]byte{frame(opFabLease, 2)}, wire.ErrBadOrder},
-		{"done first, over its bound", [][]byte{frame(opFabDone, fabBoundFor(opFabDone, defaultMaxFrame)+1)}, wire.ErrBadOrder},
-		{"hello over its bound", [][]byte{frame(opFabHello, fabBoundFor(opFabHello, defaultMaxFrame)+1)}, wire.ErrTooLarge},
+		{"done first, over its bound", [][]byte{frame(opFabDone, fabBoundFor(opFabDone)+1)}, wire.ErrBadOrder},
+		{"hello over its bound", [][]byte{frame(opFabHello, fabBoundFor(opFabHello)+1)}, wire.ErrTooLarge},
 		{"lease with a trailing byte", [][]byte{encodeHello("w"), frame(opFabLease, 2)}, wire.ErrTooLarge},
 	}
 	for _, tc := range cases {
@@ -61,7 +60,7 @@ func TestWorkerRejectsUnknownErrorCode(t *testing.T) {
 			t.Fatal(err)
 		}
 		go answerWithError(lis, code)
-		_, err = RunWorker(lis.Addr().String(), WorkerConfig{Name: "w", DialRetry: time.Second})
+		_, err = RunWorker(lis.Addr().String(), WorkerConfig{Name: "w"})
 		lis.Close()
 		if !errors.Is(err, wire.ErrBadFrame) {
 			t.Fatalf("code byte 0x%02x: err = %v, want wire.ErrBadFrame", code, err)

@@ -22,33 +22,24 @@ type Config struct {
 	// coordinator fetches completed cells from it. Required.
 	Store simstore.Backend
 	// LeaseTimeout is how long a worker may hold a cell before the lease
-	// expires and the cell requeues (0 = 5 minutes, generous for the
-	// largest budgets).
+	// expires and the cell requeues (0 or less = 5 minutes, generous for
+	// the largest budgets).
 	LeaseTimeout time.Duration
-	// WaitHint is the poll delay sent to idle workers (0 = 50ms).
-	WaitHint time.Duration
-	// MaxFrame bounds fabric frames (0 = 1 MiB).
-	MaxFrame int
 }
 
-// withDefaults fills the zero fields.
+// withDefaults fills the unset fields.
 func (c Config) withDefaults() Config {
-	if c.LeaseTimeout == 0 {
+	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = 5 * time.Minute
-	}
-	if c.WaitHint == 0 {
-		c.WaitHint = 50 * time.Millisecond
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = defaultMaxFrame
 	}
 	return c
 }
 
-// runCellAttempts bounds coordinator-side re-submissions of one cell
-// when the store fetch after completion fails (corrupt or missing
-// entry): each attempt re-runs the cell on the fleet, so a persistent
-// store failure surfaces as a panic, not an infinite loop.
+// runCellAttempts is the fabric's one retry bound: how many times
+// RunCell submits a cell while the shared store holds no valid result
+// for it, whether the run failed on its worker or its publish was
+// corrupt or missing. A cell that never produces a result panics after
+// this many leases instead of looping.
 const runCellAttempts = 3
 
 // Coordinator owns the lease board and the worker-facing listener of a
@@ -68,7 +59,7 @@ type Coordinator struct {
 
 	board *Board
 	// stop signals the janitor and per-connection loops to wind down;
-	// workers polling for leases then receive opFabShutdown.
+	// workers blocked on a lease then receive opFabShutdown.
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -81,7 +72,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	return &Coordinator{
 		cfg:   cfg,
-		board: NewBoard(cfg.LeaseTimeout),
+		board: NewBoard(cfg.LeaseTimeout, wallClock),
 		stop:  make(chan struct{}),
 	}
 }
@@ -148,8 +139,8 @@ func (c *Coordinator) Addr() net.Addr {
 	return c.lis.Addr()
 }
 
-// Close stops accepting, tells polling workers to shut down, and waits
-// for connection handlers to drain.
+// Close stops accepting, tells workers blocked on a lease to shut down,
+// and waits for connection handlers to drain.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -167,19 +158,25 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
+// wallClock is the coordinator's lease clock.
+func wallClock() time.Time {
+	return time.Now() //ppflint:allow determinism lease deadlines are fleet liveness plumbing, not report data
+}
+
 // janitor periodically expires stale leases so a crashed worker's cells
 // requeue without waiting for its TCP connection to die.
 func (c *Coordinator) janitor() {
 	defer c.wg.Done()
-	tick := time.NewTicker(c.cfg.LeaseTimeout / 4)
+	// At least every millisecond: a lease timeout of a few nanoseconds
+	// must still give the ticker a positive interval.
+	tick := time.NewTicker(max(c.cfg.LeaseTimeout/4, time.Millisecond))
 	defer tick.Stop()
 	for {
 		select {
 		case <-c.stop:
 			return
 		case <-tick.C:
-			now := time.Now() //ppflint:allow determinism lease deadlines are fleet liveness plumbing, not report data
-			if n := c.board.Expire(now); n > 0 {
+			if n := c.board.Expire(); n > 0 {
 				log.Printf("sweepfab: expired %d stale lease(s)", n)
 			}
 		}
@@ -187,11 +184,12 @@ func (c *Coordinator) janitor() {
 }
 
 // RunCell is the fabric cell runner installed on the coordinator's
-// RunCache: submit to the lease board (idempotent — the cross-fleet
-// single-flight), wait for a worker to publish, fetch the result from
-// the shared store. A missing or corrupt published entry reopens the
-// cell for a bounded number of attempts; exhausting them panics,
-// matching the experiment package's panic-on-bug convention.
+// RunCache, whose memo has already single-flighted the cell key: submit
+// the cell to the lease board, wait for a worker to complete it, fetch
+// the result from the shared store. While the store holds no valid
+// entry (the run failed, or its publish was corrupt or missing) the
+// cell is submitted again, up to runCellAttempts times; exhausting them
+// panics, matching the experiment package's panic-on-bug convention.
 func (c *Coordinator) RunCell(spec experiment.CellSpec) sim.Result {
 	enc, err := spec.Encode()
 	if err != nil {
@@ -199,9 +197,8 @@ func (c *Coordinator) RunCell(spec experiment.CellSpec) sim.Result {
 	}
 	key := spec.Key()
 	for attempt := 0; attempt < runCellAttempts; attempt++ {
-		done := c.board.Submit(key, enc)
 		select {
-		case <-done:
+		case <-c.board.Submit(enc):
 		case <-c.stop:
 			panic("sweepfab: coordinator closed with cells in flight")
 		}
@@ -210,10 +207,6 @@ func (c *Coordinator) RunCell(spec experiment.CellSpec) sim.Result {
 				return r
 			}
 		}
-		// The fleet completed the cell but the store has no valid entry
-		// (corrupt upload, failed publish, or the cell failed on every
-		// worker): reopen and re-run.
-		c.board.Reopen(key)
 	}
 	panic(fmt.Sprintf("sweepfab: cell %s produced no valid store entry after %d attempts", key, runCellAttempts))
 }
@@ -222,9 +215,9 @@ func (c *Coordinator) RunCell(spec experiment.CellSpec) sim.Result {
 // hello, then a strict request/response loop.
 func (c *Coordinator) handle(conn net.Conn) {
 	defer conn.Close()
-	rd := wire.NewReader(conn, c.cfg.MaxFrame)
+	rd := wire.NewReader(conn, maxFrame)
 	bw := bufio.NewWriter(conn)
-	name, err := c.readHello(rd)
+	name, err := readHello(rd)
 	if err != nil {
 		wire.Send(bw, wire.ErrorBody(err, wire.CodeBadFrame))
 		return
@@ -232,7 +225,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 	// Tag the lease owner with the remote address so two workers sharing
 	// a name cannot release each other's leases on disconnect.
 	owner := name + "@" + conn.RemoteAddr().String()
-	if err := wire.Send(bw, encodeWelcome(uint64(c.cfg.LeaseTimeout/time.Millisecond))); err != nil {
+	if err := wire.Send(bw, encodeWelcome()); err != nil {
 		return
 	}
 	defer func() {
@@ -241,7 +234,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 		}
 	}()
 	for {
-		f, err := wire.ReadRequest(rd, c.bound)
+		f, err := wire.ReadRequest(rd, fabBoundFor)
 		var resp []byte
 		if err == nil {
 			resp, err = c.dispatch(owner, f)
@@ -260,9 +253,6 @@ func (c *Coordinator) handle(conn net.Conn) {
 	}
 }
 
-// bound is the coordinator's frame-size table at its frame cap.
-func (c *Coordinator) bound(op uint8) int { return fabBoundFor(op, c.cfg.MaxFrame) }
-
 // dispatch executes one worker request, already held to its op's bound,
 // and builds the response frame. A non-nil error is the class the
 // worker is owed in an error frame instead.
@@ -274,15 +264,12 @@ func (c *Coordinator) dispatch(owner string, f wire.Frame) ([]byte, error) {
 		if err := wire.Finish(f.W); err != nil {
 			return nil, err
 		}
-		select {
-		case <-c.stop:
-			return encodeShutdown(), nil
-		default:
-		}
-		now := time.Now() //ppflint:allow determinism lease deadlines are fleet liveness plumbing, not report data
-		id, spec, ok := c.board.Lease(owner, now)
+		// A worker that drops while blocked here is noticed when the
+		// grant's send or the next read fails; the deferred release in
+		// handle then requeues the cell.
+		id, spec, ok := c.board.Lease(owner, c.stop)
 		if !ok {
-			return encodeWait(uint64(c.cfg.WaitHint / time.Millisecond)), nil
+			return encodeShutdown(), nil
 		}
 		return encodeCell(id, spec), nil
 	case opFabDone:
@@ -303,8 +290,8 @@ func (c *Coordinator) dispatch(owner string, f wire.Frame) ([]byte, error) {
 }
 
 // readHello consumes and validates the opening frame.
-func (c *Coordinator) readHello(rd *wire.Reader) (string, error) {
-	f, err := wire.ReadHello(rd, opFabHello, c.bound)
+func readHello(rd *wire.Reader) (string, error) {
+	f, err := wire.ReadHello(rd, opFabHello, fabBoundFor)
 	if err != nil {
 		return "", err
 	}

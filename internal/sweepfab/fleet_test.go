@@ -21,8 +21,9 @@ var fleetBudget = experiment.Budget{Warmup: 1_000, Detail: 4_000}
 
 // fleetRun spins a store server, a coordinator and n workers on
 // loopback, runs the threshold sweep through the fabric, and returns
-// the rendered table plus the board counters and per-worker stats.
-func fleetRun(t *testing.T, n int) (render string, counters Counters, workers []WorkerStats) {
+// the rendered table, the board counters, the coordinator cache's memo
+// misses and the per-worker stats.
+func fleetRun(t *testing.T, n int) (render string, counters Counters, misses uint64, workers []WorkerStats) {
 	t.Helper()
 	serverStore, err := simstore.Open(t.TempDir())
 	if err != nil {
@@ -34,7 +35,6 @@ func fleetRun(t *testing.T, n int) (render string, counters Counters, workers []
 	coord := NewCoordinator(Config{
 		Store:        simstore.NewRemote(httpSrv.URL, nil),
 		LeaseTimeout: time.Minute,
-		WaitHint:     2 * time.Millisecond,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -63,6 +63,7 @@ func fleetRun(t *testing.T, n int) (render string, counters Counters, workers []
 	res := experiment.ThresholdSweep(experiment.Exec{Workers: 4, Cache: rc}, fleetBudget)
 	render = res.Render()
 	counters = coord.Board().Counters()
+	_, misses = rc.Stats()
 	coord.Close()
 	wg.Wait()
 	for i, err := range errs {
@@ -70,41 +71,44 @@ func fleetRun(t *testing.T, n int) (render string, counters Counters, workers []
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	return render, counters, workers
+	return render, counters, misses, workers
 }
 
-// TestFleetByteIdentical is the tentpole acceptance golden: the
+// TestFleetByteIdentical is the fabric's acceptance golden: the
 // threshold sweep rendered through a coordinator and 1, 2 or 4 workers
-// is byte-identical to the single-process run, every cold cell
-// simulates exactly once fleet-wide, and the counters prove it.
+// is byte-identical to the single-process run, every cold cell is
+// submitted once by the coordinator's memo and simulates exactly once
+// fleet-wide, and the counters prove it.
 func TestFleetByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet golden runs ~200 tiny cells")
 	}
 	local := experiment.ThresholdSweep(experiment.Exec{Workers: 4}, fleetBudget).Render()
 	for _, n := range []int{1, 2, 4} {
-		render, counters, workers := fleetRun(t, n)
+		render, counters, misses, workers := fleetRun(t, n)
 		if render != local {
 			t.Fatalf("%d-worker fleet render diverged from local run\nlocal:\n%s\nfleet:\n%s", n, local, render)
 		}
-		unique := counters.Submitted - counters.Deduped
-		if unique == 0 {
+		if counters.Submitted == 0 {
 			t.Fatalf("%d workers: no cells flowed through the fabric", n)
 		}
-		if counters.Completions != unique {
-			t.Fatalf("%d workers: %d completions for %d unique cells", n, counters.Completions, unique)
+		// The memo is the one single-flight: each of its misses is one
+		// submission, and each submission completes once.
+		if counters.Submitted != misses || counters.Completions != counters.Submitted {
+			t.Fatalf("%d workers: %d submissions and %d completions for %d memo misses",
+				n, counters.Submitted, counters.Completions, misses)
 		}
-		if counters.Requeues != 0 || counters.Expirations != 0 || counters.Reopens != 0 || counters.Failures != 0 {
+		if counters.Requeues != 0 || counters.Expirations != 0 || counters.Failures != 0 {
 			t.Fatalf("%d workers: unclean counters %+v", n, counters)
 		}
 		// Exactly-once across the fleet: the workers' lease counts sum to
-		// the unique cell count — no cell ran twice anywhere.
+		// the submissions — no cell ran twice anywhere.
 		var ran uint64
 		for _, ws := range workers {
 			ran += ws.Cells
 		}
-		if ran != unique {
-			t.Fatalf("%d workers: fleet ran %d cells for %d unique keys", n, ran, unique)
+		if ran != counters.Submitted {
+			t.Fatalf("%d workers: fleet ran %d cells for %d submissions", n, ran, counters.Submitted)
 		}
 	}
 }
@@ -126,7 +130,6 @@ func TestFleetWarmReplay(t *testing.T) {
 	coord := NewCoordinator(Config{
 		Store:        simstore.NewRemote(httpSrv.URL, nil),
 		LeaseTimeout: time.Minute,
-		WaitHint:     2 * time.Millisecond,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -173,7 +176,6 @@ func TestFleetCrashRerunsOnce(t *testing.T) {
 	coord := NewCoordinator(Config{
 		Store:        simstore.NewRemote(httpSrv.URL, nil),
 		LeaseTimeout: time.Minute,
-		WaitHint:     2 * time.Millisecond,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -196,18 +198,10 @@ func TestFleetCrashRerunsOnce(t *testing.T) {
 	resultCh := make(chan sim.Result, 1)
 	go func() { resultCh <- coord.RunCell(spec) }()
 
-	// Wait until the crash worker holds the lease.
+	// The crash worker's lease request blocks until RunCell submits.
 	crash.send(encodeLease())
-	deadline := time.Now().Add(5 * time.Second) //ppflint:allow determinism test retry deadline
-	for {
-		if op := crash.recvOp(); op == opFabCell {
-			break
-		}
-		if time.Now().After(deadline) { //ppflint:allow determinism test retry deadline
-			t.Fatal("crash worker never got the lease")
-		}
-		time.Sleep(2 * time.Millisecond)
-		crash.send(encodeLease())
+	if op := crash.recvOp(); op != opFabCell {
+		t.Fatalf("crash worker's lease response op 0x%02x, want opFabCell", op)
 	}
 	crash.conn.Close()
 
@@ -241,7 +235,7 @@ func TestFleetCrashRerunsOnce(t *testing.T) {
 	coord.Close()
 	wg.Wait()
 	c := coord.Board().Counters()
-	if c.Disconnects != 1 || c.Requeues != 1 || c.Completions != 1 {
+	if c.Disconnects != 1 || c.Requeues != 1 || c.Completions != 1 || c.Submitted != 1 {
 		t.Fatalf("counters = %+v (want exactly one disconnect-requeue-completion)", c)
 	}
 	if stats.Cells != 1 {
@@ -249,55 +243,103 @@ func TestFleetCrashRerunsOnce(t *testing.T) {
 	}
 }
 
-// TestFleetCorruptPublishReopens: the coordinator re-runs a cell whose
-// published entry is corrupt, and the second publish heals it.
+// TestFleetCorruptPublishReopens: a completed cell whose published
+// entry is corrupt is submitted again, once, and the second publish
+// heals it.
 func TestFleetCorruptPublishReopens(t *testing.T) {
 	st, err := simstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(Config{Store: st, LeaseTimeout: time.Minute, WaitHint: time.Millisecond})
+	coord := NewCoordinator(Config{Store: st, LeaseTimeout: time.Minute})
 	defer coord.Close()
 	spec := experiment.NewCellSpec(sim.DefaultConfig(1), experiment.SchemeNone,
 		workload.MustByName("641.leela_s"), 1, fleetBudget)
 
-	// Board-level fake worker: the first completion lies (publishes
-	// nothing), the second simulates and publishes for real.
+	// Board-level fake worker: the first lease publishes garbage, the
+	// second simulates and publishes for real. Each lease blocks until
+	// RunCell submits, or until the coordinator closes.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		completions := 0
-		deadline := time.Now().Add(30 * time.Second)         //ppflint:allow determinism test retry deadline
-		for completions < 2 && !time.Now().After(deadline) { //ppflint:allow determinism test retry deadline
-			id, specBytes, ok := coord.Board().Lease("faker", time.Now()) //ppflint:allow determinism lease stamp in test plumbing
-			if !ok {
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			if completions == 1 {
-				// Second attempt: behave like a real worker.
-				cs, err := experiment.DecodeCellSpec(specBytes)
-				if err != nil {
-					panic(err)
-				}
-				rc := experiment.NewRunCache()
-				rc.AttachStore(st)
-				if _, err := cs.Run(experiment.Exec{Cache: rc}); err != nil {
-					panic(err)
-				}
-			}
-			coord.Board().Complete(id, true)
-			completions++
+		id, _, _ := coord.Board().Lease("faker", coord.stop)
+		st.SaveResult(spec.Key(), []byte("not a result"))
+		coord.Board().Complete(id, true)
+
+		id, specBytes, _ := coord.Board().Lease("faker", coord.stop)
+		cs, err := experiment.DecodeCellSpec(specBytes)
+		if err == nil {
+			rc := experiment.NewRunCache()
+			rc.AttachStore(st)
+			_, err = cs.Run(experiment.Exec{Cache: rc})
 		}
+		coord.Board().Complete(id, err == nil)
 	}()
 
 	r := coord.RunCell(spec)
+	coord.Close()
 	wg.Wait()
 	if r.PerCore[0].IPC <= 0 {
-		t.Fatalf("reopened cell returned a bogus result: %+v", r.PerCore[0])
+		t.Fatalf("re-run cell returned a bogus result: %+v", r.PerCore[0])
 	}
-	if c := coord.Board().Counters(); c.Reopens != 1 || c.Completions != 2 {
-		t.Fatalf("counters = %+v (want one reopen, two completions)", c)
+	want := Counters{Submitted: 2, Leases: 2, Completions: 2}
+	if c := coord.Board().Counters(); c != want {
+		t.Fatalf("counters = %+v, want %+v (one re-run, no failure)", c, want)
+	}
+}
+
+// TestRunCellFailureBounded: a cell that fails on every worker is
+// submitted runCellAttempts times, each a single lease, and then
+// RunCell panics instead of looping.
+func TestRunCellFailureBounded(t *testing.T) {
+	serverStore, err := simstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpSrv := httptest.NewServer(simstore.Handler(serverStore))
+	defer httpSrv.Close()
+	coord := NewCoordinator(Config{Store: simstore.NewRemote(httpSrv.URL, nil), LeaseTimeout: time.Minute})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go coord.Serve(lis)
+	defer coord.Close()
+
+	var wg sync.WaitGroup
+	var stats WorkerStats
+	var werr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rc := experiment.NewRunCache()
+		rc.AttachStore(simstore.NewRemote(httpSrv.URL, nil))
+		stats, werr = RunWorker(lis.Addr().String(), WorkerConfig{Name: "w", Exec: experiment.Exec{Cache: rc}})
+	}()
+
+	// No worker can resolve this workload, so every run fails.
+	doomed := experiment.CellSpec{Config: sim.DefaultConfig(1), Scheme: experiment.SchemeNone,
+		Workload: "no-such-workload", Seed: 1, Budget: fleetBudget}
+	panicked := func() (p any) {
+		defer func() { p = recover() }()
+		coord.RunCell(doomed)
+		return nil
+	}()
+	if panicked == nil {
+		t.Fatal("RunCell returned for a cell that fails everywhere")
+	}
+	coord.Close()
+	wg.Wait()
+	if werr != nil {
+		t.Fatalf("worker: %v", werr)
+	}
+	want := Counters{Submitted: runCellAttempts, Leases: runCellAttempts,
+		Completions: runCellAttempts, Failures: runCellAttempts}
+	if c := coord.Board().Counters(); c != want {
+		t.Fatalf("counters = %+v, want %+v", c, want)
+	}
+	if stats.Cells != runCellAttempts || stats.Failed != runCellAttempts {
+		t.Fatalf("worker ran %d cells with %d failures, want %d of each", stats.Cells, stats.Failed, runCellAttempts)
 	}
 }

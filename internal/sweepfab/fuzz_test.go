@@ -20,16 +20,17 @@ func FuzzFabricFrame(f *testing.F) {
 		encodeHello("seed"),
 		encodeLease(),
 		encodeDone(1, true),
-		encodeWelcome(300_000),
+		encodeWelcome(),
 		encodeCell(1, []byte("cell-spec")),
-		encodeWait(50),
 		encodeShutdown(),
 		encodeAck(),
 		// The wire contract's edge frames.
 		{},
 		{opFabLease, 0},
-		make([]byte, fabBoundFor(opFabDone, defaultMaxFrame)+1),
-		append([]byte{opFabHello}, make([]byte, fabBoundFor(opFabHello, defaultMaxFrame))...),
+		// A welcome in an older layout, carrying an 8-byte payload.
+		append([]byte{opFabWelcome}, make([]byte, 8)...),
+		make([]byte, fabBoundFor(opFabDone)+1),
+		append([]byte{opFabHello}, make([]byte, fabBoundFor(opFabHello))...),
 		rawErrorBody(0),
 		rawErrorBody(0xFE),
 	}
@@ -49,12 +50,12 @@ func FuzzFabricFrame(f *testing.F) {
 		frame := framed.Bytes()
 
 		c := NewCoordinator(Config{Store: store})
-		c.Board().Submit("cell", []byte("cell-spec"))
-		reader := func() *wire.Reader { return wire.NewReader(bytes.NewReader(frame), c.cfg.MaxFrame) }
-		if _, err := c.readHello(reader()); err != nil {
+		c.Board().Submit([]byte("cell-spec"))
+		reader := func() *wire.Reader { return wire.NewReader(bytes.NewReader(frame), maxFrame) }
+		if _, err := readHello(reader()); err != nil {
 			requireWireClass(t, "hello", err)
 		}
-		req, err := wire.ReadRequest(reader(), c.bound)
+		req, err := wire.ReadRequest(reader(), fabBoundFor)
 		if err == nil {
 			_, err = c.dispatch("fuzz", req)
 		}
@@ -67,13 +68,8 @@ func FuzzFabricFrame(f *testing.F) {
 			io.Writer
 		}{bytes.NewReader(frame), io.Discard})
 		resp, err := wc.Recv(fabResponses...)
-		if err == nil {
-			switch resp.Op {
-			case opFabWelcome, opFabWait:
-				_, err = decodeUint64Body(resp.W)
-			case opFabCell:
-				_, _, err = decodeCell(resp)
-			}
+		if err == nil && resp.Op == opFabCell {
+			_, _, err = decodeCell(resp)
 		}
 		if err != nil {
 			requireWireClass(t, "response", err)

@@ -5,13 +5,15 @@
 // experiment.Exec path and publishes results to a shared simstore
 // backend.
 //
-// The fabric generalizes runner.Memo's single-flight guarantee across
-// processes: within one coordinator a cell key maps to one lease-board
-// entry no matter how many experiment goroutines request it, a leased
-// cell is handed to exactly one live worker at a time, and a worker
+// The fabric has one single-flight, the coordinator's run cache
+// (runner.Memo): it submits each store-missed cell key once, however
+// many experiment goroutines request it. The lease board queues each
+// submission and hands it to one live worker at a time, and a worker
 // only simulates after re-checking the shared store — so a cell
-// simulates at most once fleet-wide on the happy path, with lease
-// expiry (worker crash) as the only source of re-runs.
+// simulates at most once fleet-wide on the happy path, with a crashed
+// worker or an expired lease as the only source of re-runs. An idle
+// worker's lease request blocks until a cell is queued or the
+// coordinator shuts down.
 //
 // Framing, the typed wire errors and the request/response exchange are
 // internal/wire's, shared with internal/serve; this package holds the
@@ -38,9 +40,8 @@ const (
 // Response ops (coordinator to worker). Op 0xFF is internal/wire's
 // error frame.
 const (
-	opFabWelcome  uint8 = 0x81 // payload: lease timeout in millis (uint64)
+	opFabWelcome  uint8 = 0x81 // payload: empty
 	opFabCell     uint8 = 0x82 // payload: lease id (uint64) + cell spec (Len-prefixed bytes)
-	opFabWait     uint8 = 0x83 // payload: suggested poll delay in millis (uint64)
 	opFabShutdown uint8 = 0x84 // payload: empty
 	opFabAck      uint8 = 0x85 // payload: empty
 )
@@ -50,10 +51,10 @@ const (
 	// maxWorkerName bounds the hello payload: names are short routing
 	// labels, and an unbounded name would make the hello bound vacuous.
 	maxWorkerName = 4096
-	// defaultMaxFrame bounds any fabric frame. Cell specs are small JSON
+	// maxFrame bounds any fabric frame. Cell specs are small JSON
 	// documents (a sim.Config plus identity strings), so 1 MiB is far
 	// above any legal frame and far below hostile-length territory.
-	defaultMaxFrame = 1 << 20
+	maxFrame = 1 << 20
 )
 
 // fabBoundFor is the frame-size bound table: the maximum legal body
@@ -63,16 +64,14 @@ const (
 // frame cap alone.
 //
 //ppflint:framebound
-func fabBoundFor(op uint8, maxFrame int) int {
+func fabBoundFor(op uint8) int {
 	switch op {
 	case opFabHello:
 		return 1 + wire.LenSize + maxWorkerName
-	case opFabLease, opFabShutdown, opFabAck:
+	case opFabLease, opFabWelcome, opFabShutdown, opFabAck:
 		return 1
 	case opFabDone:
 		return 1 + 8 + 1
-	case opFabWelcome, opFabWait:
-		return 1 + 8
 	case opFabCell:
 		return maxFrame
 	}
@@ -95,10 +94,8 @@ func encodeDone(leaseID uint64, ok bool) []byte {
 	})
 }
 
-// encodeWelcome builds the hello response carrying the lease timeout.
-func encodeWelcome(leaseMillis uint64) []byte {
-	return wire.Body(opFabWelcome, func(w *snap.Walker) { w.Uint64(&leaseMillis) })
-}
+// encodeWelcome builds the hello response.
+func encodeWelcome() []byte { return wire.Body(opFabWelcome, nil) }
 
 // encodeCell builds a lease grant.
 func encodeCell(leaseID uint64, spec []byte) []byte {
@@ -108,23 +105,11 @@ func encodeCell(leaseID uint64, spec []byte) []byte {
 	})
 }
 
-// encodeWait builds the nothing-to-lease response.
-func encodeWait(millis uint64) []byte {
-	return wire.Body(opFabWait, func(w *snap.Walker) { w.Uint64(&millis) })
-}
-
 // encodeShutdown builds the all-work-done response.
 func encodeShutdown() []byte { return wire.Body(opFabShutdown, nil) }
 
 // encodeAck builds the completion acknowledgement.
 func encodeAck() []byte { return wire.Body(opFabAck, nil) }
-
-// decodeUint64Body parses a single-uint64 payload (welcome, wait).
-func decodeUint64Body(w *snap.Walker) (uint64, error) {
-	var v uint64
-	w.Uint64(&v)
-	return v, wire.Finish(w)
-}
 
 // decodeCell parses an opFabCell payload.
 func decodeCell(f wire.Frame) (leaseID uint64, spec []byte, err error) {

@@ -2,6 +2,7 @@ package sweepfab
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -57,13 +58,11 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 	return &rawConn{t: t, conn: conn, wc: workerWire(conn)}
 }
 
-// workerWire reads responses as a worker at the default frame cap does.
-func workerWire(rw io.ReadWriter) wire.Conn {
-	return wire.NewConn(rw, defaultMaxFrame, func(op uint8) int { return fabBoundFor(op, defaultMaxFrame) })
-}
+// workerWire reads responses as a worker does.
+func workerWire(rw io.ReadWriter) wire.Conn { return wire.NewConn(rw, maxFrame, fabBoundFor) }
 
 // fabResponses lists every response op.
-var fabResponses = []uint8{opFabWelcome, opFabCell, opFabWait, opFabShutdown, opFabAck}
+var fabResponses = []uint8{opFabWelcome, opFabCell, opFabShutdown, opFabAck}
 
 func (r *rawConn) send(body []byte) {
 	r.t.Helper()
@@ -178,18 +177,22 @@ func TestWireUnknownOp(t *testing.T) {
 }
 
 func TestWireOversizedFrame(t *testing.T) {
-	_, addr := startCoordinator(t, Config{MaxFrame: 256})
+	_, addr := startCoordinator(t, Config{})
 	r := dialRaw(t, addr)
-	r.send(make([]byte, 4096))
-	// The coordinator refuses to even read the body; the connection
+	// A header announcing one byte past the frame cap, with no body: the
+	// coordinator refuses to even read the body, and the connection
 	// drops with a too-large error frame.
+	if _, err := r.conn.Write(binary.LittleEndian.AppendUint32(nil, maxFrame+1)); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.recvErr(); !errors.Is(err, wire.ErrTooLarge) {
 		t.Fatalf("oversized frame: %v, want ErrTooLarge", err)
 	}
 }
 
 func TestWireBadLeaseCompletion(t *testing.T) {
-	_, addr := startCoordinator(t, Config{})
+	c, addr := startCoordinator(t, Config{})
+	c.Board().Submit([]byte("cell-spec"))
 	r := dialRaw(t, addr)
 	r.send(encodeHello("w"))
 	r.recvOp()
@@ -197,16 +200,16 @@ func TestWireBadLeaseCompletion(t *testing.T) {
 	if err := r.recvErr(); !errors.Is(err, wire.ErrBadLease) {
 		t.Fatalf("bogus completion: %v, want ErrBadLease", err)
 	}
-	// Survivable: the same connection still gets lease responses.
+	// Survivable: the same connection still gets the queued cell.
 	r.send(encodeLease())
-	if op := r.recvOp(); op != opFabWait {
-		t.Fatalf("post-error lease response op 0x%02x, want opFabWait", op)
+	if op := r.recvOp(); op != opFabCell {
+		t.Fatalf("post-error lease response op 0x%02x, want opFabCell", op)
 	}
 }
 
 func TestWireLeaseGrantAndCompletion(t *testing.T) {
-	c, addr := startCoordinator(t, Config{WaitHint: time.Millisecond})
-	done := c.Board().Submit("cell-key", []byte("cell-spec"))
+	c, addr := startCoordinator(t, Config{})
+	done := c.Board().Submit([]byte("cell-spec"))
 	r := dialRaw(t, addr)
 	r.send(encodeHello("w"))
 	r.recvOp()
@@ -236,8 +239,8 @@ func TestWireLeaseGrantAndCompletion(t *testing.T) {
 // TestWireDisconnectRequeues: dropping a connection mid-lease returns
 // the cell to the queue for the next worker.
 func TestWireDisconnectRequeues(t *testing.T) {
-	c, addr := startCoordinator(t, Config{WaitHint: time.Millisecond})
-	c.Board().Submit("cell", []byte("spec"))
+	c, addr := startCoordinator(t, Config{})
+	c.Board().Submit([]byte("spec"))
 	r := dialRaw(t, addr)
 	r.send(encodeHello("doomed"))
 	r.recvOp()
@@ -248,20 +251,42 @@ func TestWireDisconnectRequeues(t *testing.T) {
 	r.conn.Close()
 
 	// The requeue happens when the coordinator's read loop notices the
-	// close; poll the counters rather than racing it.
-	deadline := time.Now().Add(5 * time.Second) //ppflint:allow determinism test retry deadline
-	for c.Board().Counters().Disconnects == 0 {
-		if time.Now().After(deadline) { //ppflint:allow determinism test retry deadline
-			t.Fatal("disconnect never released the lease")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// close; the rescuer's lease request blocks until it does.
 	r2 := dialRaw(t, addr)
 	r2.send(encodeHello("rescuer"))
 	r2.recvOp()
 	r2.send(encodeLease())
 	if op := r2.recvOp(); op != opFabCell {
 		t.Fatalf("requeued cell not re-leased (op 0x%02x)", op)
+	}
+	if got := c.Board().Counters(); got.Disconnects != 1 || got.Requeues != 1 || got.Leases != 2 {
+		t.Fatalf("counters = %+v (want one disconnect, one requeue, two leases)", got)
+	}
+}
+
+// TestTinyLeaseTimeout: a lease timeout far below the janitor's tick
+// floor still serves. The first lease expires within a tick, and a
+// second worker's blocked lease request gets the requeued cell. A
+// non-positive timeout takes the default.
+func TestTinyLeaseTimeout(t *testing.T) {
+	c, addr := startCoordinator(t, Config{LeaseTimeout: 3 * time.Nanosecond})
+	c.Board().Submit([]byte("spec"))
+	for _, name := range []string{"slow", "next"} {
+		r := dialRaw(t, addr)
+		r.send(encodeHello(name))
+		r.recvOp()
+		r.send(encodeLease())
+		if op := r.recvOp(); op != opFabCell {
+			t.Fatalf("%s: lease response op 0x%02x, want opFabCell", name, op)
+		}
+	}
+	if got := c.Board().Counters(); got.Expirations == 0 || got.Leases != 2 {
+		t.Fatalf("counters = %+v (want an expiry before the second lease)", got)
+	}
+	for _, d := range []time.Duration{0, -time.Second} {
+		if got := (Config{LeaseTimeout: d}).withDefaults().LeaseTimeout; got != 5*time.Minute {
+			t.Fatalf("lease timeout %v defaulted to %v, want 5m", d, got)
+		}
 	}
 }
 
@@ -272,9 +297,8 @@ func TestFrameSizeBounds(t *testing.T) {
 		"hello":    encodeHello("some-worker"),
 		"lease":    encodeLease(),
 		"done":     encodeDone(1, true),
-		"welcome":  encodeWelcome(300_000),
+		"welcome":  encodeWelcome(),
 		"cell":     encodeCell(7, make([]byte, 512)),
-		"wait":     encodeWait(50),
 		"shutdown": encodeShutdown(),
 		"ack":      encodeAck(),
 	}
@@ -282,7 +306,7 @@ func TestFrameSizeBounds(t *testing.T) {
 		if len(body) == 0 {
 			t.Fatalf("%s: empty frame", name)
 		}
-		bound := fabBoundFor(body[0], defaultMaxFrame)
+		bound := fabBoundFor(body[0])
 		if len(body) > bound {
 			t.Errorf("%s: %d-byte frame exceeds its own bound %d", name, len(body), bound)
 		}

@@ -17,15 +17,15 @@ type WorkerConfig struct {
 	Name string
 	// Exec runs leased cells. Attach a RunCache backed by the shared
 	// store (remote or tiered): the cache's store recheck before
-	// simulating is the second half of the fleet single-flight, and its
-	// save path is how results and warmup snapshots get published.
+	// simulating skips a cell that another worker published after its
+	// lease expired, and its save path is how results and warmup
+	// snapshots get published.
 	Exec experiment.Exec
-	// DialRetry is how long to keep retrying the initial dial (0 = 10s),
-	// so workers can start before the coordinator is listening.
-	DialRetry time.Duration
-	// MaxFrame bounds fabric frames (0 = 1 MiB).
-	MaxFrame int
 }
+
+// dialWindow is how long a worker keeps retrying its initial dial, so
+// workers can start before the coordinator is listening.
+const dialWindow = 10 * time.Second
 
 // WorkerStats summarizes one worker's session.
 type WorkerStats struct {
@@ -33,8 +33,6 @@ type WorkerStats struct {
 	Cells uint64
 	// Failed counts leased cells whose simulation failed (bad spec).
 	Failed uint64
-	// Waits counts empty-queue polls.
-	Waits uint64
 	// StaleLeases counts completions the coordinator voided (the lease
 	// expired and was re-issued while this worker was simulating).
 	StaleLeases uint64
@@ -47,35 +45,26 @@ func RunWorker(addr string, cfg WorkerConfig) (WorkerStats, error) {
 	if cfg.Name == "" {
 		cfg.Name = "worker"
 	}
-	if cfg.DialRetry == 0 {
-		cfg.DialRetry = 10 * time.Second
-	}
-	if cfg.MaxFrame == 0 {
-		cfg.MaxFrame = defaultMaxFrame
-	}
 	var stats WorkerStats
-	conn, err := dialRetry(addr, cfg.DialRetry)
+	conn, err := dialRetry(addr)
 	if err != nil {
 		return stats, err
 	}
 	defer conn.Close()
-	w := &workerConn{
-		cfg: cfg,
-		wc:  wire.NewConn(conn, cfg.MaxFrame, func(op uint8) int { return fabBoundFor(op, cfg.MaxFrame) }),
-	}
-	if err := w.hello(); err != nil {
+	w := &workerConn{cfg: cfg, wc: wire.NewConn(conn, maxFrame, fabBoundFor)}
+	if _, err := w.wc.Exchange(encodeHello(cfg.Name), opFabWelcome); err != nil {
 		return stats, err
 	}
 	err = w.loop(&stats)
 	return stats, err
 }
 
-// dialRetry dials addr, retrying with a short backoff for the
-// configured window so fleet start order doesn't matter.
-func dialRetry(addr string, window time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(window) //ppflint:allow determinism dial retry window is fleet startup plumbing, not report data
+// dialRetry dials addr, retrying with a short backoff for dialWindow so
+// fleet start order doesn't matter.
+func dialRetry(addr string) (net.Conn, error) {
+	deadline := time.Now().Add(dialWindow) //ppflint:allow determinism dial retry window is fleet startup plumbing, not report data
 	for {
-		conn, err := net.DialTimeout("tcp", addr, window)
+		conn, err := net.DialTimeout("tcp", addr, dialWindow)
 		if err == nil {
 			return conn, nil
 		}
@@ -90,55 +79,27 @@ func dialRetry(addr string, window time.Duration) (net.Conn, error) {
 type workerConn struct {
 	cfg WorkerConfig
 	wc  wire.Conn
-	// leaseTimeout is the coordinator's advertised lease lifetime
-	// (informational; the coordinator enforces it).
-	leaseTimeout time.Duration
 }
 
-// hello opens the session and records the advertised lease timeout.
-func (w *workerConn) hello() error {
-	f, err := w.wc.Exchange(encodeHello(w.cfg.Name), opFabWelcome)
-	if err != nil {
-		return err
-	}
-	millis, err := decodeUint64Body(f.W)
-	if err != nil {
-		return err
-	}
-	w.leaseTimeout = time.Duration(millis) * time.Millisecond
-	return nil
-}
-
-// loop leases and runs cells until shutdown.
+// loop leases and runs cells until shutdown. Each lease request blocks
+// at the coordinator until a cell is queued.
 func (w *workerConn) loop(stats *WorkerStats) error {
 	for {
-		f, err := w.wc.Exchange(encodeLease(), opFabCell, opFabWait, opFabShutdown)
+		f, err := w.wc.Exchange(encodeLease(), opFabCell, opFabShutdown)
+		if err != nil || f.Op == opFabShutdown {
+			return err
+		}
+		leaseID, specBytes, err := decodeCell(f)
 		if err != nil {
 			return err
 		}
-		switch f.Op {
-		case opFabShutdown:
-			return nil
-		case opFabWait:
-			millis, err := decodeUint64Body(f.W)
-			if err != nil {
-				return err
-			}
-			stats.Waits++
-			time.Sleep(time.Duration(millis) * time.Millisecond)
-		case opFabCell:
-			leaseID, specBytes, err := decodeCell(f)
-			if err != nil {
-				return err
-			}
-			ok := w.runCell(specBytes)
-			stats.Cells++
-			if !ok {
-				stats.Failed++
-			}
-			if err := w.complete(leaseID, ok, stats); err != nil {
-				return err
-			}
+		ok := w.runCell(specBytes)
+		stats.Cells++
+		if !ok {
+			stats.Failed++
+		}
+		if err := w.complete(leaseID, ok, stats); err != nil {
+			return err
 		}
 	}
 }
