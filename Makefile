@@ -51,23 +51,25 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # race runs the concurrency-bearing packages under the race detector:
-# the server (one goroutine per connection over the striped registry,
-# plus the listener and Close), the engine sessions those connections
-# drive, and the runner's worker pool + memo cache. These are the
-# packages guardedby annotates; the race detector checks the same
-# invariants dynamically that ppflint checks statically. -count=1
-# defeats the test cache so the schedules actually re-run. The second
-# line repeats the serve lease, reattach, shed and pipelining tests 50
-# times: a lease released after its error frame is written, or after
-# the connection closes, shows up as an intermittent ErrSessionBusy
-# there (TestSessionReattach dials again once, right after Close).
+# the server (one goroutine per connection, whose sessions change hands
+# under Server.mu, plus the listener and Close), the engine sessions
+# those connections drive, and the runner's worker pool + memo cache.
+# These are the packages guardedby annotates; the race detector checks
+# the same invariants dynamically that ppflint checks statically.
+# -count=1 defeats the test cache so the schedules actually re-run. The
+# second line repeats the serve lease, reattach, churn, shed and
+# pipelining tests 50 times: a lease released after its error frame is
+# written, or after the connection closes, shows up as an intermittent
+# ErrSessionBusy there (TestSessionReattach dials again once, right
+# after Close). TestConnectionChurn races 16 clients over 8 keys
+# through the session map and then counts exactly 8 sessions.
 # TestPipelinedClientOrdering queues 16 batches ahead of the server,
 # which reads each frame into the connection's one reused receive
 # buffer; a frame read over a batch still being decoded or applied
 # shows up as a wrong verdict.
 race:
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/engine/... ./internal/runner/...
-	$(GO) test -race -count=50 -run 'TestLeaseFreeAfterErrorFrame|TestProtocolErrors|TestSessionBusy|TestSessionReattach|TestSlowClientShed|TestPipelinedClientOrdering' ./internal/serve/
+	$(GO) test -race -count=50 -run 'TestLeaseFreeAfterErrorFrame|TestProtocolErrors|TestSessionBusy|TestSessionReattach|TestConnectionChurn|TestSlowClientShed|TestPipelinedClientOrdering' ./internal/serve/
 
 # determinism re-runs only the golden tests that prove -j 1 and -j 8
 # produce byte-identical experiment reports.

@@ -55,7 +55,7 @@ var layers = []struct {
 }{
 	{stats.LayerKernel, func() ([]stats.Row, error) { return kernelbench.KernelRows(), nil }},
 	{stats.LayerSim, kernelbench.SimRows},
-	{stats.LayerServe, func() ([]stats.Row, error) { return serve.RunLoad(serve.LoadConfig{}) }},
+	{stats.LayerServe, func() ([]stats.Row, error) { return serve.RunLoad("") }},
 	{stats.LayerSweep, sweepfab.Bench},
 }
 

@@ -256,7 +256,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "coordinating fleet on %s (lease timeout %s)\n", lis.Addr(), *leaseTimeout)
 		go coord.Serve(lis)
-		cache.SetCellRunner(coord.RunCell)
+		coord.AttachTo(cache)
 	}
 	for _, r := range selected {
 		x := experiment.Exec{Workers: *jobs, Cache: cache}

@@ -12,20 +12,20 @@
 //	ppfd -loadtest                  # spin an in-process server and
 //	                                # print decisions/sec per level
 //	ppfd -loadtest -addr host:port  # load-test a remote server instead
-//	ppfd -loadtest -streams 1,8,64 -events 200000 -batch 512 -out f.json
+//	ppfd -loadtest -out f.json      # also write the rows to f.json
 //
-// The load test prints one serve row per stream count, and with -out
-// also writes them as an envelope (schema internal/stats.Bench). The
-// same in-process rows are part of cmd/bench's BENCH_layers.json;
-// -addr is what only this command can measure.
+// The load test measures 1, 8 and 64 concurrent streams of 200,000
+// synthetic events each, in batches of 512, and prints one serve row
+// per stream count; with -out it also writes them as an envelope
+// (schema internal/stats.Bench). The in-process rows are the serve rows
+// of cmd/bench's BENCH_layers.json, on the same event streams; -addr is
+// what only this command can measure.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/serve"
 	"repro/internal/stats"
@@ -34,15 +34,11 @@ import (
 func main() {
 	addr := flag.String("addr", "", "listen address (serve mode) or target server (loadtest mode); serve default 127.0.0.1:9177")
 	loadtest := flag.Bool("loadtest", false, "run the load harness instead of serving")
-	streamsCSV := flag.String("streams", "1,8,64", "loadtest: comma-separated concurrent stream counts")
-	events := flag.Int("events", 200_000, "loadtest: events per stream")
-	batch := flag.Int("batch", 512, "loadtest: events per batch frame")
-	seed := flag.Uint64("seed", 1, "loadtest: base seed for the synthetic event streams")
 	out := flag.String("out", "", "loadtest: also write the rows to this envelope file")
 	flag.Parse()
 
 	if *loadtest {
-		if err := runLoadtest(*addr, *streamsCSV, *events, *batch, *seed, *out); err != nil {
+		if err := runLoadtest(*addr, *out); err != nil {
 			fmt.Fprintf(os.Stderr, "ppfd: %v\n", err)
 			os.Exit(1)
 		}
@@ -61,18 +57,8 @@ func main() {
 	}
 }
 
-func runLoadtest(addr, streamsCSV string, events, batch int, seed uint64, out string) error {
-	streams, err := parseStreams(streamsCSV)
-	if err != nil {
-		return err
-	}
-	rows, err := serve.RunLoad(serve.LoadConfig{
-		Addr:            addr,
-		Streams:         streams,
-		EventsPerStream: events,
-		Batch:           batch,
-		Seed:            seed,
-	})
+func runLoadtest(addr, out string) error {
+	rows, err := serve.RunLoad(addr)
 	if err != nil {
 		return err
 	}
@@ -89,24 +75,4 @@ func runLoadtest(addr, streamsCSV string, events, batch int, seed uint64, out st
 	}
 	fmt.Printf("wrote %s\n", out)
 	return nil
-}
-
-// parseStreams parses the -streams CSV into ascending-order-free ints.
-func parseStreams(csv string) ([]int, error) {
-	var streams []int
-	for _, part := range strings.Split(csv, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -streams entry %q", part)
-		}
-		streams = append(streams, n)
-	}
-	if len(streams) == 0 {
-		return nil, fmt.Errorf("-streams is empty")
-	}
-	return streams, nil
 }

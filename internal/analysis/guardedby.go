@@ -8,17 +8,18 @@ import (
 )
 
 // GuardedBy enforces the serving stack's concurrency annotations. The
-// server is correct by two constructions: shared registries are guarded
-// by explicit mutexes (the 64-way stripe lock, Server.mu, runner.Memo),
-// and engine sessions are single-goroutine — exactly one connection
-// worker drives a Session, so Session state needs no lock at all. Both
-// claims live in comments until someone adds a convenient helper that
-// reads a map off-lock or pokes Session fields from a second goroutine;
-// the race detector only catches the schedules CI happens to see.
+// server is correct by two constructions: shared maps are guarded by
+// explicit mutexes (Server.mu over the connections and sessions,
+// runner.Memo's), and engine sessions are single-goroutine — exactly
+// one connection worker drives a Session, so Session state needs no
+// lock at all. Both claims live in comments until someone adds a
+// convenient helper that reads a map off-lock or pokes Session fields
+// from a second goroutine; the race detector only catches the schedules
+// CI happens to see.
 //
 // Two annotation forms make the claims checkable whole-program:
 //
-//   - a field annotated `//ppflint:guardedby mu` (or `stripe.mu` — the
+//   - a field annotated `//ppflint:guardedby mu` (or `Server.mu` — the
 //     last dotted component names the mutex) may only be accessed inside
 //     a function that locks that mutex (`x.mu.Lock()` or `RLock`), or
 //     inside a helper marked `//ppflint:locked mu` asserting its caller

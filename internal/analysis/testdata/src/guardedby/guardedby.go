@@ -5,7 +5,7 @@ package guardedby
 
 import "sync"
 
-// registry mirrors the serve stripe shape: a mutex and the state it
+// registry mirrors the serve session map's shape: a mutex and the state it
 // guards, with both annotation spellings (own-line doc and trailing
 // comment).
 type registry struct {
@@ -80,7 +80,7 @@ func (s *rostats) skipsRLock() int {
 }
 
 // box is guarded by another struct's mutex (the serve lease shape: a
-// value owned by the stripe that holds it). The dotted spec documents
+// value owned by the server whose map holds it). The dotted spec documents
 // the owner; the final component is the mutex matched at Lock sites.
 type box struct {
 	n int //ppflint:guardedby registry.mu

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -76,20 +77,9 @@ func speedupStudy(x Exec, cfg sim.Config, ws []workload.Workload, schemes []Sche
 		res.GeomeanIntense[s] = geomeanOver(res.Rows, s, true)
 		res.GeomeanAll[s] = geomeanOver(res.Rows, s, false)
 	}
-	res.AvgDepthSPP = mean(depthSPP)
-	res.AvgDepthPPF = mean(depthPPF)
+	res.AvgDepthSPP = stats.Mean(depthSPP)
+	res.AvgDepthPPF = stats.Mean(depthPPF)
 	return res
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // Render prints the figure as a table of speedups over no prefetching.

@@ -84,10 +84,6 @@ func (rc *RunCache) ReportLine() string {
 	return line
 }
 
-// Keys returns the cached cell keys in sorted order (for tests and
-// debugging; sorted so output is deterministic).
-func (rc *RunCache) Keys() []string { return rc.memo.Keys() }
-
 // warmupKey canonically identifies a cell's warmup prefix: everything
 // that determines the machine state at the warmup/detail boundary.
 // Cells that differ only in detail budget share it, and with it the

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -90,20 +89,6 @@ func (m *Memo[V]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.entries)
-}
-
-// Keys returns every cached key in sorted order, so reports and tests
-// that walk the cache are independent of map iteration order (the
-// ppflint determinism contract).
-func (m *Memo[V]) Keys() []string {
-	m.mu.Lock()
-	keys := make([]string, 0, len(m.entries))
-	for k := range m.entries {
-		keys = append(keys, k)
-	}
-	m.mu.Unlock()
-	sort.Strings(keys)
-	return keys
 }
 
 // ReportLine renders the one-line hit/miss summary the experiment driver

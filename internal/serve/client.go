@@ -37,7 +37,7 @@ func Dial(addr, key string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, wc: wire.NewConn(conn, DefaultMaxFrame, responseBound)}
+	c := &Client{conn: conn, wc: wire.NewConn(conn, MaxFrame, boundFor)}
 	if _, err := c.wc.Exchange(encodeHello(key), opOK); err != nil {
 		conn.Close()
 		return nil, err

@@ -49,10 +49,9 @@ func codecEdgeEvents() []engine.Event {
 	}
 }
 
-// decodeBody decodes a batch body with the server's decoder under the
-// batch cap maxBatch.
-func decodeBody(body []byte, maxBatch int) ([]engine.Event, error) {
-	return decodeBatch(snap.NewDecoder(body[1:]), maxBatch, nil)
+// decodeBody decodes a batch body with the server's decoder.
+func decodeBody(body []byte) ([]engine.Event, error) {
+	return decodeBatch(snap.NewDecoder(body[1:]), nil)
 }
 
 // TestEventCodec round-trips the edge events and a synthetic stream
@@ -70,7 +69,7 @@ func TestEventCodec(t *testing.T) {
 	if body[0] != opBatch {
 		t.Fatalf("op byte 0x%02x, want opBatch", body[0])
 	}
-	out, err := decodeBody(body, len(events))
+	out, err := decodeBody(body)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -84,7 +83,7 @@ func TestEventCodec(t *testing.T) {
 	if !bytes.Equal(again, encodeBatch(nil, events[:5])) {
 		t.Fatal("encoding over a reused buffer changed the bytes")
 	}
-	out, err = decodeBatch(snap.NewDecoder(again[1:]), len(events), out)
+	out, err = decodeBatch(snap.NewDecoder(again[1:]), out)
 	if err != nil || !slices.Equal(out, events[:5]) {
 		t.Fatalf("decoding into a reused buffer: %v, %+v", err, out)
 	}
@@ -95,7 +94,7 @@ func TestEventCodec(t *testing.T) {
 func TestEventDecodeRejectsBadKind(t *testing.T) {
 	body := encodeBatch(nil, []engine.Event{engine.Candidate(core.FeatureInput{Addr: 0x1000})})
 	body[1+wire.LenSize+evKind] = 0x7F
-	_, err := decodeBody(body, 1)
+	_, err := decodeBody(body)
 	if !errors.Is(err, engine.ErrBadKind) || !errors.Is(err, wire.ErrBadFrame) {
 		t.Fatalf("kind byte 0x7F: err = %v, want ErrBadKind and ErrBadFrame", err)
 	}
@@ -106,7 +105,7 @@ func TestEventDecodeRejectsBadKind(t *testing.T) {
 // a server that wrongly accepts it ends the stream at EOF instead of
 // waiting for another request.
 func TestBatchDecodeRejects(t *testing.T) {
-	_, addr := startServer(t, Config{MaxBatch: 64})
+	_, addr := startServer(t)
 	hello := encodeHello("rejects")
 	batch := func() []byte { return encodeBatch(nil, codecEdgeEvents()[6:8]) }
 	usedTwo := batch()
@@ -162,21 +161,20 @@ func (r *replay) Read(p []byte) (int, error) {
 // and decode allocate only the verdict slice it returns.
 func TestServedBatchAllocs(t *testing.T) {
 	events := syntheticEvents(21, 32)
-	srv := NewServer(Config{})
-	st := &stream{sess: engine.New(srv.cfg.Filter)}
+	st := &stream{sess: engine.New(core.DefaultConfig())}
 	var request bytes.Buffer
 	wire.WriteFrame(&request, encodeBatch(nil, events))
-	rd := wire.NewReader(&replay{b: request.Bytes()}, srv.cfg.MaxFrame)
+	rd := wire.NewReader(&replay{b: request.Bytes()}, MaxFrame)
 	serverStep := func() {
-		f, err := wire.ReadRequest(rd, srv.bound)
+		f, err := wire.ReadRequest(rd, boundFor)
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
-		op, err := srv.parseRequest(st, f)
+		op, err := st.parse(f)
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		srv.execute(st, op)
+		st.execute(op)
 	}
 	if n := testing.AllocsPerRun(200, serverStep); n != 0 {
 		t.Errorf("server parse and execute: %v allocs per batch, want 0", n)
@@ -188,7 +186,7 @@ func TestServedBatchAllocs(t *testing.T) {
 		io.Reader
 		io.Writer
 	}{&replay{b: response.Bytes()}, io.Discard}
-	c := &Client{wc: wire.NewConn(conn, DefaultMaxFrame, responseBound)}
+	c := &Client{wc: wire.NewConn(conn, MaxFrame, boundFor)}
 	clientStep := func() {
 		if _, err := c.Decide(events); err != nil {
 			t.Fatalf("decide: %v", err)
@@ -202,14 +200,8 @@ func TestServedBatchAllocs(t *testing.T) {
 // BenchmarkDecideRoundTrip times one client's 32-event Decide against
 // an in-process server over loopback TCP, client and server together.
 func BenchmarkDecideRoundTrip(b *testing.B) {
-	srv := NewServer(Config{})
-	lis, err := newLoopbackListener()
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(lis)
-	defer srv.Close()
-	c, err := Dial(lis.Addr().String(), "bench")
+	_, addr := startServer(b)
+	c, err := Dial(addr, "bench")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -22,8 +23,7 @@ import (
 // frame cap; only a hello is held to the hello bound. After the hello, a
 // fixed-size request with one trailing byte fails its bound.
 func TestHandshakePrecedence(t *testing.T) {
-	const maxBatch = 64
-	_, addr := startServer(t, Config{MaxBatch: maxBatch})
+	_, addr := startServer(t)
 	frame := func(op uint8, size int) []byte {
 		b := make([]byte, size)
 		b[0] = op
@@ -37,8 +37,8 @@ func TestHandshakePrecedence(t *testing.T) {
 	}{
 		{"empty first frame", [][]byte{{}}, wire.ErrBadOrder},
 		{"stats first, over its bound", [][]byte{frame(opStats, 2)}, wire.ErrBadOrder},
-		{"batch first, over its bound", [][]byte{frame(opBatch, boundFor(opBatch, DefaultMaxFrame, maxBatch)+1)}, wire.ErrBadOrder},
-		{"hello over its bound", [][]byte{frame(opHello, boundFor(opHello, DefaultMaxFrame, maxBatch)+1)}, wire.ErrTooLarge},
+		{"batch first, over its bound", [][]byte{frame(opBatch, boundFor(opBatch)+1)}, wire.ErrBadOrder},
+		{"hello over its bound", [][]byte{frame(opHello, boundFor(opHello)+1)}, wire.ErrTooLarge},
 		{"stats with a trailing byte", [][]byte{hello, frame(opStats, 2)}, wire.ErrTooLarge},
 	}
 	for _, tc := range cases {
@@ -47,6 +47,46 @@ func TestHandshakePrecedence(t *testing.T) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestBatchCapBothEnds holds both halves to the one bound table. A
+// Decide of exactly MaxBatch candidates round-trips through a real
+// server, its MaxBatch verdicts filling the decisions bound the client
+// enforces; one more event is refused by the server with ErrTooLarge,
+// and one more verdict by the client.
+func TestBatchCapBothEnds(t *testing.T) {
+	events := make([]engine.Event, MaxBatch+1)
+	for i := range events {
+		events[i] = engine.Candidate(core.FeatureInput{Addr: uint64(i) << 6, PC: 0x400100, Depth: 1})
+	}
+	_, addr := startServer(t)
+	c, err := Dial(addr, "cap")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	got, err := c.Decide(events[:MaxBatch])
+	if err != nil {
+		t.Fatalf("decide MaxBatch events: %v", err)
+	}
+	want := engine.New(core.DefaultConfig()).ApplyBatch(events[:MaxBatch], nil)
+	if len(got) != MaxBatch || !slices.Equal(got, want) {
+		t.Fatalf("served %d verdicts, want the local session's %d", len(got), len(want))
+	}
+	if _, err := c.Decide(events); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("decide MaxBatch+1 events: err = %v, want ErrTooLarge", err)
+	}
+
+	var reply bytes.Buffer
+	wire.WriteFrame(&reply, encodeDecisions(nil, make([]core.Decision, MaxBatch+1)))
+	rw := struct {
+		io.Reader
+		io.Writer
+	}{&reply, io.Discard}
+	local := &Client{wc: wire.NewConn(rw, MaxFrame, boundFor)}
+	if _, err := local.Decide(events[:1]); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("MaxBatch+1 verdicts: err = %v, want ErrTooLarge", err)
 	}
 }
 
@@ -97,8 +137,7 @@ func rawErrorBody(code uint8) []byte {
 // op, length prefix included, and for the error frame the server writes
 // for every code. Large frames are pinned by length and SHA-256.
 func TestWireGolden(t *testing.T) {
-	srv := NewServer(Config{})
-	st := &stream{sess: engine.New(srv.cfg.Filter)}
+	st := &stream{sess: engine.New(core.DefaultConfig())}
 	events := syntheticEvents(5, 200)
 	st.sess.ApplyBatch(events, nil)
 
@@ -120,8 +159,8 @@ func TestWireGolden(t *testing.T) {
 		{"reset", framed(wire.Body(opReset, nil)), "0100000005"},
 		{"ok", framed(wire.Body(opOK, nil)), "0100000080"},
 		{"decisions", framed(encodeDecisions(nil, decisions)), "0c000000810300000000000000020100"},
-		{"stats reply", framed(srv.execute(st, opStats)), "590000008277000000000000007700000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-		{"snapshot reply", framed(srv.execute(st, opSnapshot)), "len 180780 sha256 ddb613fa05f9eb2d7fab6fd79c0674d20d44f8d513e51243d879bec7af02725c"},
+		{"stats reply", framed(st.execute(opStats)), "590000008277000000000000007700000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+		{"snapshot reply", framed(st.execute(opSnapshot)), "len 180780 sha256 ddb613fa05f9eb2d7fab6fd79c0674d20d44f8d513e51243d879bec7af02725c"},
 		{"bad-frame", errorFrameBytes(wire.ErrBadFrame), "19000000ff010f000000000000006d616c666f726d6564206672616d65"},
 		{"bad-order", errorFrameBytes(wire.ErrBadOrder), "1e000000ff02140000000000000072657175657374206265666f72652068656c6c6f"},
 		{"session-busy", errorFrameBytes(wire.ErrSessionBusy), "1c000000ff03120000000000000073657373696f6e206b657920696e20757365"},

@@ -20,9 +20,7 @@ import (
 // A body the server accepts as a batch must also round-trip: its
 // events re-encode to the same bytes and decode back to themselves.
 func FuzzServeFrame(f *testing.F) {
-	const maxBatch = 64
-	srv := NewServer(Config{MaxBatch: maxBatch})
-	st := &stream{sess: engine.New(srv.cfg.Filter)}
+	st := &stream{sess: engine.New(core.DefaultConfig())}
 	st.sess.ApplyBatch(syntheticEvents(2, 64), nil)
 	seeds := [][]byte{
 		encodeHello("seed"),
@@ -32,13 +30,13 @@ func FuzzServeFrame(f *testing.F) {
 		wire.Body(opReset, nil),
 		wire.Body(opOK, nil),
 		encodeDecisions(nil, []core.Decision{core.FillL2, core.FillLLC, core.Drop}),
-		srv.execute(st, opStats),
+		st.execute(opStats),
 		encodeSnapRep([]byte("blob")),
 		// The wire contract's edge frames.
 		{},
 		{opStats, 0},
-		make([]byte, boundFor(opBatch, DefaultMaxFrame, maxBatch)+1),
-		append([]byte{opHello}, make([]byte, boundFor(opHello, DefaultMaxFrame, maxBatch))...),
+		make([]byte, boundFor(opBatch)+1),
+		append([]byte{opHello}, make([]byte, boundFor(opHello))...),
 		rawErrorBody(0),
 		rawErrorBody(0xFE),
 	}
@@ -58,15 +56,15 @@ func FuzzServeFrame(f *testing.F) {
 		var framed bytes.Buffer
 		wire.WriteFrame(&framed, body)
 		frame := framed.Bytes()
-		reader := func() *wire.Reader { return wire.NewReader(bytes.NewReader(frame), srv.cfg.MaxFrame) }
+		reader := func() *wire.Reader { return wire.NewReader(bytes.NewReader(frame), MaxFrame) }
 
-		if _, err := srv.readHello(reader()); err != nil {
+		if _, err := readHello(reader()); err != nil {
 			requireWireClass(t, "hello", err)
 		}
 		parsed := &stream{}
-		req, err := wire.ReadRequest(reader(), srv.bound)
+		req, err := wire.ReadRequest(reader(), boundFor)
 		if err == nil {
-			_, err = srv.parseRequest(parsed, req)
+			_, err = parsed.parse(req)
 		}
 		if err != nil {
 			requireWireClass(t, "request", err)
@@ -78,7 +76,7 @@ func FuzzServeFrame(f *testing.F) {
 				io.Reader
 				io.Writer
 			}{bytes.NewReader(frame), io.Discard}
-			c := &Client{wc: wire.NewConn(rw, DefaultMaxFrame, responseBound)}
+			c := &Client{wc: wire.NewConn(rw, MaxFrame, boundFor)}
 			if err := call(c); err != nil {
 				requireWireClass(t, name, err)
 			}
@@ -95,7 +93,7 @@ func requireBatchRoundTrip(t *testing.T, body []byte, events []engine.Event) {
 	if !bytes.Equal(enc, body) {
 		t.Fatalf("batch of %d events re-encodes to different bytes:\n got %x\nwant %x", len(events), enc, body)
 	}
-	back, err := decodeBatch(snap.NewDecoder(enc[1:]), len(events), nil)
+	back, err := decodeBatch(snap.NewDecoder(enc[1:]), nil)
 	if err != nil {
 		t.Fatalf("decoding the re-encoded batch: %v", err)
 	}

@@ -11,45 +11,16 @@ import (
 	"repro/internal/stats"
 )
 
-// newLoopbackListener binds an ephemeral loopback port for the
-// in-process server mode.
-func newLoopbackListener() (net.Listener, error) {
-	return net.Listen("tcp", "127.0.0.1:0")
+// loadShape is a load test's shape: the concurrency levels, one row
+// each, the synthetic events each stream sends, and the events per
+// batch frame.
+type loadShape struct {
+	streams       []int
+	events, batch int
 }
 
-// LoadConfig parameterizes the load-test harness behind
-// cmd/ppfd -loadtest.
-type LoadConfig struct {
-	// Addr is the server to drive. Empty means the harness starts an
-	// in-process server on a loopback port and tears it down after.
-	Addr string
-	// Streams lists the concurrency levels to measure, one row each.
-	// Nil means {1, 8, 64}.
-	Streams []int
-	// EventsPerStream is the synthetic events each stream sends
-	// (default 200k).
-	EventsPerStream int
-	// Batch is the events-per-frame batch size (default 512).
-	Batch int
-	// Seed diversifies the synthetic streams; stream i uses Seed+i.
-	Seed uint64
-}
-
-func (c LoadConfig) withDefaults() LoadConfig {
-	if c.Streams == nil {
-		c.Streams = []int{1, 8, 64}
-	}
-	if c.EventsPerStream <= 0 {
-		c.EventsPerStream = 200_000
-	}
-	if c.Batch <= 0 {
-		c.Batch = 512
-	}
-	if c.Seed == 0 {
-		c.Seed = 0x9E3779B97F4A7C15
-	}
-	return c
-}
+// loadSeed diversifies the synthetic streams; stream i uses loadSeed+i.
+const loadSeed = 0x9E3779B97F4A7C15
 
 // rng is a splitmix64 generator, carried locally (like internal/advfuzz)
 // so the load mix is reproducible from its seed and the package stays
@@ -112,41 +83,36 @@ func syntheticEvents(seed uint64, n int) []engine.Event {
 	return events
 }
 
-// RunLoad measures serving throughput at each configured concurrency
-// level and returns one decisions/s row per level. Each stream leases
-// its own session (the sharded-server design point: zero cross-client
+// RunLoad measures serving throughput at 1, 8 and 64 concurrent
+// streams of 200,000 events each, in batches of 512, and returns one
+// decisions/s row per level. It drives the server at addr, or, when
+// addr is empty, an in-process server on a loopback port that it tears
+// down after. Each stream leases its own session (zero cross-client
 // contention), so levels scale with server cores until the socket or
 // scheduler saturates. A level that sheds a client of the in-process
 // server, or leaves a candidate without a verdict, is an error naming
 // its row.
-func RunLoad(cfg LoadConfig) ([]stats.Row, error) {
-	cfg = cfg.withDefaults()
-	addr := cfg.Addr
+func RunLoad(addr string) ([]stats.Row, error) {
+	return runLoad(addr, loadShape{streams: []int{1, 8, 64}, events: 200_000, batch: 512})
+}
+
+// runLoad is RunLoad at any shape.
+func runLoad(addr string, shape loadShape) ([]stats.Row, error) {
 	var srv *Server
 	if addr == "" {
-		srv = NewServer(Config{})
-		errCh := make(chan error, 1)
-		ready := make(chan string, 1)
-		go func() {
-			lis, err := newLoopbackListener()
-			if err != nil {
-				errCh <- err
-				return
-			}
-			ready <- lis.Addr().String()
-			errCh <- srv.Serve(lis)
-		}()
-		select {
-		case addr = <-ready:
-		case err := <-errCh:
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
 			return nil, err
 		}
+		srv = NewServer(Config{})
+		go srv.Serve(lis)
 		defer srv.Close()
+		addr = lis.Addr().String()
 	}
 
 	var rows []stats.Row
-	for _, streams := range cfg.Streams {
-		lv, err := runLevel(addr, srv, streams, cfg)
+	for _, streams := range shape.streams {
+		lv, err := runLevel(addr, srv, streams, shape)
 		if err == nil {
 			err = lv.check()
 		}
@@ -183,7 +149,7 @@ func (l level) check() error {
 }
 
 // runLevel drives one concurrency level to completion.
-func runLevel(addr string, srv *Server, streams int, cfg LoadConfig) (level, error) {
+func runLevel(addr string, srv *Server, streams int, shape loadShape) (level, error) {
 	type result struct {
 		candidates, verdicts uint64
 		err                  error
@@ -192,7 +158,7 @@ func runLevel(addr string, srv *Server, streams int, cfg LoadConfig) (level, err
 	lv := level{row: stats.Row{
 		Layer:  stats.LayerServe,
 		Name:   "decisions",
-		Params: fmt.Sprintf("streams=%d batch=%d events=%d", streams, cfg.Batch, cfg.EventsPerStream),
+		Params: fmt.Sprintf("streams=%d batch=%d events=%d", streams, shape.batch, shape.events),
 		Unit:   "decisions/s",
 		Better: stats.Higher,
 	}}
@@ -215,10 +181,10 @@ func runLevel(addr string, srv *Server, streams int, cfg LoadConfig) (level, err
 				return
 			}
 			defer c.Close()
-			gen := newEventGen(cfg.Seed + uint64(i))
-			batch := make([]engine.Event, cfg.Batch)
-			for remaining := cfg.EventsPerStream; remaining > 0; remaining -= cfg.Batch {
-				n := min(cfg.Batch, remaining)
+			gen := newEventGen(loadSeed + uint64(i))
+			batch := make([]engine.Event, shape.batch)
+			for remaining := shape.events; remaining > 0; remaining -= shape.batch {
+				n := min(shape.batch, remaining)
 				gen.fill(batch[:n])
 				for _, ev := range batch[:n] {
 					if ev.Kind == engine.KindCandidate {

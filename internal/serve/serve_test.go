@@ -20,15 +20,15 @@ import (
 
 // startServer runs a server on an ephemeral loopback port and returns
 // its address, tearing everything down with the test.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
-	t.Helper()
-	srv := NewServer(cfg)
+func startServer(tb testing.TB) (*Server, string) {
+	tb.Helper()
+	srv := NewServer(Config{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		tb.Fatalf("listen: %v", err)
 	}
 	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
+	tb.Cleanup(func() { srv.Close() })
 	return srv, lis.Addr().String()
 }
 
@@ -37,7 +37,7 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 // bit-identical final filter state (via the session snapshot) to a
 // local engine.Session fed the same events one at a time.
 func TestServedStreamMatchesLocalSession(t *testing.T) {
-	_, addr := startServer(t, Config{})
+	_, addr := startServer(t)
 	events := syntheticEvents(42, 30_000)
 
 	local := engine.New(core.DefaultConfig())
@@ -99,7 +99,7 @@ func encodeSession(t *testing.T, s *engine.Session) []byte {
 // TestSessionReattach: a trained session survives disconnect and is
 // resumed by a reconnect with the same key.
 func TestSessionReattach(t *testing.T) {
-	srv, addr := startServer(t, Config{})
+	srv, addr := startServer(t)
 	c, err := Dial(addr, "sticky")
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -149,7 +149,7 @@ func TestSessionReattach(t *testing.T) {
 // TestSessionBusy: a key leased to a live connection rejects a second
 // connection with the typed busy error.
 func TestSessionBusy(t *testing.T) {
-	_, addr := startServer(t, Config{})
+	_, addr := startServer(t)
 	c, err := Dial(addr, "contended")
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -160,13 +160,14 @@ func TestSessionBusy(t *testing.T) {
 	}
 }
 
-// TestConnectionChurn is the race-focused suite: many clients churning
-// connect/stream/disconnect against overlapping session keys. Run under
-// -race this exercises the registry striping, lease handoff, and
+// TestConnectionChurn is the session map's race test: many clients
+// churning connect/stream/disconnect against overlapping session keys.
+// Run under -race this exercises the lease handoff under Server.mu and
 // connection teardown; the test asserts every stream either completes or
-// fails with the one legal error (busy on an overlapping key).
+// fails with the one legal error (busy on an overlapping key), and that
+// each key registered exactly one session.
 func TestConnectionChurn(t *testing.T) {
-	_, addr := startServer(t, Config{})
+	srv, addr := startServer(t)
 	const (
 		workers    = 16
 		iterations = 12
@@ -208,6 +209,9 @@ func TestConnectionChurn(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
+	if n := srv.Sessions(); n != keys {
+		t.Fatalf("server holds %d sessions, want %d", n, keys)
+	}
 }
 
 // shortDeadlineConn cuts every write deadline to at most 20 ms away, so
@@ -237,7 +241,7 @@ func TestSlowClientShed(t *testing.T) {
 	}()
 
 	// Read only the hello ack, then send batches and never read again.
-	wc := wire.NewConn(cli, DefaultMaxFrame, responseBound)
+	wc := wire.NewConn(cli, MaxFrame, boundFor)
 	if _, err := wc.Exchange(encodeHello("slow"), opOK); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
@@ -253,7 +257,7 @@ func TestSlowClientShed(t *testing.T) {
 	next, nextSrv := net.Pipe()
 	defer next.Close()
 	go srv.handle(nextSrv)
-	wc = wire.NewConn(next, DefaultMaxFrame, responseBound)
+	wc = wire.NewConn(next, MaxFrame, boundFor)
 	if _, err := wc.Exchange(encodeHello("slow"), opOK); err != nil {
 		t.Fatalf("hello after the shed: %v", err)
 	}
@@ -263,13 +267,13 @@ func TestSlowClientShed(t *testing.T) {
 // reading any response. The server answers each in order, and each
 // answer is what a local session gives for the same events.
 func TestPipelinedClientOrdering(t *testing.T) {
-	_, addr := startServer(t, Config{})
+	_, addr := startServer(t)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	wc := wire.NewConn(conn, DefaultMaxFrame, responseBound)
+	wc := wire.NewConn(conn, MaxFrame, boundFor)
 	if _, err := wc.Exchange(encodeHello("pipelined"), opOK); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
@@ -331,12 +335,11 @@ type protocolErrorCase struct {
 	want   error
 }
 
-// protocolErrorCases builds the malformed streams for a server with
-// MaxBatch 64.
+// protocolErrorCases builds the malformed streams.
 func protocolErrorCases(t *testing.T) []protocolErrorCase {
 	t.Helper()
 	hello := encodeHello("proto")
-	bigBatch := encodeBatch(nil, syntheticEvents(3, 65))
+	bigBatch := encodeBatch(nil, syntheticEvents(3, MaxBatch+1))
 	badKind := append([]byte(nil), hello...) // reuse framing, op 0x5A
 	badKind[0] = 0x5A
 	return []protocolErrorCase{
@@ -349,7 +352,7 @@ func protocolErrorCases(t *testing.T) []protocolErrorCase {
 }
 
 func TestProtocolErrors(t *testing.T) {
-	_, addr := startServer(t, Config{MaxBatch: 64})
+	_, addr := startServer(t)
 	for _, tc := range protocolErrorCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			err := rawRequest(t, addr, tc.frames...)
@@ -367,7 +370,7 @@ func TestProtocolErrors(t *testing.T) {
 // net.Pipe halves handed straight to the handler, so no listener or
 // kernel buffer sits between the error frame and the next hello.
 func TestLeaseFreeAfterErrorFrame(t *testing.T) {
-	srv := NewServer(Config{MaxBatch: 64})
+	srv := NewServer(Config{})
 	// connect returns the client half and a channel closed when the
 	// server's handler for it has returned.
 	connect := func() (net.Conn, chan struct{}) {
@@ -398,7 +401,7 @@ func TestLeaseFreeAfterErrorFrame(t *testing.T) {
 		}
 
 		next, nextHandled := connect()
-		wc := wire.NewConn(next, DefaultMaxFrame, responseBound)
+		wc := wire.NewConn(next, MaxFrame, boundFor)
 		if _, err := wc.Exchange(hello, opOK); err != nil {
 			t.Fatalf("%s: hello right after the error frame: %v", tc.name, err)
 		}
@@ -415,14 +418,14 @@ func TestLeaseFreeAfterErrorFrame(t *testing.T) {
 // TestOversizedFrameRejected: a hostile length prefix beyond MaxFrame
 // must sever the connection without the server allocating for it.
 func TestOversizedFrameRejected(t *testing.T) {
-	_, addr := startServer(t, Config{MaxFrame: 1 << 10})
+	_, addr := startServer(t)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], 1<<30)
+	binary.LittleEndian.PutUint32(hdr[:], MaxFrame+1)
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatalf("write: %v", err)
 	}
@@ -435,7 +438,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 // rawReadError reads response frames until an error frame or a
 // transport error, and returns that error.
 func rawReadError(rw io.ReadWriter) error {
-	wc := wire.NewConn(rw, DefaultMaxFrame, responseBound)
+	wc := wire.NewConn(rw, MaxFrame, boundFor)
 	for {
 		if _, err := wc.Recv(opOK, opDecisions, opStatsRep, opSnapRep); err != nil {
 			return err
@@ -452,7 +455,7 @@ func TestDecisionValidationOnClientDecode(t *testing.T) {
 	body[len(body)-1] = 0x66 // corrupt the last decision byte
 	var buf bytes.Buffer
 	wire.WriteFrame(&buf, body)
-	wc := wire.NewConn(&buf, DefaultMaxFrame, responseBound)
+	wc := wire.NewConn(&buf, MaxFrame, boundFor)
 	f, err := wc.Recv(opDecisions)
 	if err != nil {
 		t.Fatalf("recv: %v", err)
@@ -465,12 +468,11 @@ func TestDecisionValidationOnClientDecode(t *testing.T) {
 // errorFrameBytes returns the bytes the server's error-frame path
 // writes to the connection for err.
 func errorFrameBytes(err error) []byte {
-	srv := NewServer(Config{})
 	cli, srvConn := net.Pipe()
 	defer cli.Close()
 	go func() {
 		defer srvConn.Close()
-		srv.writeErrorFrame(srvConn, err)
+		writeErrorFrame(srvConn, err)
 	}()
 	b, _ := io.ReadAll(cli)
 	return b
@@ -559,11 +561,11 @@ func TestWireSizeConstants(t *testing.T) {
 	if got := measure("Stats", st.SnapshotWalk); got != statsWireSize {
 		t.Errorf("Stats encodes to %d bytes, statsWireSize = %d", got, statsWireSize)
 	}
-	// Every op must fit its bound into the default frame cap, or the
-	// server would shed frames its own bounds call legal.
+	// Every op must fit its bound into the frame cap, or the server
+	// would shed frames its own bounds call legal.
 	for _, op := range []uint8{opHello, opBatch, opStats, opSnapshot, opReset, opOK, opDecisions, opStatsRep, opSnapRep} {
-		if b := boundFor(op, DefaultMaxFrame, DefaultMaxBatch); b > DefaultMaxFrame {
-			t.Errorf("op 0x%02x bound %d exceeds DefaultMaxFrame %d", op, b, DefaultMaxFrame)
+		if b := boundFor(op); b > MaxFrame {
+			t.Errorf("op 0x%02x bound %d exceeds MaxFrame %d", op, b, MaxFrame)
 		}
 	}
 }
@@ -572,13 +574,9 @@ func TestWireSizeConstants(t *testing.T) {
 // end to end, then plants a shed and a lost verdict in a level and
 // requires its producer check to fail on each.
 func TestLoadHarnessSmoke(t *testing.T) {
-	rows, err := RunLoad(LoadConfig{
-		Streams:         []int{1, 4},
-		EventsPerStream: 4000,
-		Batch:           256,
-	})
+	rows, err := runLoad("", loadShape{streams: []int{1, 4}, events: 4000, batch: 256})
 	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
+		t.Fatalf("runLoad: %v", err)
 	}
 	if len(rows) != 2 || rows[1].Params != "streams=4 batch=256 events=4000" {
 		t.Fatalf("rows = %+v, want streams 1 and 4", rows)

@@ -15,14 +15,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Defaults for Config zero values.
+// The protocol's caps, which every connection and client shares.
 const (
-	// DefaultMaxFrame bounds a frame body (4 MiB): far above any sane
-	// batch, far below an allocation a hostile length prefix could
-	// weaponize.
-	DefaultMaxFrame = 4 << 20
-	// DefaultMaxBatch bounds events per batch frame.
-	DefaultMaxBatch = 8192
+	// MaxFrame bounds a frame body (4 MiB): far above any sane batch,
+	// far below an allocation a hostile length prefix could weaponize.
+	MaxFrame = 4 << 20
+	// MaxBatch bounds the events in one batch frame.
+	MaxBatch = 8192
 )
 
 // shedTimeout bounds each response write. A client that has not taken
@@ -35,30 +34,10 @@ const shedTimeout = 2 * time.Second
 // cannot pin the connection.
 const errorFrameTimeout = 100 * time.Millisecond
 
-// Config parameterizes a Server. The zero value serves DefaultConfig
-// filters with the default bounds.
-type Config struct {
-	// Filter configures the perceptron filter each new session wraps.
-	// Zero means core.DefaultConfig().
-	Filter core.Config
-	// MaxFrame bounds an incoming frame body in bytes.
-	MaxFrame int
-	// MaxBatch bounds the events accepted in one batch frame.
-	MaxBatch int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Filter.Features == nil && c.Filter.TauHi == 0 && c.Filter.TauLo == 0 {
-		c.Filter = core.DefaultConfig()
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	return c
-}
+// Config has no fields: every session wraps core.DefaultConfig(), and
+// the caps are MaxFrame and MaxBatch. NewServer keeps it as its argument
+// because the perfbench module calls NewServer(Config{}).
+type Config struct{}
 
 // Server accepts prefetch-decision streams. Each connection leases one
 // session and is served on its own goroutine, one request at a time:
@@ -68,14 +47,17 @@ func (c Config) withDefaults() Config {
 // response is written. A client that stops reading responses is shed
 // with wire.ErrOverloaded once a response write has waited shedTimeout.
 type Server struct {
-	cfg Config
-	reg registry
-
+	// mu guards the listener, the connection table and the sessions. A
+	// session changes hands only at connect and disconnect; the
+	// per-event path runs lock-free on the owning connection's
+	// goroutine.
 	mu sync.Mutex
 	//ppflint:guardedby mu
 	lis net.Listener
 	//ppflint:guardedby mu
 	conns map[net.Conn]struct{}
+	//ppflint:guardedby mu
+	sessions map[string]*lease
 	//ppflint:guardedby mu
 	closed bool
 	wg     sync.WaitGroup
@@ -83,9 +65,19 @@ type Server struct {
 	sheds atomic.Uint64
 }
 
-// NewServer builds a server; zero-valued config fields take defaults.
-func NewServer(cfg Config) *Server {
-	return &Server{cfg: cfg.withDefaults(), conns: make(map[net.Conn]struct{})}
+// lease is one session slot: the session plus whether a live
+// connection currently owns it. Sessions outlive connections — a client
+// that reconnects with the same key resumes its trained filter.
+type lease struct {
+	//ppflint:guardedby Server.mu
+	sess *engine.Session
+	//ppflint:guardedby Server.mu
+	inUse bool
+}
+
+// NewServer builds a server.
+func NewServer(Config) *Server {
+	return &Server{conns: make(map[net.Conn]struct{}), sessions: make(map[string]*lease)}
 }
 
 // Sheds reports how many connections were dropped for not draining
@@ -94,7 +86,38 @@ func (s *Server) Sheds() uint64 { return s.sheds.Load() }
 
 // Sessions reports the number of registered sessions (live or parked
 // awaiting reconnect).
-func (s *Server) Sessions() int { return s.reg.count() }
+func (s *Server) Sessions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions)
+}
+
+// acquire leases the session for key, creating it on first sight.
+// A key already leased to a live connection fails with wire.ErrSessionBusy:
+// sessions are single-goroutine by design, so two connections may never
+// drive one concurrently.
+func (s *Server) acquire(key string) (*engine.Session, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l, ok := s.sessions[key]
+	if !ok {
+		l = &lease{sess: engine.New(core.DefaultConfig())}
+		s.sessions[key] = l
+	}
+	if l.inUse {
+		return nil, wire.ErrSessionBusy
+	}
+	l.inUse = true
+	return l.sess, nil
+}
+
+// release returns the lease without discarding the session, so the
+// trained filter survives for a reconnect.
+func (s *Server) release(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sessions[key].inUse = false
+}
 
 // ListenAndServe listens on addr and serves until Close.
 func (s *Server) ListenAndServe(addr string) error {
@@ -103,17 +126,6 @@ func (s *Server) ListenAndServe(addr string) error {
 		return err
 	}
 	return s.Serve(lis)
-}
-
-// Addr returns the listener address once Serve has begun, for tests and
-// the loadtest harness binding to port 0.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lis == nil {
-		return nil
-	}
-	return s.lis.Addr()
 }
 
 // Serve accepts connections on lis until Close. It always returns a
@@ -153,7 +165,7 @@ func (s *Server) Serve(lis net.Listener) error {
 
 // Close stops the listener, severs every live connection, and waits for
 // their handlers to return. Sessions stay registered; a server is
-// single-use but its registry state is inspectable after Close.
+// single-use but its sessions are inspectable after Close.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -191,17 +203,17 @@ type stream struct {
 // close.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	rd := wire.NewReader(conn, s.cfg.MaxFrame)
+	rd := wire.NewReader(conn, MaxFrame)
 	bw := bufio.NewWriter(conn)
 
-	key, err := s.readHello(rd)
+	key, err := readHello(rd)
 	if err != nil {
-		s.writeErrorFrame(conn, err)
+		writeErrorFrame(conn, err)
 		return
 	}
-	sess, err := s.reg.acquire(key, s.cfg.Filter)
+	sess, err := s.acquire(key)
 	if err != nil {
-		s.writeErrorFrame(conn, err)
+		writeErrorFrame(conn, err)
 		return
 	}
 	// The hello's acknowledgement needs no shed deadline: it is the first
@@ -215,9 +227,9 @@ func (s *Server) handle(conn net.Conn) {
 	// then tell the client why the server is closing. A client that
 	// reconnects with the same key as soon as it reads the error frame
 	// finds the lease free.
-	s.reg.release(key)
+	s.release(key)
 	if reason != nil {
-		s.writeErrorFrame(conn, reason)
+		writeErrorFrame(conn, reason)
 	}
 }
 
@@ -229,10 +241,10 @@ func (s *Server) handle(conn net.Conn) {
 // empty whenever an error frame is due.
 func (s *Server) serve(conn net.Conn, rd *wire.Reader, bw *bufio.Writer, st *stream) error {
 	for {
-		f, err := wire.ReadRequest(rd, s.bound)
+		f, err := wire.ReadRequest(rd, boundFor)
 		var op uint8
 		if err == nil {
-			op, err = s.parseRequest(st, f)
+			op, err = st.parse(f)
 		}
 		if err != nil {
 			// A malformed or oversized frame is owed its typed error; EOF
@@ -246,7 +258,7 @@ func (s *Server) serve(conn net.Conn, rd *wire.Reader, bw *bufio.Writer, st *str
 		// The deadline covers the write, not just the flush: bufio
 		// writes through on its own once a response outgrows its buffer.
 		conn.SetWriteDeadline(time.Now().Add(shedTimeout)) //ppflint:allow determinism socket deadline, not report data
-		if err := wire.Send(bw, s.execute(st, op)); err != nil {
+		if err := wire.Send(bw, st.execute(op)); err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				// The client has not taken a response for shedTimeout.
 				s.sheds.Add(1)
@@ -257,14 +269,10 @@ func (s *Server) serve(conn net.Conn, rd *wire.Reader, bw *bufio.Writer, st *str
 	}
 }
 
-// bound is the server's frame-size table: boundFor at the configured
-// caps.
-func (s *Server) bound(op uint8) int { return boundFor(op, s.cfg.MaxFrame, s.cfg.MaxBatch) }
-
 // readHello enforces the handshake: the first frame must be opHello
 // with a non-empty key.
-func (s *Server) readHello(rd *wire.Reader) (string, error) {
-	f, err := wire.ReadHello(rd, opHello, s.bound)
+func readHello(rd *wire.Reader) (string, error) {
+	f, err := wire.ReadHello(rd, opHello, boundFor)
 	if err != nil {
 		return "", err
 	}
@@ -281,12 +289,12 @@ func (s *Server) readHello(rd *wire.Reader) (string, error) {
 	return string(key), nil
 }
 
-// parseRequest decodes one post-hello frame, already held to its op's
-// bound, and returns its op. A batch decodes into st.events.
-func (s *Server) parseRequest(st *stream, f wire.Frame) (uint8, error) {
+// parse decodes one post-hello frame, already held to its op's bound,
+// and returns its op. A batch decodes into st.events.
+func (st *stream) parse(f wire.Frame) (uint8, error) {
 	switch f.Op {
 	case opBatch:
-		events, err := decodeBatch(f.W, s.cfg.MaxBatch, st.events)
+		events, err := decodeBatch(f.W, st.events)
 		if err != nil {
 			return 0, err
 		}
@@ -305,7 +313,7 @@ func (s *Server) parseRequest(st *stream, f wire.Frame) (uint8, error) {
 
 // execute runs one parsed request against the session and builds the
 // response frame body.
-func (s *Server) execute(st *stream, op uint8) []byte {
+func (st *stream) execute(op uint8) []byte {
 	switch op {
 	case opBatch:
 		st.decisions = st.sess.ApplyBatch(st.events, st.decisions[:0])
@@ -332,7 +340,7 @@ func (s *Server) execute(st *stream, op uint8) []byte {
 // connection dies. No response is ever left in a buffered writer, so
 // the frame goes straight to the socket, under a short deadline so a
 // stuck peer cannot pin this goroutine.
-func (s *Server) writeErrorFrame(conn net.Conn, err error) {
+func writeErrorFrame(conn net.Conn, err error) {
 	conn.SetWriteDeadline(time.Now().Add(errorFrameTimeout)) //ppflint:allow determinism socket deadline, not report data
 	wire.WriteFrame(conn, wire.ErrorBody(err, wire.CodeInternal))
 }

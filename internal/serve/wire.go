@@ -71,35 +71,29 @@ const (
 )
 
 // boundFor is the frame-size bound table: the maximum legal body size
-// for each op given the configured frame and batch caps. Both halves
-// consult it — the server rejects oversized requests with ErrTooLarge
-// before decoding, and the client rejects oversized responses instead
-// of trusting the peer. Variable-payload response ops (snapshot blobs)
-// are bounded by the frame cap alone.
+// for each op. Both halves consult it — the server rejects oversized
+// requests with ErrTooLarge before decoding, and the client rejects
+// oversized responses instead of trusting the peer. Variable-payload
+// response ops (snapshot blobs) are bounded by the frame cap alone.
 //
 //ppflint:framebound
-func boundFor(op uint8, maxFrame, maxBatch int) int {
+func boundFor(op uint8) int {
 	switch op {
 	case opHello:
 		return 1 + wire.LenSize + maxSessionKey
 	case opBatch:
-		return 1 + wire.LenSize + maxBatch*eventWireSize
+		return 1 + wire.LenSize + MaxBatch*eventWireSize
 	case opStats, opSnapshot, opReset, opOK:
 		return 1
 	case opDecisions:
-		return 1 + wire.LenSize + maxBatch*decisionWireSize
+		return 1 + wire.LenSize + MaxBatch*decisionWireSize
 	case opStatsRep:
 		return 1 + statsWireSize
 	case opSnapRep:
-		return maxFrame
+		return MaxFrame
 	}
-	return maxFrame
+	return MaxFrame
 }
-
-// responseBound holds responses to the table the server enforces. The
-// client has no batch cap of its own, so the frame cap stands in;
-// fixed-size ops (opOK, opStatsRep) still get their tight bounds.
-func responseBound(op uint8) int { return boundFor(op, DefaultMaxFrame, DefaultMaxFrame) }
 
 // encodeHello builds the opening frame.
 func encodeHello(key string) []byte {
@@ -173,16 +167,16 @@ func encodeSnapRep(blob []byte) []byte {
 
 // decodeBatch parses an opBatch payload into buf's storage, growing it
 // as needed, and returns the events. The announced count is bounded by
-// the server's batch cap before buf grows, and the payload must hold
-// exactly that many event blocks. The events copy out of the frame, so
-// they outlive it.
+// MaxBatch before buf grows, and the payload must hold exactly that
+// many event blocks. The events copy out of the frame, so they outlive
+// it.
 //
 //ppflint:hotpath
-func decodeBatch(w *snap.Walker, maxBatch int, buf []engine.Event) ([]engine.Event, error) {
+func decodeBatch(w *snap.Walker, buf []engine.Event) ([]engine.Event, error) {
 	var n int
 	w.Len(&n) // a rejected count latches and reads as 0
-	if n > maxBatch {
-		return nil, errBatchTooLarge(n, maxBatch)
+	if n > MaxBatch {
+		return nil, errBatchTooLarge(n)
 	}
 	blocks := w.Take(n * eventWireSize)
 	if err := wire.Finish(w); err != nil {
@@ -244,8 +238,8 @@ func decodeDecisions(f wire.Frame, dst []core.Decision) ([]core.Decision, error)
 // the //ppflint:hotpath decoders box no arguments on their healthy path.
 
 //go:noinline
-func errBatchTooLarge(n, maxBatch int) error {
-	return fmt.Errorf("%w: batch of %d exceeds cap %d", wire.ErrTooLarge, n, maxBatch)
+func errBatchTooLarge(n int) error {
+	return fmt.Errorf("%w: batch of %d exceeds cap %d", wire.ErrTooLarge, n, MaxBatch)
 }
 
 //go:noinline

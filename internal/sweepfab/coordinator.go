@@ -86,15 +86,6 @@ func (c *Coordinator) AttachTo(rc *experiment.RunCache) {
 	rc.SetCellRunner(c.RunCell)
 }
 
-// ListenAndServe starts accepting workers on addr (e.g. ":9402").
-func (c *Coordinator) ListenAndServe(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("sweepfab: %w", err)
-	}
-	return c.Serve(lis)
-}
-
 // Serve accepts workers on lis until Close. It returns nil on Close,
 // the accept error otherwise. The janitor that expires stale leases
 // runs for the lifetime of the serve loop.
@@ -127,16 +118,6 @@ func (c *Coordinator) Serve(lis net.Listener) error {
 			c.handle(conn)
 		}()
 	}
-}
-
-// Addr returns the bound listener address (nil before Serve).
-func (c *Coordinator) Addr() net.Addr {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lis == nil {
-		return nil
-	}
-	return c.lis.Addr()
 }
 
 // Close stops accepting, tells workers blocked on a lease to shut down,
