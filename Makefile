@@ -109,15 +109,17 @@ sweep-smoke:
 	$(GO) test -race -count=50 -run 'TestWireLeaseGrantAndCompletion|TestWireDisconnectRequeues|TestFleetCrashRerunsOnce|TestFleetCorruptPublishReopens|TestBoard' ./internal/sweepfab/
 
 # fuzz-smoke runs each native fuzz target briefly on top of its
-# committed seed corpus: the ChampSim trace decode path, the
-# snapshot/result codecs, and the ppfd and sweep-fabric frame decoders
-# (server, coordinator and client sides). `go test -fuzz` accepts one
+# committed seed corpus: the ChampSim trace decode path, the seal every
+# snapshot and store entry is framed in, the snapshot/result codecs, and
+# the ppfd and sweep-fabric frame decoders (server, coordinator and
+# client sides). `go test -fuzz` accepts one
 # target per invocation, so the targets run back to back. Longer
 # sessions: raise FUZZTIME or run a single target by hand.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/tracefile/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdapter$$' -fuzztime $(FUZZTIME) ./internal/tracefile/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnseal$$' -fuzztime $(FUZZTIME) ./internal/snap/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeFrame$$' -fuzztime $(FUZZTIME) ./internal/serve/

@@ -311,7 +311,7 @@ func openStore(cachedir, storeURL string) (simstore.Backend, error) {
 	if storeURL == "" {
 		return simstore.Open(cachedir)
 	}
-	remote := simstore.NewRemote(storeURL, nil)
+	remote := simstore.NewRemote(storeURL)
 	if cachedir == "" {
 		return remote, nil
 	}

@@ -7,12 +7,13 @@
 //	ppfstored -addr :9401 -dir shared-store
 //
 // The wire surface is the store's own entry encoding: GET (or HEAD)
-// /ppfs/{r|w}/<64-hex> returns the raw PPFS entry blob (404 = miss),
-// PUT stores one after validating the envelope (magic and trailing
-// CRC); anything malformed is rejected at ingress, and readers fully
-// re-validate on load, so a corrupt upload can only ever cost a cold
-// re-run, never wrong results. Clients are internal/simstore.Remote
-// (experiments -storeurl) and the sweep fabric's workers.
+// /ppfs/{r|w}/<64-hex> returns the raw sealed entry (404 = miss), and
+// PUT stores one after it unseals (magic, version, lengths and CRC-32;
+// see snap.Unseal). Anything malformed is rejected at ingress, and
+// readers fully re-validate on load, so a corrupt upload can only ever
+// cost a cold re-run, never wrong results. Clients are the stores
+// internal/simstore.NewRemote returns (experiments -storeurl) and the
+// sweep fabric's workers.
 package main
 
 import (

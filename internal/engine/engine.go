@@ -16,10 +16,9 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-
-	"hash/crc32"
 
 	"repro/internal/core"
 	"repro/internal/snap"
@@ -143,19 +142,18 @@ func (s *Session) ApplyBatch(events []Event, out []core.Decision) []core.Decisio
 	return out
 }
 
-// Session snapshot envelope: magic(4) | version(4) | fingerprint
-// length(4) | fingerprint | payload length(8) | CRC-32(4) | payload.
-// The fingerprint pins the configuration geometry (thresholds + feature
-// tables) so a snapshot cannot be restored into a session built
-// differently; the walker stream itself is positional and would decode
-// a mismatched geometry into garbage weights.
+// A session snapshot is sealed (snap.SealWalk) under sessMagic and
+// sessVersion with the session's config fingerprint as its tag: the
+// walker stream is positional and would decode a mismatched geometry
+// (thresholds, feature tables) into garbage weights, so a snapshot
+// cannot be restored into a session built differently.
 const (
 	sessMagic   = 0x45465050 // "PPFE"
 	sessVersion = 1
 )
 
-// ErrBadSessionSnapshot reports a session snapshot whose envelope
-// failed validation.
+// ErrBadSessionSnapshot reports a session snapshot whose seal failed
+// validation.
 var ErrBadSessionSnapshot = errors.New("engine: malformed session snapshot")
 
 // ErrConfigMismatch reports a session snapshot taken under a different
@@ -164,7 +162,7 @@ var ErrConfigMismatch = errors.New("engine: session snapshot config mismatch")
 
 // fingerprint encodes the config geometry the snapshot payload depends
 // on: the thresholds, then each feature table's name and size.
-func (s *Session) fingerprint() ([]byte, error) {
+func (s *Session) fingerprint() []byte {
 	w := snap.NewEncoder()
 	cfg := s.f.Config()
 	w.Int(&cfg.TauHi)
@@ -182,24 +180,15 @@ func (s *Session) fingerprint() ([]byte, error) {
 		size := len(s.f.WeightsOf(i))
 		w.Int(&size)
 	}
-	return w.Bytes()
+	fp, _ := w.Bytes() // only Check latches an encoder's error, and this walk calls none
+	return fp
 }
 
 // Snapshot serializes the session into a self-validating blob:
 // corruption, truncation, version skew and configuration mismatch all
 // surface as typed errors on Restore instead of a garbage filter.
 func (s *Session) Snapshot() ([]byte, error) {
-	fp, err := s.fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	w := snap.NewEncoder()
-	s.f.SnapshotWalk(w)
-	payload, err := w.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	return sealSession(fp, payload), nil
+	return snap.SealWalk(sessMagic, sessVersion, s.fingerprint(), s.f.SnapshotWalk)
 }
 
 // Restore loads a Snapshot blob into the session. The session's own
@@ -208,74 +197,14 @@ func (s *Session) Snapshot() ([]byte, error) {
 // a mid-walk decode error the session is undefined and must be Reset or
 // discarded.
 func (s *Session) Restore(data []byte) error {
-	fp, err := s.fingerprint()
+	tag, payload, err := snap.Unseal(data, sessMagic, sessVersion)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrBadSessionSnapshot, err)
 	}
-	payload, err := openSession(data, fp)
-	if err != nil {
-		return err
+	if !bytes.Equal(tag, s.fingerprint()) {
+		return ErrConfigMismatch
 	}
 	w := snap.NewDecoder(payload)
 	s.f.SnapshotWalk(w)
 	return w.Finish()
-}
-
-func sealSession(fingerprint, payload []byte) []byte {
-	w := snap.NewEncoder()
-	magic, version := uint32(sessMagic), uint32(sessVersion)
-	w.Uint32(&magic)
-	w.Uint32(&version)
-	fn := len(fingerprint)
-	w.Len(&fn)
-	w.Uint8s(fingerprint)
-	pn := len(payload)
-	w.Len(&pn)
-	w.Uint8s(payload)
-	crc := crc32.ChecksumIEEE(payload)
-	w.Uint32(&crc)
-	out, _ := w.Bytes()
-	return out
-}
-
-func openSession(data, wantFingerprint []byte) ([]byte, error) {
-	w := snap.NewDecoder(data)
-	var magic, version uint32
-	w.Uint32(&magic)
-	w.Uint32(&version)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSessionSnapshot, err)
-	}
-	if magic != sessMagic {
-		return nil, fmt.Errorf("%w: bad magic 0x%08x", ErrBadSessionSnapshot, magic)
-	}
-	if version != sessVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSessionSnapshot, version)
-	}
-	var fn int
-	w.Len(&fn)
-	if err := w.Err(); err != nil || fn > len(data) {
-		return nil, fmt.Errorf("%w: implausible fingerprint length %d", ErrBadSessionSnapshot, fn)
-	}
-	fp := make([]byte, fn)
-	w.Uint8s(fp)
-	var pn int
-	w.Len(&pn)
-	if err := w.Err(); err != nil || pn > len(data) {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrBadSessionSnapshot, pn)
-	}
-	payload := make([]byte, pn)
-	w.Uint8s(payload)
-	var crc uint32
-	w.Uint32(&crc)
-	if err := w.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSessionSnapshot, err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != crc {
-		return nil, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrBadSessionSnapshot, crc, got)
-	}
-	if string(fp) != string(wantFingerprint) {
-		return nil, ErrConfigMismatch
-	}
-	return payload, nil
 }

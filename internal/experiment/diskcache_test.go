@@ -11,9 +11,17 @@ import (
 	"repro/internal/workload"
 )
 
-func tempStore(t *testing.T) *simstore.Store {
+// tempStore opens a disk store in a fresh directory and returns it
+// with that directory, which openStore reopens.
+func tempStore(t *testing.T) (*simstore.Store, string) {
 	t.Helper()
-	st, err := simstore.Open(filepath.Join(t.TempDir(), "simcache"))
+	dir := filepath.Join(t.TempDir(), "simcache")
+	return openStore(t, dir), dir
+}
+
+func openStore(t *testing.T, dir string) *simstore.Store {
+	t.Helper()
+	st, err := simstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +64,7 @@ func TestDiskCacheGolden(t *testing.T) {
 
 	want := speedupStudy(Exec{}, sim.DefaultConfig(1), ws, schemes, b).Render()
 
-	st := tempStore(t)
+	st, dir := tempStore(t)
 	cold := NewRunCache()
 	cold.AttachStore(st)
 	got := speedupStudy(Exec{Cache: cold}, sim.DefaultConfig(1), ws, schemes, b).Render()
@@ -73,10 +81,7 @@ func TestDiskCacheGolden(t *testing.T) {
 
 	// "Second invocation": a fresh in-memory cache over the same store
 	// directory. Every cell must be served from stored results.
-	st2, err := simstore.Open(st.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := openStore(t, dir)
 	warm := NewRunCache()
 	warm.AttachStore(st2)
 	got2 := speedupStudy(Exec{Cache: warm}, sim.DefaultConfig(1), ws, schemes, b).Render()
@@ -99,7 +104,7 @@ func TestDiskCacheSnapshotResume(t *testing.T) {
 	short := Budget{Warmup: 10_000, Detail: 5_000}
 	long := Budget{Warmup: 10_000, Detail: 20_000}
 
-	st := tempStore(t)
+	st, _ := tempStore(t)
 	rc := NewRunCache()
 	rc.AttachStore(st)
 	x := Exec{Cache: rc}
@@ -125,17 +130,14 @@ func TestDiskCacheCorruptEntryRecovers(t *testing.T) {
 	cfg := sim.DefaultConfig(1)
 	b := Budget{Warmup: 5_000, Detail: 10_000}
 
-	st := tempStore(t)
+	st, dir := tempStore(t)
 	rc := NewRunCache()
 	rc.AttachStore(st)
 	want := Exec{Cache: rc}.runSingle(cfg, SchemePPF, w, 1, b)
 
-	corruptAll(t, st.Dir())
+	corruptAll(t, dir)
 
-	st2, err := simstore.Open(st.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := openStore(t, dir)
 	rc2 := NewRunCache()
 	rc2.AttachStore(st2)
 	got := Exec{Cache: rc2}.runSingle(cfg, SchemePPF, w, 1, b)
@@ -148,10 +150,7 @@ func TestDiskCacheCorruptEntryRecovers(t *testing.T) {
 
 	// The fallback rewrote the entries: a third cache over the same
 	// directory must now hit cleanly.
-	st3, err := simstore.Open(st.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st3 := openStore(t, dir)
 	rc3 := NewRunCache()
 	rc3.AttachStore(st3)
 	got3 := Exec{Cache: rc3}.runSingle(cfg, SchemePPF, w, 1, b)
@@ -167,7 +166,7 @@ func TestDiskCacheCorruptEntryRecovers(t *testing.T) {
 // not touch the snapshot layer (there is no warmup state to share).
 func TestDiskCacheNoWarmupSkipsSnapshots(t *testing.T) {
 	w := workload.MustByName("641.leela_s")
-	st := tempStore(t)
+	st, _ := tempStore(t)
 	rc := NewRunCache()
 	rc.AttachStore(st)
 	Exec{Cache: rc}.runSingle(sim.DefaultConfig(1), SchemeNone, w, 1, Budget{Warmup: 0, Detail: 5_000})

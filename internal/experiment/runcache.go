@@ -56,9 +56,9 @@ func NewRunCache() *RunCache {
 	return &RunCache{memo: runner.NewMemo[sim.Result]()}
 }
 
-// AttachStore adds the persistent layers behind st — the on-disk store,
-// the HTTP remote client, or the tiered composition; the run cache is
-// agnostic. The in-memory memo still deduplicates within the process
+// AttachStore adds the persistent layers behind st — a store on disk
+// or on a ppfstored server, or the tiered composition of the two; the
+// run cache is agnostic. The in-memory memo still deduplicates within the process
 // (and single-flights concurrent requests); the store serves and
 // persists the memo's misses.
 func (rc *RunCache) AttachStore(st simstore.Backend) { rc.store = st }
@@ -68,8 +68,9 @@ func (rc *RunCache) Store() simstore.Backend { return rc.store }
 
 // SetCellRunner routes store-missed cells through fn instead of the
 // local simulator. The coordinator of a distributed sweep installs its
-// lease-and-fetch path here; everything above this hook (experiments,
-// Exec, the memo) is unchanged.
+// lease-and-fetch path here, after attaching the shared store; fn sees
+// only store misses, so without a store it is never called. Everything
+// above this hook (experiments, Exec, the memo) is unchanged.
 func (rc *RunCache) SetCellRunner(fn func(CellSpec) sim.Result) { rc.fabric = fn }
 
 // Stats reports cumulative in-memory cache hits and misses.
@@ -122,9 +123,6 @@ func cloneResult(r sim.Result) sim.Result {
 // warmup snapshot when one exists) and the result is written back.
 func (rc *RunCache) computeCell(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) sim.Result {
 	if rc.store == nil {
-		if rc.fabric != nil {
-			return rc.fabric(NewCellSpec(cfg, s, w, seed, b))
-		}
 		return mustRunSingle(cfg, s, w, seed, b)
 	}
 	key := cellKey(cfg, s, w, seed, b)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"time"
@@ -67,16 +68,27 @@ func (c *Client) Close() error {
 // Decide streams a batch of events and returns the filter's verdict for
 // each candidate event, in stream order. Training events contribute no
 // decision. The server applies the batch sequentially, so the result is
-// bit-identical to sending the events one at a time. The returned
-// slice is the caller's: the next call does not reuse it.
+// bit-identical to sending the events one at a time. A reply holding
+// any other number of verdicts than the batch has candidates is
+// wire.ErrBadFrame. The returned slice is the caller's: the next call
+// does not reuse it.
 func (c *Client) Decide(events []engine.Event) ([]core.Decision, error) {
 	c.batch = encodeBatch(c.batch, events)
 	f, err := c.wc.Exchange(c.batch, opDecisions)
 	if err != nil {
 		return nil, err
 	}
-	// A batch yields at most one verdict per event.
-	return decodeDecisions(f, make([]core.Decision, 0, len(events)))
+	want := 0
+	for i := range events {
+		if events[i].Kind == engine.KindCandidate {
+			want++
+		}
+	}
+	got, err := decodeDecisions(f, make([]core.Decision, 0, want))
+	if err == nil && len(got) != want {
+		return nil, fmt.Errorf("%w: %d verdicts for %d candidates", wire.ErrBadFrame, len(got), want)
+	}
+	return got, err
 }
 
 // Stats fetches the session's filter counters.

@@ -90,6 +90,57 @@ func TestBatchCapBothEnds(t *testing.T) {
 	}
 }
 
+// TestDecideVerdictCount: a reply must hold one verdict per candidate
+// sent. A fake server answers a batch of one candidate and one training
+// event with 1, 2 and 0 verdicts; only the first is accepted.
+func TestDecideVerdictCount(t *testing.T) {
+	events := []engine.Event{
+		engine.Candidate(core.FeatureInput{Addr: 1 << 6, PC: 0x400100, Depth: 1}),
+		engine.Demand(2 << 6),
+	}
+	for _, n := range []int{1, 2, 0} {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		go answerDecisions(lis, n)
+		c, err := Dial(lis.Addr().String(), "k")
+		lis.Close()
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		got, err := c.Decide(events)
+		c.Close()
+		if n == 1 && (err != nil || len(got) != 1) {
+			t.Fatalf("1 verdict: got %v, %v; want 1 verdict", got, err)
+		}
+		if n != 1 && !errors.Is(err, wire.ErrBadFrame) {
+			t.Fatalf("%d verdicts for 1 candidate: got %v, %v; want ErrBadFrame", n, got, err)
+		}
+	}
+}
+
+// answerDecisions is a fake server: it accepts one connection, accepts
+// its hello, and answers its first batch with n Drop verdicts, whatever
+// the batch held.
+func answerDecisions(lis net.Listener, n int) {
+	conn, err := lis.Accept()
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	rd := wire.NewReader(conn, MaxFrame)
+	if _, err := wire.ReadHello(rd, opHello, boundFor); err != nil {
+		return
+	}
+	wire.WriteFrame(conn, wire.Body(opOK, nil))
+	if _, err := wire.ReadRequest(rd, boundFor); err != nil {
+		return
+	}
+	wire.WriteFrame(conn, encodeDecisions(nil, make([]core.Decision, n)))
+	io.Copy(io.Discard, conn) // until the client closes
+}
+
 // TestClientRejectsUnknownErrorCode: an error frame whose code byte is
 // outside the code table is itself a malformed frame to the client. 0xFE
 // stands in for any byte past the table, which may grow.

@@ -3,6 +3,10 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -43,7 +47,7 @@ func FuzzRestore(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40 // payload bit flip: CRC must catch it
 	f.Add(flipped)
-	hdr := append([]byte(nil), valid[:24]...) // envelope with no payload
+	hdr := append(valid[:24:24], valid[len(valid)-4:]...) // header and checksum, no payload
 	f.Add(hdr)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
@@ -121,3 +125,30 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 }
 
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
+
+// TestRestoreSeedsHitTheirBranch keeps the committed FuzzRestore seeds
+// aimed at the checks their names give: each must fail Restore with
+// that check's error, so a format change that moves a seed onto an
+// earlier check (a frame grown past a seed's length, say) shows here.
+func TestRestoreSeedsHitTheirBranch(t *testing.T) {
+	for name, want := range map[string]string{
+		"empty":             "shorter than",
+		"bad-magic":         "bad magic",
+		"bad-version":       "format version",
+		"header-no-payload": "payload length 8",
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRestore", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("seed %s: not a one-[]byte fuzz file (%v)", name, err)
+		}
+		err = fuzzSystem(t).Restore([]byte(data))
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
+			t.Errorf("seed %s: err = %v, want ErrBadSnapshot naming %q", name, err, want)
+		}
+	}
+}

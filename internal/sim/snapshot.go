@@ -1,22 +1,21 @@
 package sim
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	ppf "repro/internal/core"
 	"repro/internal/prefetch"
 	"repro/internal/snap"
 )
 
-// Snapshot envelope: the walker stream is positional with no internal
-// redundancy, so a corrupted blob that happens to parse would restore a
-// machine full of garbage — including an instCount that sends Restore's
-// trace replay loop spinning for what might as well be forever. The
-// envelope makes corruption a deterministic error instead: magic(4) |
-// version(4) | payload length(8) | CRC-32 of payload(4) | payload.
+// A machine snapshot is its walker stream sealed (snap.SealWalk) under
+// snapMagic and snapVersion, with no tag. The stream is positional with no
+// internal redundancy, so a corrupted blob that happens to parse would
+// restore a machine full of garbage — including an instCount that sends
+// Restore's trace replay loop spinning for what might as well be
+// forever. The seal's checksum makes corruption a deterministic error
+// instead.
 const (
 	snapMagic = 0x5050534E // "PPSN"
 	// Version history: 1 = original layout; 2 = record-table entries
@@ -24,46 +23,14 @@ const (
 	// payload would decode issued entries into the wrong verdicts; 3 =
 	// each cache walks its MSHR completion bound (was recomputed on
 	// decode, which a promotion could make resume differently); 4 = each
-	// core's loadDone ring is sized to its ROB (was 65,536 entries).
-	snapVersion = 4
-	snapHdrLen  = 20
+	// core's loadDone ring is sized to its ROB (was 65,536 entries); 5 =
+	// the frame is snap.Seal's (an empty tag, and the CRC-32 follows the
+	// payload instead of preceding it), with the same walker stream.
+	snapVersion = 5
 )
 
-// ErrBadSnapshot reports a snapshot whose envelope failed validation.
+// ErrBadSnapshot reports a snapshot whose seal failed validation.
 var ErrBadSnapshot = errors.New("sim: malformed snapshot")
-
-// sealSnapshot wraps a walker payload in the checksummed envelope.
-func sealSnapshot(payload []byte) []byte {
-	out := make([]byte, snapHdrLen, snapHdrLen+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], snapMagic)
-	binary.LittleEndian.PutUint32(out[4:8], snapVersion)
-	binary.LittleEndian.PutUint64(out[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(out[16:20], crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
-}
-
-// openSnapshot validates the envelope and returns the walker payload.
-func openSnapshot(data []byte) ([]byte, error) {
-	if len(data) < snapHdrLen {
-		return nil, fmt.Errorf("%w: %d bytes, shorter than the %d-byte header", ErrBadSnapshot, len(data), snapHdrLen)
-	}
-	if m := binary.LittleEndian.Uint32(data[0:4]); m != snapMagic {
-		return nil, fmt.Errorf("%w: bad magic 0x%08x", ErrBadSnapshot, m)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != snapVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, v)
-	}
-	n := binary.LittleEndian.Uint64(data[8:16])
-	payload := data[snapHdrLen:]
-	if n != uint64(len(payload)) {
-		return nil, fmt.Errorf("%w: header claims %d payload bytes, have %d", ErrBadSnapshot, n, len(payload))
-	}
-	want := binary.LittleEndian.Uint32(data[16:20])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrBadSnapshot, want, got)
-	}
-	return payload, nil
-}
 
 // Snapshot serializes the machine's complete mutable state — clock,
 // caches, DRAM, predictors, prefetchers, filters, per-core pipeline
@@ -82,13 +49,7 @@ func (s *System) Snapshot() ([]byte, error) {
 			return nil, fmt.Errorf("sim: core %d prefetcher %q is not snapshottable", c.id, c.pf.Name())
 		}
 	}
-	w := snap.NewEncoder()
-	s.snapshotWalk(w)
-	payload, err := w.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	return sealSnapshot(payload), nil
+	return snap.SealWalk(snapMagic, snapVersion, nil, s.snapshotWalk)
 }
 
 // Restore loads a Snapshot into a fresh (never-run) system built from
@@ -103,9 +64,12 @@ func (s *System) Restore(data []byte) error {
 			return fmt.Errorf("sim: core %d prefetcher %q is not snapshottable", c.id, c.pf.Name())
 		}
 	}
-	payload, err := openSnapshot(data)
+	tag, payload, err := snap.Unseal(data, snapMagic, snapVersion)
+	if err == nil && len(tag) != 0 {
+		err = fmt.Errorf("unexpected %d-byte tag", len(tag))
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	w := snap.NewDecoder(payload)
 	s.snapshotWalk(w)

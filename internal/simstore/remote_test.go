@@ -2,8 +2,7 @@ package simstore
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
+	"compress/gzip"
 	"io"
 	"log"
 	"net/http"
@@ -15,13 +14,14 @@ import (
 )
 
 // remoteTemp spins a store server over a temp directory and returns a
-// client for it plus the backing store (for poking at entry files).
-func remoteTemp(t *testing.T) (*Remote, *Store) {
+// remote store on it plus the backing disk store (for poking at entry
+// files).
+func remoteTemp(t *testing.T) (*Store, *Store) {
 	t.Helper()
 	st := openTemp(t)
 	srv := httptest.NewServer(Handler(st))
 	t.Cleanup(srv.Close)
-	return NewRemote(srv.URL, srv.Client()), st
+	return NewRemote(srv.URL), st
 }
 
 func TestRemoteRoundTrip(t *testing.T) {
@@ -83,7 +83,7 @@ func TestRemoteCorruptionFallsBack(t *testing.T) {
 	if err := r.SaveSnapshot("warm-key", payload); err != nil {
 		t.Fatal(err)
 	}
-	path := entryFile(t, st, "w")
+	path := st.locate(kindSnapshot, "warm-key")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -108,25 +108,23 @@ func TestRemoteCorruptionFallsBack(t *testing.T) {
 	}
 }
 
-// TestRemoteVersionMismatch: an entry from a future format version on
-// the server degrades to a miss at the client.
+// TestRemoteVersionMismatch: an entry sealed at the next format version
+// on the server degrades to a miss at the client, while the same entry
+// at the store's version is a hit.
 func TestRemoteVersionMismatch(t *testing.T) {
-	r, st := remoteTemp(t)
-	if err := r.SaveResult("k", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	path := entryFile(t, st, "r")
-	raw, _ := os.ReadFile(path)
-	binary.LittleEndian.PutUint32(raw[4:8], version+1)
-	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.LoadResult("k"); ok {
-		t.Fatal("version-mismatched remote entry served a hit")
-	}
-	if rs := r.Stats(); rs.Corrupt != 1 {
-		t.Fatalf("stats = %+v; want 1 corrupt", rs)
+	for _, v := range []uint32{version, version + 1} {
+		r, st := remoteTemp(t)
+		raw := sealAt(t, v, kindResult, "k", []byte("payload"), gzip.BestSpeed)
+		if err := os.WriteFile(st.locate(kindResult, "k"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, ok := r.LoadResult("k")
+		if want := v == version; ok != want {
+			t.Fatalf("remote entry at version %d: hit = %v, want %v", v, ok, want)
+		}
+		if rs := r.Stats(); !ok && rs.Corrupt != 1 {
+			t.Fatalf("stats = %+v; want 1 corrupt", rs)
+		}
 	}
 }
 
@@ -137,11 +135,11 @@ func TestRemoteKeyEchoGuardsAliasing(t *testing.T) {
 	if err := r.SaveResult("key-a", []byte("a's data")); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(st.path(kindResult, "key-a"))
+	raw, err := os.ReadFile(st.locate(kindResult, "key-a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(st.path(kindResult, "key-b"), raw, 0o644); err != nil {
+	if err := os.WriteFile(st.locate(kindResult, "key-b"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := r.LoadResult("key-b"); ok {
@@ -149,7 +147,7 @@ func TestRemoteKeyEchoGuardsAliasing(t *testing.T) {
 	}
 }
 
-// TestHandlerRejectsGarbagePut: the server validates the envelope at
+// TestHandlerRejectsGarbagePut: the server unseals every PUT body at
 // ingress so a stray non-PPFS body cannot poison the shared store.
 func TestHandlerRejectsGarbagePut(t *testing.T) {
 	_, st := remoteTemp(t)
@@ -201,6 +199,36 @@ func TestHandlerRejectsStrayPaths(t *testing.T) {
 	}
 }
 
+// TestHandlerHead pins the read path's status codes: a HEAD of a stored
+// entry is 200 with the entry's length and no body, a HEAD of a missing
+// one is 404.
+func TestHandlerHead(t *testing.T) {
+	_, st := remoteTemp(t)
+	if err := st.SaveResult("k", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(st.locate(kindResult, "k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(st))
+	defer srv.Close()
+	for key, want := range map[string]int{"k": http.StatusOK, "missing": http.StatusNotFound} {
+		resp, err := srv.Client().Head(srv.URL + remotePrefix + "r/" + entryName(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want || len(body) != 0 {
+			t.Fatalf("HEAD %s: status %d with %d body bytes, want %d and none", key, resp.StatusCode, len(body), want)
+		}
+		if want == http.StatusOK && resp.ContentLength != int64(len(raw)) {
+			t.Fatalf("HEAD %s: Content-Length %d, want %d", key, resp.ContentLength, len(raw))
+		}
+	}
+}
+
 // TestWarnDedupe pins satellite semantics for both backends: a corrupt
 // entry loaded repeatedly logs exactly one warning line per distinct
 // key, while the corrupt counter keeps advancing.
@@ -214,7 +242,7 @@ func TestWarnDedupe(t *testing.T) {
 		if err := st.SaveResult(key, []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
-		path := st.path(kindResult, key)
+		path := st.locate(kindResult, key)
 		raw, _ := os.ReadFile(path)
 		raw[len(raw)/2] ^= 0x01
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -310,7 +338,7 @@ func TestRemoteConcurrent(t *testing.T) {
 func TestRemoteDownDegradesToMiss(t *testing.T) {
 	st := openTemp(t)
 	srv := httptest.NewServer(Handler(st))
-	r := NewRemote(srv.URL, srv.Client())
+	r := NewRemote(srv.URL)
 	srv.Close()
 	if _, ok := r.LoadResult("k"); ok {
 		t.Fatal("dead server served a hit")

@@ -1,17 +1,20 @@
-// Package simstore implements the on-disk, content-addressed
-// simulation store behind the experiment run cache: versioned,
-// checksummed, gzip-compressed entries keyed by canonical cell keys.
-// Two kinds of entries live in separate subdirectories — encoded
-// sim.Results under r/ (keyed by the full cell key) and post-warmup
-// machine snapshots under w/ (keyed by the cell key's warmup prefix).
-// File names are the hex SHA-256 of the key; the full key is echoed
-// inside the entry so hash aliasing can never serve the wrong cell.
+// Package simstore implements the content-addressed simulation store
+// behind the experiment run cache: versioned, checksummed,
+// gzip-compressed entries keyed by canonical cell keys. Two kinds of
+// entries live in separate namespaces — encoded sim.Results under r/
+// (keyed by the full cell key) and post-warmup machine snapshots under
+// w/ (keyed by the cell key's warmup prefix). Entry names are the hex
+// SHA-256 of the key; the full key is sealed inside the entry, so hash
+// aliasing can never serve the wrong cell.
 //
-// The store is strictly best-effort: a truncated, version-mismatched,
-// key-mismatched or checksum-failing entry logs one warning, reports a
-// miss, and is rewritten by the caller's recomputation. Writes are
-// atomic (temp file + rename), so concurrent processes sharing a cache
-// directory can only ever observe complete entries.
+// A Store is the entry codec, traffic counters and corruption warnings
+// over a transport that moves whole entries: a directory (Open) or a
+// ppfstored server (NewRemote). It is strictly best-effort: a
+// truncated, version-mismatched, key-mismatched or checksum-failing
+// entry logs one warning, reports a miss, and is rewritten by the
+// caller's recomputation. Writes are atomic (temp file + rename), so
+// concurrent processes sharing a store only ever observe complete
+// entries.
 package simstore
 
 import (
@@ -20,26 +23,31 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/snap"
 )
 
-// magic identifies simstore entries; version gates the entry layout
-// and must be bumped whenever the header or payload encoding changes.
+// An entry is snap.Seal(magic, version, kind byte + key,
+// gzip(payload)); version must be bumped whenever the tag or payload
+// encoding changes. Version 1 had its own header and a CRC-32 over the
+// whole entry.
 const (
-	magic   = "PPFS"
-	version = 1
+	magic   = 0x53465050 // "PPFS"
+	version = 2
 )
 
 // Backend is the store surface the experiment run cache layers over:
 // best-effort keyed loads (a false result means "recompute and Save")
-// and atomic saves. Three implementations share it — the on-disk Store,
-// the HTTP Remote client, and the Tiered local-cache-over-remote
-// composition — so a run cache works unchanged against any of them.
+// and atomic saves. Two implementations share it — Store, over a
+// directory or a ppfstored server, and the Tiered local-cache-over-
+// remote composition — so a run cache works unchanged against either.
 type Backend interface {
 	// LoadResult returns the stored payload for a full cell key.
 	LoadResult(key string) ([]byte, bool)
@@ -71,50 +79,50 @@ type Stats struct {
 	Corrupt        uint64
 }
 
-// Store is a content-addressed entry store rooted at one directory.
-// It is safe for concurrent use by multiple goroutines and, thanks to
-// atomic writes, by multiple processes sharing the directory.
+// A transport moves whole entries, each at a location: a file path or
+// a URL.
+type transport interface {
+	// locate returns the location of entry name in subdirectory sub
+	// ("r" or "w").
+	locate(sub, name string) string
+	// get returns the entry at loc, or errNotFound if there is none.
+	get(loc string) ([]byte, error)
+	// put lands blob at loc whole or not at all.
+	put(loc string, blob []byte) error
+}
+
+// errNotFound is a clean miss: an expected cold read, never logged.
+var errNotFound = errors.New("simstore: entry not found")
+
+// Store is a content-addressed entry store over one transport. It is
+// safe for concurrent use by multiple goroutines and, thanks to atomic
+// writes, by multiple processes sharing the store.
 type Store struct {
-	dir string
+	t     transport
+	label string // the report line's prefix
 
 	mu    sync.Mutex
 	stats Stats
-	warn  warnOnce
+	// warned holds the locations already logged: a fleet of workers
+	// hammering a shared corrupt entry would otherwise log one line per
+	// worker per load. The counters still advance on every load.
+	warned map[string]bool
 }
 
-// warnOnce rate-limits corruption warnings to one line per distinct
-// key: a fleet of workers hammering a shared corrupt entry would
-// otherwise emit one warning per worker per load. The corrupt counter
-// still advances on every rejected load — only the log line is deduped.
-// Callers must hold the owning backend's mutex.
-type warnOnce struct {
-	seen map[string]struct{}
+func newStore(t transport, label string) *Store {
+	return &Store{t: t, label: label, warned: map[string]bool{}}
 }
 
-// shouldWarn reports whether this is the first warning for key.
-func (w *warnOnce) shouldWarn(key string) bool {
-	if _, ok := w.seen[key]; ok {
-		return false
-	}
-	if w.seen == nil {
-		w.seen = make(map[string]struct{})
-	}
-	w.seen[key] = struct{}{}
-	return true
-}
-
-// Open creates (if needed) and returns the store rooted at dir.
+// Open creates (if needed) and returns the store rooted at dir; making
+// the entry directories makes dir too.
 func Open(dir string) (*Store, error) {
-	for _, d := range []string{dir, filepath.Join(dir, "r"), filepath.Join(dir, "w")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
+	for _, sub := range []string{"r", "w"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("simstore: %w", err)
 		}
 	}
-	return &Store{dir: dir}, nil
+	return newStore(dirTransport(dir), "disk store"), nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Stats returns a copy of the traffic counters.
 func (s *Store) Stats() Stats {
@@ -126,16 +134,16 @@ func (s *Store) Stats() Stats {
 // ReportLine renders the store's post-run summary.
 func (s *Store) ReportLine() string {
 	st := s.Stats()
-	line := fmt.Sprintf("disk store: %d result hits / %d misses, %d snapshot hits / %d misses",
-		st.ResultHits, st.ResultMisses, st.SnapshotHits, st.SnapshotMisses)
+	line := fmt.Sprintf("%s: %d result hits / %d misses, %d snapshot hits / %d misses",
+		s.label, st.ResultHits, st.ResultMisses, st.SnapshotHits, st.SnapshotMisses)
 	if st.Corrupt > 0 {
 		line += fmt.Sprintf(", %d corrupt entries dropped", st.Corrupt)
 	}
 	return line
 }
 
-// kindDir maps an entry kind to its subdirectory (and remote URL
-// segment): results under r/, snapshots under w/.
+// kindDir maps an entry kind to its subdirectory (and URL segment):
+// results under r/, snapshots under w/.
 func kindDir(kind uint8) string {
 	if kind == kindSnapshot {
 		return "w"
@@ -144,16 +152,15 @@ func kindDir(kind uint8) string {
 }
 
 // entryName returns a key's content-addressed file (and URL) name: the
-// hex SHA-256 of the key. The full key is echoed inside the entry, so
-// hash aliasing can never serve the wrong cell.
+// hex SHA-256 of the key.
 func entryName(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:])
 }
 
-// path maps a key to its entry file.
-func (s *Store) path(kind uint8, key string) string {
-	return filepath.Join(s.dir, kindDir(kind), entryName(key))
+// locate returns where a key's entry of the given kind lives.
+func (s *Store) locate(kind uint8, key string) string {
+	return s.t.locate(kindDir(kind), entryName(key))
 }
 
 // LoadResult returns the stored payload for a full cell key, if a
@@ -178,26 +185,18 @@ func (s *Store) SaveSnapshot(key string, payload []byte) error {
 	return s.save(kindSnapshot, key, payload)
 }
 
-// load reads, verifies and decompresses one entry. Any integrity
-// failure counts as corrupt, logs one warning, and reports a miss so
-// the caller recomputes (and rewrites) the entry.
+// load fetches, verifies and decompresses one entry. Any failure
+// reports a miss so the caller recomputes (and rewrites) the entry.
 func (s *Store) load(kind uint8, key string, hits, misses *uint64) ([]byte, bool) {
-	path := s.path(kind, key)
-	raw, err := os.ReadFile(path)
+	loc := s.locate(kind, key)
+	raw, err := s.t.get(loc)
 	if err != nil {
-		s.miss(misses)
+		s.miss(misses, loc, false, err)
 		return nil, false
 	}
 	payload, err := decodeEntry(raw, kind, key)
 	if err != nil {
-		s.mu.Lock()
-		s.stats.Corrupt++
-		*misses++
-		warn := s.warn.shouldWarn(path)
-		s.mu.Unlock()
-		if warn {
-			log.Printf("simstore: dropping corrupt entry %s: %v", path, err)
-		}
+		s.miss(misses, loc, true, err)
 		return nil, false
 	}
 	s.mu.Lock()
@@ -206,57 +205,79 @@ func (s *Store) load(kind uint8, key string, hits, misses *uint64) ([]byte, bool
 	return payload, true
 }
 
-func (s *Store) miss(misses *uint64) {
+// miss counts a failed load; a corrupt entry also counts as Corrupt.
+// Every failure but a clean not-found logs once per location.
+func (s *Store) miss(misses *uint64, loc string, corrupt bool, err error) {
 	s.mu.Lock()
 	*misses++
+	if corrupt {
+		s.stats.Corrupt++
+	}
+	warn := !errors.Is(err, errNotFound) && !s.warned[loc]
+	if warn {
+		s.warned[loc] = true
+	}
 	s.mu.Unlock()
+	switch {
+	case warn && corrupt:
+		log.Printf("simstore: dropping corrupt entry %s: %v", loc, err)
+	case warn:
+		log.Printf("simstore: fetching %s: %v", loc, err)
+	}
 }
 
-// save writes one entry atomically: the bytes are assembled and
-// checksummed in memory, written to a temp file in the destination
-// directory, and renamed into place.
+// save encodes one entry and hands it to the transport, which lands it
+// atomically. Like loads, saves are best-effort from the run cache's
+// point of view, but the error is returned so fleet workers publishing
+// results can tell a dead store from a slow one.
 func (s *Store) save(kind uint8, key string, payload []byte) error {
-	path := s.path(kind, key)
+	loc := s.locate(kind, key)
 	blob, err := encodeEntry(kind, key, payload)
+	if err == nil {
+		err = s.t.put(loc, blob)
+	}
 	if err != nil {
-		return fmt.Errorf("simstore: encoding %s: %w", path, err)
-	}
-	return writeAtomic(path, blob)
-}
-
-// writeAtomic lands blob at path via temp file + rename, so concurrent
-// readers (and processes sharing the directory) only ever observe
-// complete entries.
-func writeAtomic(path string, blob []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("simstore: %w", err)
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("simstore: writing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("simstore: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("simstore: %w", err)
+		return fmt.Errorf("simstore: saving %s: %w", loc, err)
 	}
 	return nil
 }
 
-// Entry layout (all integers little-endian):
-//
-//	magic[4] version[u32] kind[u8] keyLen[u32] key[keyLen]
-//	gzip(payload)... crc[u32]
-//
-// crc is CRC-32 (IEEE) over everything preceding it. Entries are written
-// at gzip.BestSpeed: on snapshots it compresses four to five times faster
-// than the default level for a file about 10% larger. Any level decodes,
-// so entries written at another level still load.
+// dirTransport keeps entries as files under a directory.
+type dirTransport string
+
+func (d dirTransport) locate(sub, name string) string { return filepath.Join(string(d), sub, name) }
+
+func (dirTransport) get(path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, errNotFound
+	}
+	return raw, err
+}
+
+// put lands blob at path via temp file + rename, so concurrent readers
+// (and processes sharing the directory) only ever observe complete
+// entries.
+func (dirTransport) put(path string, blob []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(blob)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name()) // best effort: the error that matters is err
+	}
+	return err
+}
+
+// tag is what an entry is sealed under: its kind byte, then its key.
+func tag(kind uint8, key string) []byte { return append([]byte{kind}, key...) }
 
 // maxEntry bounds what a hostile length can make the store buffer: a
 // fetched or uploaded entry, and the payload presize decodeEntry reads
@@ -264,48 +285,31 @@ func writeAtomic(path string, blob []byte) error {
 // 8-core snapshot is about 8 MB).
 const maxEntry = 64 << 20
 
+// encodeEntry seals payload, gzipped, under its kind and key. Entries
+// are written at gzip.BestSpeed: on snapshots it compresses four to
+// five times faster than the default level for a file about 10%
+// larger. Any level decodes, so entries written at another level still
+// load.
 func encodeEntry(kind uint8, key string, payload []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	var hdr [9]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], version)
-	hdr[4] = kind
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(key)))
-	buf.Write(hdr[:])
-	buf.WriteString(key)
-	zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed) // a valid level cannot fail
+	var gz bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&gz, gzip.BestSpeed) // a valid level cannot fail
 	if _, err := zw.Write(payload); err != nil {
 		return nil, err
 	}
 	if err := zw.Close(); err != nil {
 		return nil, err
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(crc[:])
-	return buf.Bytes(), nil
+	return snap.Seal(magic, version, tag(kind, key), gz.Bytes()), nil
 }
 
 func decodeEntry(raw []byte, kind uint8, key string) ([]byte, error) {
-	const headerLen = 4 + 9
-	if err := checkEnvelope(raw); err != nil {
+	got, gz, err := snap.Unseal(raw, magic, version)
+	if err != nil {
 		return nil, err
 	}
-	body := raw[:len(raw)-4]
-	if v := binary.LittleEndian.Uint32(body[4:8]); v != version {
-		return nil, fmt.Errorf("format version %d (want %d)", v, version)
+	if want := tag(kind, key); !bytes.Equal(got, want) {
+		return nil, fmt.Errorf("entry tag %q (want %q)", got, want)
 	}
-	if k := body[8]; k != kind {
-		return nil, fmt.Errorf("entry kind %d (want %d)", k, kind)
-	}
-	keyLen := int(binary.LittleEndian.Uint32(body[9:13]))
-	if keyLen < 0 || headerLen+keyLen > len(body) {
-		return nil, fmt.Errorf("implausible key length %d", keyLen)
-	}
-	if got := string(body[headerLen : headerLen+keyLen]); got != key {
-		return nil, fmt.Errorf("key mismatch: entry holds %q", got)
-	}
-	gz := body[headerLen+keyLen:]
 	zr, err := gzip.NewReader(bytes.NewReader(gz))
 	if err != nil {
 		return nil, fmt.Errorf("payload: %w", err)
@@ -324,20 +328,4 @@ func decodeEntry(raw []byte, kind uint8, key string) ([]byte, error) {
 		return nil, fmt.Errorf("payload: %w", err)
 	}
 	return out.Bytes(), nil
-}
-
-// checkEnvelope verifies the entry framing a server can check without
-// the key: the magic prefix and the trailing CRC-32 over the body.
-func checkEnvelope(blob []byte) error {
-	if len(blob) < 4+9+4 {
-		return fmt.Errorf("entry too short (%d bytes)", len(blob))
-	}
-	if string(blob[:4]) != magic {
-		return fmt.Errorf("bad magic %q", blob[:4])
-	}
-	body, crc := blob[:len(blob)-4], binary.LittleEndian.Uint32(blob[len(blob)-4:])
-	if got := crc32.ChecksumIEEE(body); got != crc {
-		return fmt.Errorf("checksum mismatch (got %08x, want %08x)", got, crc)
-	}
-	return nil
 }

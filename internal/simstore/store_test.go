@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"hash/crc32"
+	"errors"
 	"log"
 	"math"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/snap"
 )
 
 func openTemp(t *testing.T) *Store {
@@ -57,17 +60,6 @@ func TestEmptyPayload(t *testing.T) {
 	}
 }
 
-// entryFile returns the single entry file under the store's
-// subdirectory for the given kind.
-func entryFile(t *testing.T, s *Store, sub string) string {
-	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(s.Dir(), sub, "*"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("want exactly one entry under %s, got %v (%v)", sub, matches, err)
-	}
-	return matches[0]
-}
-
 // TestCorruptionFallsBackAndRewrites is the corruption-hardening
 // golden: a bit-flipped snapshot entry must report a miss (not bad
 // data), count as corrupt, and be replaced by the caller's rewrite.
@@ -78,7 +70,7 @@ func TestCorruptionFallsBackAndRewrites(t *testing.T) {
 	if err := s.SaveSnapshot("warm-key", payload); err != nil {
 		t.Fatal(err)
 	}
-	path := entryFile(t, s, "w")
+	path := s.locate(kindSnapshot, "warm-key")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +103,7 @@ func TestTruncatedEntry(t *testing.T) {
 	if err := s.SaveResult("k", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	path := entryFile(t, s, "r")
+	path := s.locate(kindResult, "k")
 	raw, _ := os.ReadFile(path)
 	for _, n := range []int{0, 3, len(raw) / 2, len(raw) - 1} {
 		if err := os.WriteFile(path, raw[:n], 0o644); err != nil {
@@ -123,40 +115,32 @@ func TestTruncatedEntry(t *testing.T) {
 	}
 }
 
+// TestVersionMismatch writes one entry sealed at the store's version
+// and one sealed at the next: only the version differs, so the second
+// is rejected for its version alone.
 func TestVersionMismatch(t *testing.T) {
-	s := openTemp(t)
-	if err := s.SaveResult("k", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	path := entryFile(t, s, "r")
-	raw, _ := os.ReadFile(path)
-	// Bump the version field and re-checksum, simulating an entry from a
-	// future format: it must be rejected for its version, not its crc.
-	binary.LittleEndian.PutUint32(raw[4:8], version+1)
-	body := raw[:len(raw)-4]
-	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(body))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.LoadResult("k"); ok {
-		t.Fatal("version-mismatched entry served a hit")
-	}
-	if st := s.Stats(); st.Corrupt != 1 {
-		t.Fatalf("stats = %+v; want 1 corrupt", st)
+	for _, v := range []uint32{version, version + 1} {
+		s := openTemp(t)
+		raw := sealAt(t, v, kindResult, "k", []byte("payload"), gzip.BestSpeed)
+		if err := os.WriteFile(s.locate(kindResult, "k"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, ok := s.LoadResult("k")
+		if want := v == version; ok != want {
+			t.Fatalf("entry at version %d: hit = %v, want %v", v, ok, want)
+		}
+		if st := s.Stats(); !ok && st.Corrupt != 1 {
+			t.Fatalf("stats = %+v; want 1 corrupt", st)
+		}
 	}
 }
 
-// entryAtLevel assembles an entry in the store's layout by hand, with
-// its payload compressed at the given gzip level.
-func entryAtLevel(t *testing.T, kind uint8, key string, payload []byte, level int) []byte {
+// sealAt builds an entry by hand through snap.Seal: payload compressed
+// at the given gzip level, sealed at format version v.
+func sealAt(t *testing.T, v uint32, kind uint8, key string, payload []byte, level int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	buf.Write(binary.LittleEndian.AppendUint32(nil, version))
-	buf.WriteByte(kind)
-	buf.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(key))))
-	buf.WriteString(key)
-	zw, err := gzip.NewWriterLevel(&buf, level)
+	var gz bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&gz, level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +150,7 @@ func entryAtLevel(t *testing.T, kind uint8, key string, payload []byte, level in
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.ChecksumIEEE(buf.Bytes()))
+	return snap.Seal(magic, v, tag(kind, key), gz.Bytes())
 }
 
 // TestLoadsDefaultCompressionEntry pins that the compression level is
@@ -179,7 +163,7 @@ func TestLoadsDefaultCompressionEntry(t *testing.T) {
 	for i := uint32(0); i < 8192; i++ {
 		payload = binary.LittleEndian.AppendUint32(payload, i*i%1021)
 	}
-	raw := entryAtLevel(t, kindSnapshot, "warm-key", payload, gzip.DefaultCompression)
+	raw := sealAt(t, version, kindSnapshot, "warm-key", payload, gzip.DefaultCompression)
 	fast, err := encodeEntry(kindSnapshot, "warm-key", payload)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +171,7 @@ func TestLoadsDefaultCompressionEntry(t *testing.T) {
 	if bytes.Equal(raw, fast) {
 		t.Fatal("DefaultCompression and BestSpeed wrote identical entries; the test checks nothing")
 	}
-	if err := os.WriteFile(s.path(kindSnapshot, "warm-key"), raw, 0o644); err != nil {
+	if err := os.WriteFile(s.locate(kindSnapshot, "warm-key"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := s.LoadSnapshot("warm-key")
@@ -197,23 +181,22 @@ func TestLoadsDefaultCompressionEntry(t *testing.T) {
 }
 
 // TestLyingSizeTrailer pins the bound on decode's presize: an entry whose
-// envelope checksum is valid but whose gzip trailer claims a 4 GiB
-// payload is a corrupt miss, and loading it allocates no more than the
-// maxEntry cap.
+// seal is valid but whose gzip trailer claims a 4 GiB payload is a
+// corrupt miss, rejected by gzip's own length check, and loading it
+// allocates no more than the maxEntry cap.
 func TestLyingSizeTrailer(t *testing.T) {
 	s := openTemp(t)
-	if err := s.SaveSnapshot("k", bytes.Repeat([]byte("machine state "), 64)); err != nil {
-		t.Fatal(err)
-	}
-	path := entryFile(t, s, "w")
-	raw, err := os.ReadFile(path)
+	raw := sealAt(t, version, kindSnapshot, "k", bytes.Repeat([]byte("machine state "), 64), gzip.BestSpeed)
+	_, gz, err := snap.Unseal(raw, magic, version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := raw[:len(raw)-4]
-	binary.LittleEndian.PutUint32(body[len(body)-4:], math.MaxUint32) // gzip ISIZE
-	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(body))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	binary.LittleEndian.PutUint32(gz[len(gz)-4:], math.MaxUint32) // gzip ISIZE
+	raw = snap.Seal(magic, version, tag(kindSnapshot, "k"), gz)
+	if _, err := decodeEntry(raw, kindSnapshot, "k"); !errors.Is(err, gzip.ErrChecksum) {
+		t.Fatalf("decode: %v, want the gzip trailer check (gzip.ErrChecksum)", err)
+	}
+	if err := os.WriteFile(s.locate(kindSnapshot, "k"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -239,11 +222,11 @@ func TestKeyEchoGuardsAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Copy a's entry file onto b's address.
-	raw, err := os.ReadFile(s.path(kindResult, "key-a"))
+	raw, err := os.ReadFile(s.locate(kindResult, "key-a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(kindResult, "key-b"), raw, 0o644); err != nil {
+	if err := os.WriteFile(s.locate(kindResult, "key-b"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := s.LoadResult("key-b"); ok {
@@ -281,12 +264,20 @@ func TestConcurrentSameKey(t *testing.T) {
 	}
 }
 
+// TestReportLine pins the summary text of both transports: one Store
+// renders them, and only the prefix differs.
 func TestReportLine(t *testing.T) {
-	s := openTemp(t)
-	s.LoadResult("miss")
-	line := s.ReportLine()
-	want := "disk store: 0 result hits / 1 misses, 0 snapshot hits / 0 misses"
-	if line != want {
-		t.Fatalf("ReportLine = %q, want %q", line, want)
+	srv := httptest.NewServer(Handler(openTemp(t)))
+	defer srv.Close()
+	for s, prefix := range map[*Store]string{
+		openTemp(t):              "disk store",
+		NewRemote(srv.URL + "/"): "remote store " + srv.URL,
+	} {
+		s.LoadResult("miss")
+		line := s.ReportLine()
+		want := prefix + ": 0 result hits / 1 misses, 0 snapshot hits / 0 misses"
+		if line != want {
+			t.Fatalf("ReportLine = %q, want %q", line, want)
+		}
 	}
 }

@@ -12,6 +12,10 @@
 // no tags or lengths, because slice and array geometry is pinned by the
 // machine configuration that is part of the snapshot's cache key. Only
 // genuinely variable-length sequences use an explicit Len prefix.
+//
+// Seal and Unseal frame a finished stream for storage or transfer
+// behind a magic number, a version, a tag and a checksum; every
+// snapshot and store entry in the module is sealed this way.
 package snap
 
 import (
@@ -35,10 +39,12 @@ const maxLen = 1 << 24
 // no-ops once an error is latched, so walk functions never need to
 // check errors mid-walk — callers inspect Err (or Finish) at the end.
 type Walker struct {
-	encoding bool
-	buf      []byte // encode: output; decode: input
-	off      int    // decode: read cursor
-	err      error
+	encoding  bool
+	measuring bool   // encode: count the stream's bytes, store none (SealWalk)
+	measured  int    // encode: bytes counted while measuring
+	buf       []byte // encode: output; decode: input
+	off       int    // decode: read cursor
+	err       error
 }
 
 // NewEncoder returns a walker that appends walked fields to an
@@ -118,6 +124,18 @@ func (w *Walker) fail() {
 	}
 }
 
+// appending reports whether an encoder stores the next n-byte field: a
+// measuring encoder only counts it, and a latched error drops it.
+//
+//ppflint:hotpath
+func (w *Walker) appending(n int) bool {
+	if w.measuring {
+		w.measured += n
+		return false
+	}
+	return w.err == nil
+}
+
 // need reports whether n more input bytes are available to a decoder.
 //
 //ppflint:hotpath
@@ -137,7 +155,7 @@ func (w *Walker) need(n int) bool {
 //ppflint:hotpath
 func (w *Walker) Uint64(v *uint64) {
 	if w.encoding {
-		if w.err == nil {
+		if w.appending(8) {
 			w.buf = binary.LittleEndian.AppendUint64(w.buf, *v)
 		}
 		return
@@ -151,7 +169,7 @@ func (w *Walker) Uint64(v *uint64) {
 // Uint32 walks one 32-bit unsigned field.
 func (w *Walker) Uint32(v *uint32) {
 	if w.encoding {
-		if w.err == nil {
+		if w.appending(4) {
 			w.buf = binary.LittleEndian.AppendUint32(w.buf, *v)
 		}
 		return
@@ -167,7 +185,7 @@ func (w *Walker) Uint32(v *uint32) {
 //ppflint:hotpath
 func (w *Walker) Uint16(v *uint16) {
 	if w.encoding {
-		if w.err == nil {
+		if w.appending(2) {
 			w.buf = binary.LittleEndian.AppendUint16(w.buf, *v)
 		}
 		return
@@ -183,7 +201,7 @@ func (w *Walker) Uint16(v *uint16) {
 //ppflint:hotpath
 func (w *Walker) Uint8(v *uint8) {
 	if w.encoding {
-		if w.err == nil {
+		if w.appending(1) {
 			w.buf = append(w.buf, *v)
 		}
 		return
@@ -327,7 +345,7 @@ func (w *Walker) Take(n int) []byte {
 //ppflint:hotpath
 func (w *Walker) Uint64s(v []uint64) {
 	if w.encoding {
-		if w.err == nil {
+		if w.appending(8 * len(v)) {
 			for _, x := range v {
 				w.buf = binary.LittleEndian.AppendUint64(w.buf, x)
 			}
@@ -345,7 +363,7 @@ func (w *Walker) Uint64s(v []uint64) {
 // Uint16s walks a fixed-length []uint16 in place.
 func (w *Walker) Uint16s(v []uint16) {
 	if w.encoding {
-		if w.err == nil {
+		if w.appending(2 * len(v)) {
 			for _, x := range v {
 				w.buf = binary.LittleEndian.AppendUint16(w.buf, x)
 			}
@@ -363,7 +381,7 @@ func (w *Walker) Uint16s(v []uint16) {
 // Uint8s walks a fixed-length []uint8 in place.
 func (w *Walker) Uint8s(v []uint8) {
 	if w.encoding {
-		if w.err == nil {
+		if w.appending(len(v)) {
 			w.buf = append(w.buf, v...)
 		}
 		return
@@ -377,7 +395,7 @@ func (w *Walker) Uint8s(v []uint8) {
 // Int8s walks a fixed-length []int8 in place.
 func (w *Walker) Int8s(v []int8) {
 	if w.encoding {
-		if w.err == nil {
+		if w.appending(len(v)) {
 			for _, x := range v {
 				w.buf = append(w.buf, uint8(x))
 			}

@@ -115,7 +115,7 @@ func benchFleet(n int, b experiment.Budget) (f fleetBench, err error) {
 	storeURL := "http://" + httpLis.Addr().String()
 
 	coord := NewCoordinator(Config{
-		Store:        simstore.NewRemote(storeURL, nil),
+		Store:        simstore.NewRemote(storeURL),
 		LeaseTimeout: time.Minute,
 	})
 	fabLis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -132,7 +132,7 @@ func benchFleet(n int, b experiment.Budget) (f fleetBench, err error) {
 		go func(i int) {
 			defer wg.Done()
 			rc := experiment.NewRunCache()
-			rc.AttachStore(simstore.NewRemote(storeURL, nil))
+			rc.AttachStore(simstore.NewRemote(storeURL))
 			workerStats[i], workerErrs[i] = RunWorker(fabLis.Addr().String(), WorkerConfig{
 				Name: fmt.Sprintf("bench-w%d", i),
 				Exec: experiment.Exec{Cache: rc},
@@ -161,7 +161,7 @@ func benchFleet(n int, b experiment.Budget) (f fleetBench, err error) {
 	// Warm replay: a fresh cache over the published store re-renders the
 	// sweep with no fleet at all, so the board must grant no lease.
 	warmRC := experiment.NewRunCache()
-	warmRC.AttachStore(simstore.NewRemote(storeURL, nil))
+	warmRC.AttachStore(simstore.NewRemote(storeURL))
 	start = time.Now() //ppflint:allow determinism bench wall-clock measurement
 	experiment.ThresholdSweep(experiment.Exec{Workers: benchEnumWorkers, Cache: warmRC}, b)
 	warmSec := time.Since(start).Seconds() //ppflint:allow determinism bench wall-clock measurement

@@ -33,7 +33,7 @@ func fleetRun(t *testing.T, n int) (render string, counters Counters, misses uin
 	defer httpSrv.Close()
 
 	coord := NewCoordinator(Config{
-		Store:        simstore.NewRemote(httpSrv.URL, nil),
+		Store:        simstore.NewRemote(httpSrv.URL),
 		LeaseTimeout: time.Minute,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -50,7 +50,7 @@ func fleetRun(t *testing.T, n int) (render string, counters Counters, misses uin
 		go func(i int) {
 			defer wg.Done()
 			rc := experiment.NewRunCache()
-			rc.AttachStore(simstore.NewRemote(httpSrv.URL, nil))
+			rc.AttachStore(simstore.NewRemote(httpSrv.URL))
 			workers[i], errs[i] = RunWorker(lis.Addr().String(), WorkerConfig{
 				Name: fmt.Sprintf("w%d", i),
 				Exec: experiment.Exec{Cache: rc},
@@ -128,7 +128,7 @@ func TestFleetWarmReplay(t *testing.T) {
 	defer httpSrv.Close()
 
 	coord := NewCoordinator(Config{
-		Store:        simstore.NewRemote(httpSrv.URL, nil),
+		Store:        simstore.NewRemote(httpSrv.URL),
 		LeaseTimeout: time.Minute,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -141,7 +141,7 @@ func TestFleetWarmReplay(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		rc := experiment.NewRunCache()
-		rc.AttachStore(simstore.NewRemote(httpSrv.URL, nil))
+		rc.AttachStore(simstore.NewRemote(httpSrv.URL))
 		RunWorker(lis.Addr().String(), WorkerConfig{Name: "w0", Exec: experiment.Exec{Cache: rc}})
 	}()
 	rc := experiment.NewRunCache()
@@ -152,7 +152,7 @@ func TestFleetWarmReplay(t *testing.T) {
 
 	// Warm replay: no fabric, no workers — just the published store.
 	warm := experiment.NewRunCache()
-	warm.AttachStore(simstore.NewRemote(httpSrv.URL, nil))
+	warm.AttachStore(simstore.NewRemote(httpSrv.URL))
 	replay := experiment.ThresholdSweep(experiment.Exec{Workers: 4, Cache: warm}, fleetBudget).Render()
 	if replay != fleet {
 		t.Fatal("warm replay over the published store diverged from the fleet run")
@@ -174,7 +174,7 @@ func TestFleetCrashRerunsOnce(t *testing.T) {
 	httpSrv := httptest.NewServer(simstore.Handler(serverStore))
 	defer httpSrv.Close()
 	coord := NewCoordinator(Config{
-		Store:        simstore.NewRemote(httpSrv.URL, nil),
+		Store:        simstore.NewRemote(httpSrv.URL),
 		LeaseTimeout: time.Minute,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -212,7 +212,7 @@ func TestFleetCrashRerunsOnce(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		rc := experiment.NewRunCache()
-		rc.AttachStore(simstore.NewRemote(httpSrv.URL, nil))
+		rc.AttachStore(simstore.NewRemote(httpSrv.URL))
 		stats, _ = RunWorker(lis.Addr().String(), WorkerConfig{Name: "rescue", Exec: experiment.Exec{Cache: rc}})
 	}()
 
@@ -299,7 +299,7 @@ func TestRunCellFailureBounded(t *testing.T) {
 	}
 	httpSrv := httptest.NewServer(simstore.Handler(serverStore))
 	defer httpSrv.Close()
-	coord := NewCoordinator(Config{Store: simstore.NewRemote(httpSrv.URL, nil), LeaseTimeout: time.Minute})
+	coord := NewCoordinator(Config{Store: simstore.NewRemote(httpSrv.URL), LeaseTimeout: time.Minute})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestRunCellFailureBounded(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		rc := experiment.NewRunCache()
-		rc.AttachStore(simstore.NewRemote(httpSrv.URL, nil))
+		rc.AttachStore(simstore.NewRemote(httpSrv.URL))
 		stats, werr = RunWorker(lis.Addr().String(), WorkerConfig{Name: "w", Exec: experiment.Exec{Cache: rc}})
 	}()
 
