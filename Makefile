@@ -66,10 +66,13 @@ perfbench-check:
 # TestPipelinedClientOrdering queues 16 batches ahead of the server,
 # which reads each frame into the connection's one reused receive
 # buffer; a frame read over a batch still being decoded or applied
-# shows up as a wrong verdict.
+# shows up as a wrong verdict. The third line repeats the runner's
+# tests 50 times: a job started after another job's panic, or a job's
+# wall-time slot read before its worker wrote it, shows up there.
 race:
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/engine/... ./internal/runner/...
 	$(GO) test -race -count=50 -run 'TestLeaseFreeAfterErrorFrame|TestProtocolErrors|TestSessionBusy|TestSessionReattach|TestConnectionChurn|TestSlowClientShed|TestPipelinedClientOrdering' ./internal/serve/
+	$(GO) test -race -count=50 ./internal/runner/
 
 # determinism re-runs only the golden tests that prove -j 1 and -j 8
 # produce byte-identical experiment reports.

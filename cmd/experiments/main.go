@@ -14,8 +14,8 @@
 // Results are deterministic at any -j: every sweep enumerates its
 // (scheme, workload, seed) cells in a fixed order and gathers by cell,
 // so the rendered tables are byte-identical whether -j is 1 or 64.
-// -progress streams live done/total/ETA lines and a per-job wall-time
-// summary to stderr.
+// -progress streams live done/total/ETA lines to stderr, and ends each
+// sweep with a summary of its jobs' wall times.
 //
 // Distributed mode spreads the same sweeps over a fleet:
 //
@@ -49,7 +49,6 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/simstore"
-	"repro/internal/stats"
 	"repro/internal/sweepfab"
 )
 
@@ -118,7 +117,7 @@ func main() {
 	jobs := flag.Int("j", 0, "max parallel simulation jobs (0 = GOMAXPROCS); any value yields identical tables")
 	nocache := flag.Bool("nocache", false, "disable the run cache and the disk store (same tables, more wall-clock)")
 	cachedir := flag.String("cachedir", ".simcache", "persistent sim-store directory ('' = in-memory cache only)")
-	progress := flag.Bool("progress", false, "stream sweep progress/ETA and per-job timing to stderr")
+	progress := flag.Bool("progress", false, "stream sweep progress/ETA and each sweep's job-time summary to stderr")
 	jsonDir := flag.String("json", "", "also write each result as JSON into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile after the selected experiments to this file")
@@ -260,10 +259,8 @@ func main() {
 	}
 	for _, r := range selected {
 		x := experiment.Exec{Workers: *jobs, Cache: cache}
-		var tm stats.Timings
 		if *progress {
 			x.Progress = os.Stderr
-			x.Timings = &tm
 		}
 		start := time.Now() //ppflint:allow determinism wall time is operator feedback, not report data
 		fmt.Printf("==== %s: %s ====\n", r.name, r.desc)
@@ -271,11 +268,6 @@ func main() {
 		wall := time.Since(start) //ppflint:allow determinism wall time is operator feedback, not report data
 		fmt.Println(rendered)
 		fmt.Printf("(%s in %.1fs)\n\n", r.name, wall.Seconds())
-		if *progress && tm.Len() > 0 {
-			s := tm.Summary()
-			fmt.Fprintf(os.Stderr, "%s timing: %s; %.1fx job-time/wall ratio\n",
-				r.name, s, s.Total.Seconds()/wall.Seconds())
-		}
 		if *jsonDir != "" {
 			blob, err := json.MarshalIndent(data, "", "  ")
 			if err != nil {

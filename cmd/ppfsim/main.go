@@ -80,7 +80,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	wl := fs.String("workload", "", "workload name (see -listworkloads)")
 	traceFile := fs.String("trace", "", "trace file, native .ppft or ChampSim format, optionally gzipped (alternative to -workload)")
-	scheme := fs.String("scheme", "ppf", "none | bop | da-ampm | spp | ppf | vldp | sms | sandbox")
+	scheme := fs.String("scheme", "ppf", fmt.Sprintf("one of %v, or ppf[tau_hi=N,tau_lo=M]", experiment.NamedSchemes()))
 	cores := fs.Int("cores", 1, "number of cores (the workload runs on every core)")
 	warmup := fs.Uint64("warmup", 200_000, "warmup instructions per core")
 	detail := fs.Uint64("detail", 1_000_000, "detailed instructions per core")
@@ -117,7 +117,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if !ok {
 			return fatalf("unknown workload %q (try -listworkloads)", *wl)
 		}
-		return runComparison(stdout, stderr, w, *seed, *warmup, *detail)
+		runComparison(stdout, w, *seed, *warmup, *detail)
+		return 0
+	}
+
+	if err := experiment.CheckScheme(experiment.Scheme(*scheme)); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	cfg := sim.DefaultConfig(*cores)
@@ -211,23 +217,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runComparison runs every scheme on one workload and prints a table.
-func runComparison(stdout, stderr io.Writer, w workload.Workload, seed, warmup, detail uint64) int {
-	schemes := []experiment.Scheme{
-		experiment.SchemeNone, experiment.SchemeBOP, experiment.SchemeAMPM,
-		experiment.SchemeSPP, experiment.SchemePPF, experiment.SchemeVLDP,
-		experiment.SchemeSMS, experiment.SchemeSandbox,
-	}
+// runComparison runs every named scheme on one workload and prints a
+// table.
+func runComparison(stdout io.Writer, w workload.Workload, seed, warmup, detail uint64) {
 	fmt.Fprintf(stdout, "%-10s %8s %9s %10s %10s %10s\n",
 		"scheme", "IPC", "speedup", "L2 MPKI", "pf issued", "pf useful")
 	var baseIPC float64
-	for _, s := range schemes {
-		res, err := experiment.RunSingle(sim.DefaultConfig(1), s, w, seed,
+	for _, s := range experiment.NamedSchemes() {
+		res := experiment.Exec{}.RunSingle(sim.DefaultConfig(1), s, w, seed,
 			experiment.Budget{Warmup: warmup, Detail: detail})
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", s, err)
-			return 1
-		}
 		c := res.PerCore[0]
 		rel := "—"
 		if s == experiment.SchemeNone {
@@ -238,5 +236,4 @@ func runComparison(stdout, stderr io.Writer, w workload.Workload, seed, warmup, 
 		fmt.Fprintf(stdout, "%-10s %8.3f %9s %10.2f %10d %10d\n",
 			s, c.IPC, rel, c.L2.DemandMPKI(c.Instructions), c.PrefetchesIssued, c.PrefetchesUseful)
 	}
-	return 0
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiment"
 	"repro/internal/trace"
 	"repro/internal/tracefile"
 	"repro/internal/workload"
@@ -192,5 +193,19 @@ func TestUnknownWorkloadExitsNonzero(t *testing.T) {
 	code, _, _ = runPpfsim(t)
 	if code == 0 {
 		t.Fatal("no -workload/-trace should exit nonzero")
+	}
+}
+
+// TestUnknownSchemeExitsUsage: a mistyped -scheme is a usage error that
+// names the known schemes, not a panic from the setup builder.
+func TestUnknownSchemeExitsUsage(t *testing.T) {
+	code, _, stderr := runPpfsim(t, "-workload", "603.bwaves_s", "-scheme", "bogus")
+	if code != 2 || !strings.Contains(stderr, `unknown scheme "bogus"`) {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	for _, s := range experiment.NamedSchemes() {
+		if !strings.Contains(stderr, string(s)) {
+			t.Errorf("stderr %q does not name scheme %s", stderr, s)
+		}
 	}
 }

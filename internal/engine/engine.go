@@ -1,16 +1,15 @@
-// Package engine is the public facade over the PPF kernel
+// Package engine is the served facade over the PPF kernel
 // (internal/core): a Session owns one filter instance and exposes the
-// explicit lifecycle a long-lived consumer needs — create, decide,
-// train, snapshot/restore, reset — behind one type. Both the simulator
-// (internal/sim) and the decision server (internal/serve, cmd/ppfd)
-// drive the kernel through a Session, so the hot-path calling
-// convention (*FeatureInput everywhere) cannot fork between offline
-// sweeps and the served path.
+// lifecycle the decision server (internal/serve, cmd/ppfd) needs —
+// create, apply event batches, snapshot/restore, reset — behind one
+// type. The simulator (internal/sim) calls core.Filter directly; a
+// candidate event carries the same *FeatureInput it passes, so the
+// calling convention cannot fork between offline sweeps and the served
+// path.
 //
-// A Session, like the filter it wraps, is single-goroutine: the
-// simulator owns its sessions outright, and the server gives every
-// client connection a dedicated worker, so no locking is needed on the
-// per-event path. Cross-client isolation in the server comes from
+// A Session, like the filter it wraps, is single-goroutine: the server
+// gives every client connection a dedicated worker, so no locking is
+// needed on the per-event path. Cross-client isolation comes from
 // sharding — one Session per client — not from locks around a shared
 // filter.
 package engine
@@ -37,9 +36,8 @@ type Session struct {
 // New creates a session around a freshly-constructed filter.
 func New(cfg core.Config) *Session { return &Session{f: core.New(cfg)} }
 
-// Wrap adopts an existing filter (the simulator builds filters in its
-// experiment setup code and hands them to cores). Wrap(nil) returns
-// nil, so "no filter attached" stays a plain nil check for consumers.
+// Wrap adopts an existing filter. Wrap(nil) returns nil, so "no filter
+// attached" stays a plain nil check for consumers.
 func Wrap(f *core.Filter) *Session {
 	if f == nil {
 		return nil
@@ -47,56 +45,12 @@ func Wrap(f *core.Filter) *Session {
 	return &Session{f: f}
 }
 
-// Filter exposes the wrapped kernel for consumers that need the raw
-// surface (training observers, weight dumps). Nil-safe.
-func (s *Session) Filter() *core.Filter {
-	if s == nil {
-		return nil
-	}
-	return s.f
-}
-
-// Config returns the wrapped filter's configuration.
-func (s *Session) Config() core.Config { return s.f.Config() }
-
-// Decide scores one candidate; see core.Filter.Decide for the
-// decide/record split contract.
-func (s *Session) Decide(in *core.FeatureInput) core.Decision { return s.f.Decide(in) }
-
-// RecordIssue logs an issued prefetch under the decision carried out.
-func (s *Session) RecordIssue(in *core.FeatureInput, d core.Decision) { s.f.RecordIssue(in, d) }
-
-// RecordReject logs a filtered-out candidate in the Reject Table.
-func (s *Session) RecordReject(in *core.FeatureInput) { s.f.RecordReject(in) }
-
-// RecordSquashed accounts an accepted candidate squashed before issue.
-func (s *Session) RecordSquashed() { s.f.RecordSquashed() }
-
-// OnDemand trains the filter from a demand access.
-func (s *Session) OnDemand(addr uint64) { s.f.OnDemand(addr) }
-
-// OnEvict trains the filter from an eviction.
-func (s *Session) OnEvict(addr uint64, used bool) { s.f.OnEvict(addr, used) }
-
-// OnLoadPC records a retired load PC into the history register file.
-func (s *Session) OnLoadPC(pc uint64) { s.f.OnLoadPC(pc) }
-
-// PCHist exposes the current load-PC history.
-func (s *Session) PCHist() core.PCHistory { return s.f.PCHist() }
-
 // Stats returns a copy of the filter's counters.
 func (s *Session) Stats() core.Stats { return s.f.Stats() }
-
-// ResetStats clears the counters, keeping learned weights.
-func (s *Session) ResetStats() { s.f.ResetStats() }
 
 // Reset returns the session to its freshly-created state — weights,
 // record tables, history and stats — for re-lease to a new client.
 func (s *Session) Reset() { s.f.Reset() }
-
-// SnapshotWalk serializes the session's filter state (internal/sim
-// embeds sessions in machine snapshots through this).
-func (s *Session) SnapshotWalk(w *snap.Walker) { s.f.SnapshotWalk(w) }
 
 // Apply executes one event against the session. For candidate events it
 // returns the verdict and true; training events return (0, false). A

@@ -43,7 +43,7 @@ func eventStream(seed int64, n int) []Event {
 func sessionBytes(t *testing.T, s *Session) []byte {
 	t.Helper()
 	w := snap.NewEncoder()
-	s.SnapshotWalk(w)
+	s.f.SnapshotWalk(w)
 	blob, err := w.Bytes()
 	if err != nil {
 		t.Fatalf("encoding session: %v", err)
@@ -172,9 +172,9 @@ func TestWrapNil(t *testing.T) {
 	if Wrap(nil) != nil {
 		t.Fatal("Wrap(nil) != nil")
 	}
-	var s *Session
-	if s.Filter() != nil {
-		t.Fatal("nil session Filter() != nil")
+	f := core.New(core.DefaultConfig())
+	if s := Wrap(f); s == nil || s.f != f {
+		t.Fatal("Wrap(f) does not adopt f")
 	}
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	ppf "repro/internal/core"
@@ -26,15 +27,6 @@ type AblationResult struct {
 	Rows     []AblationRow
 }
 
-// ablationSetup builds a PPF setup with a custom filter constructor.
-func ablationSetup(w workload.Workload, seed uint64, mk func() *ppf.Filter) sim.CoreSetup {
-	return sim.CoreSetup{
-		Trace:      w.NewReader(seed),
-		Prefetcher: prefetch.NewSPP(prefetch.AggressiveSPPConfig()),
-		Filter:     mk(),
-	}
-}
-
 // variantGeomean folds one variant's per-workload IPCs into a geomean
 // speedup over the shared baselines.
 func variantGeomean(ipcs, baseIPC []float64) float64 {
@@ -46,9 +38,12 @@ func variantGeomean(ipcs, baseIPC []float64) float64 {
 }
 
 // Ablation runs the variant study over the memory-intensive subset. The
-// no-prefetch baselines run once as a parallel phase (historically they
-// were re-simulated per variant — same numbers, wasted work), then every
-// (variant, workload) cell fans out as one job matrix.
+// no-prefetch baselines run once as a parallel phase, then every
+// (variant, workload) cell fans out as one job matrix. The variants that
+// are named schemes (plain SPP, full PPF, the single-threshold filter)
+// run through the run cache, so they share their cells with Figure 9
+// and the threshold sweep; the leave-one-out filters have no scheme name
+// and simulate directly.
 func Ablation(x Exec, b Budget) AblationResult {
 	ws := sortedCopy(workload.SPEC2017MemIntensive())
 	var res AblationResult
@@ -58,52 +53,35 @@ func Ablation(x Exec, b Budget) AblationResult {
 	// The variant matrix: plain SPP (reference, no filter), full PPF,
 	// leave-one-out per feature, and the single-threshold filter.
 	type variant struct {
-		name string
-		mk   func() *ppf.Filter // nil = plain SPP at its default config
+		name   string
+		scheme Scheme
+		feats  []ppf.FeatureSpec // the leave-one-out filter's features, when scheme is ""
 	}
-	variants := []variant{
-		{name: "spp", mk: nil},
-		{name: "full", mk: func() *ppf.Filter { return ppf.New(ppf.DefaultConfig()) }},
-	}
+	variants := []variant{{name: "spp", scheme: SchemeSPP}, {name: "full", scheme: SchemePPF}}
 	full := ppf.DefaultFeatures()
 	for drop := range full {
-		drop := drop
 		variants = append(variants, variant{
-			name: "without " + full[drop].Name,
-			mk: func() *ppf.Filter {
-				feats := make([]ppf.FeatureSpec, 0, len(full)-1)
-				for i, spec := range ppf.DefaultFeatures() {
-					if i != drop {
-						feats = append(feats, spec)
-					}
-				}
-				cfg := ppf.DefaultConfig()
-				cfg.Features = feats
-				return ppf.New(cfg)
-			},
+			name:  "without " + full[drop].Name,
+			feats: slices.Delete(slices.Clone(full), drop, drop+1),
 		})
 	}
 	// Single threshold: no LLC middle band (TauLo == TauHi), so every
 	// accepted prefetch fills the L2.
-	variants = append(variants, variant{
-		name: "single threshold (no LLC band)",
-		mk: func() *ppf.Filter {
-			cfg := ppf.DefaultConfig()
-			cfg.TauLo = cfg.TauHi
-			return ppf.New(cfg)
-		},
-	})
+	tauHi := ppf.DefaultConfig().TauHi
+	variants = append(variants, variant{name: "single threshold (no LLC band)", scheme: PPFVariant(tauHi, tauHi)})
 
 	ipcs := runJobs(x, "ablation", len(variants)*len(ws), func(i int) float64 {
 		v, w := variants[i/len(ws)], ws[i%len(ws)]
-		if v.mk == nil {
-			return x.runSingle(sim.DefaultConfig(1), SchemeSPP, w, 1, b).PerCore[0].IPC
+		if v.scheme != "" {
+			return x.RunSingle(sim.DefaultConfig(1), v.scheme, w, 1, b).PerCore[0].IPC
 		}
-		sys, err := sim.NewSystem(sim.DefaultConfig(1), []sim.CoreSetup{ablationSetup(w, 1, v.mk)})
-		if err != nil {
-			panic(err)
-		}
-		return sys.Run(b.Warmup, b.Detail).PerCore[0].IPC
+		cfg := ppf.DefaultConfig()
+		cfg.Features = v.feats
+		return runSetup(sim.CoreSetup{
+			Trace:      w.NewReader(1),
+			Prefetcher: prefetch.NewSPP(prefetch.AggressiveSPPConfig()),
+			Filter:     ppf.New(cfg),
+		}, b).PerCore[0].IPC
 	})
 
 	for vi, v := range variants {
@@ -148,27 +126,30 @@ type GeneralityRow struct {
 }
 
 // GeneralityResult demonstrates the paper's §3.2 claim that PPF adapts to
-// any underlying prefetcher, by filtering next-line and stride engines.
+// any underlying prefetcher, by filtering seven other prefetch engines.
 type GeneralityResult struct{ Rows []GeneralityRow }
 
-// Generality measures next-line and stride prefetchers with and without a
-// PPF filter over the memory-intensive subset. The no-prefetch baselines
-// run once (historically re-simulated for all 14 engine variants), then
-// every (engine, filtered, workload) cell is one job.
+// Generality measures seven prefetchers with and without a PPF filter
+// over the memory-intensive subset. The no-prefetch baselines run once,
+// then every (engine, filtered, workload) cell is one job. An unfiltered
+// engine that is a named scheme runs through the run cache (DA-AMPM's
+// cells are Figure 9's); the rest have no scheme name and simulate
+// directly.
 func Generality(x Exec, b Budget) GeneralityResult {
 	ws := sortedCopy(workload.SPEC2017MemIntensive())
 	var res GeneralityResult
 	engines := []struct {
-		name string
-		mk   func() prefetch.Prefetcher
+		name   string
+		scheme Scheme // the unfiltered engine's scheme, or ""
+		mk     func() prefetch.Prefetcher
 	}{
-		{"next-line(4)", func() prefetch.Prefetcher { return prefetch.NewNextLine(4) }},
-		{"stride(4)", func() prefetch.Prefetcher { return prefetch.NewStride(4) }},
-		{"bop(2)", func() prefetch.Prefetcher { return prefetch.NewBOP(prefetch.BOPConfig{Degree: 2}) }},
-		{"da-ampm", func() prefetch.Prefetcher { return prefetch.NewAMPM(prefetch.DefaultAMPMConfig()) }},
-		{"vldp", func() prefetch.Prefetcher { return prefetch.NewVLDP(prefetch.DefaultVLDPConfig()) }},
-		{"sms", func() prefetch.Prefetcher { return prefetch.NewSMS(prefetch.DefaultSMSConfig()) }},
-		{"sandbox", func() prefetch.Prefetcher { return prefetch.NewSandbox(prefetch.DefaultSandboxConfig()) }},
+		{"next-line(4)", "", func() prefetch.Prefetcher { return prefetch.NewNextLine(4) }},
+		{"stride(4)", "", func() prefetch.Prefetcher { return prefetch.NewStride(4) }},
+		{"bop(2)", "", func() prefetch.Prefetcher { return prefetch.NewBOP(prefetch.BOPConfig{Degree: 2}) }},
+		{"da-ampm", SchemeAMPM, func() prefetch.Prefetcher { return prefetch.NewAMPM(prefetch.DefaultAMPMConfig()) }},
+		{"vldp", SchemeVLDP, func() prefetch.Prefetcher { return prefetch.NewVLDP(prefetch.DefaultVLDPConfig()) }},
+		{"sms", SchemeSMS, func() prefetch.Prefetcher { return prefetch.NewSMS(prefetch.DefaultSMSConfig()) }},
+		{"sandbox", SchemeSandbox, func() prefetch.Prefetcher { return prefetch.NewSandbox(prefetch.DefaultSandboxConfig()) }},
 	}
 
 	baseIPC := baselineIPCs(x, sim.DefaultConfig(1), ws, 1, b)
@@ -179,15 +160,14 @@ func Generality(x Exec, b Budget) GeneralityResult {
 	ipcs := runJobs(x, "generality", variants*len(ws), func(i int) float64 {
 		vi, w := i/len(ws), ws[i%len(ws)]
 		eng, filtered := engines[vi/2], vi%2 == 1
+		if !filtered && eng.scheme != "" {
+			return x.RunSingle(sim.DefaultConfig(1), eng.scheme, w, 1, b).PerCore[0].IPC
+		}
 		setup := sim.CoreSetup{Trace: w.NewReader(1), Prefetcher: eng.mk()}
 		if filtered {
 			setup.Filter = ppf.New(ppf.DefaultConfig())
 		}
-		sys, err := sim.NewSystem(sim.DefaultConfig(1), []sim.CoreSetup{setup})
-		if err != nil {
-			panic(err)
-		}
-		return sys.Run(b.Warmup, b.Detail).PerCore[0].IPC
+		return runSetup(setup, b).PerCore[0].IPC
 	})
 
 	for vi := 0; vi < variants; vi++ {

@@ -56,6 +56,36 @@ func TestRunCacheGolden(t *testing.T) {
 	}
 }
 
+// TestRunCacheSharedAcrossStudies: the ablation and generality cells
+// that are named schemes run through the run cache, so after Figure 9's
+// memory-intensive cells the full-PPF and DA-AMPM cells are hits, and
+// only the cells Figure 9 never ran miss.
+func TestRunCacheSharedAcrossStudies(t *testing.T) {
+	b := microBudget()
+	ws := sortedCopy(workload.SPEC2017MemIntensive())
+	x := Exec{Cache: NewRunCache()}
+	speedupStudy(x, sim.DefaultConfig(1), ws, AllSchemes(), b)
+	n := len(ws)
+	for _, study := range []struct {
+		name         string
+		run          func()
+		hits, misses int
+	}{
+		// Baseline, SPP and full PPF hit; the single-threshold filter misses.
+		{"ablation", func() { Ablation(x, b) }, 3 * n, n},
+		// Baseline and DA-AMPM hit; VLDP, SMS and Sandbox miss.
+		{"generality", func() { Generality(x, b) }, 2 * n, 3 * n},
+	} {
+		h0, m0 := x.Cache.Stats()
+		study.run()
+		h, m := x.Cache.Stats()
+		if int(h-h0) != study.hits || int(m-m0) != study.misses {
+			t.Errorf("%s: %d hits / %d misses, want %d / %d",
+				study.name, h-h0, m-m0, study.hits, study.misses)
+		}
+	}
+}
+
 // TestRunCacheKeySensitivity pins that every cell input participates in
 // the key: changing any one of (config, scheme, workload, seed, budget)
 // must miss rather than alias another cell's result.
@@ -93,13 +123,13 @@ func TestRunCacheClones(t *testing.T) {
 	b := Budget{Warmup: 2_000, Detail: 5_000}
 	x := Exec{Cache: NewRunCache()}
 
-	first := x.runSingle(sim.DefaultConfig(1), SchemePPF, w, 1, b)
+	first := x.RunSingle(sim.DefaultConfig(1), SchemePPF, w, 1, b)
 	wantIPC := first.PerCore[0].IPC
 	wantInf := first.PerCore[0].Filter.Inferences
 	first.PerCore[0].IPC = -1
 	first.PerCore[0].Filter.Inferences = 0
 
-	second := x.runSingle(sim.DefaultConfig(1), SchemePPF, w, 1, b)
+	second := x.RunSingle(sim.DefaultConfig(1), SchemePPF, w, 1, b)
 	if second.PerCore[0].IPC != wantIPC {
 		t.Fatalf("cached IPC corrupted by caller mutation: %v != %v", second.PerCore[0].IPC, wantIPC)
 	}
@@ -107,6 +137,6 @@ func TestRunCacheClones(t *testing.T) {
 		t.Fatal("cached Filter stats aliased across callers")
 	}
 	if hits, _ := x.Cache.Stats(); hits != 1 {
-		t.Fatalf("second runSingle was not a cache hit (hits=%d)", hits)
+		t.Fatalf("second RunSingle was not a cache hit (hits=%d)", hits)
 	}
 }

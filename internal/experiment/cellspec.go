@@ -91,22 +91,8 @@ func (c CellSpec) Run(x Exec) (sim.Result, error) {
 	// schemes (experiment configs are statically valid), but a spec that
 	// crossed a version skew between coordinator and worker is an input,
 	// not a bug.
-	if err := checkScheme(c.Scheme); err != nil {
+	if err := CheckScheme(c.Scheme); err != nil {
 		return sim.Result{}, err
 	}
-	return x.runSingle(c.Config, c.Scheme, w, c.Seed, c.Budget), nil
-}
-
-// checkScheme reports whether s names a known (possibly parametric)
-// scheme without building its state.
-func checkScheme(s Scheme) error {
-	switch s {
-	case SchemeNone, SchemeBOP, SchemeAMPM, SchemeSPP, SchemePPF,
-		SchemeVLDP, SchemeSMS, SchemeSandbox:
-		return nil
-	}
-	if _, _, ok := parsePPFVariant(s); ok {
-		return nil
-	}
-	return fmt.Errorf("experiment: unknown scheme %q", s)
+	return x.RunSingle(c.Config, c.Scheme, w, c.Seed, c.Budget), nil
 }

@@ -108,14 +108,14 @@ func TestDiskCacheSnapshotResume(t *testing.T) {
 	rc := NewRunCache()
 	rc.AttachStore(st)
 	x := Exec{Cache: rc}
-	x.runSingle(cfg, SchemePPF, w, 1, short) // seeds the warmup snapshot
+	x.RunSingle(cfg, SchemePPF, w, 1, short) // seeds the warmup snapshot
 
-	resumed := x.runSingle(cfg, SchemePPF, w, 1, long)
+	resumed := x.RunSingle(cfg, SchemePPF, w, 1, long)
 	if got := st.Stats(); got.SnapshotHits != 1 {
 		t.Fatalf("long cell did not resume from the stored snapshot: %+v", got)
 	}
 
-	cold := Exec{Cache: NewRunCache()}.runSingle(cfg, SchemePPF, w, 1, long)
+	cold := Exec{Cache: NewRunCache()}.RunSingle(cfg, SchemePPF, w, 1, long)
 	if !resultsEqual(resumed, cold) {
 		t.Fatalf("snapshot-resumed result diverged from cold\ncold:    %+v\nresumed: %+v", cold, resumed)
 	}
@@ -133,14 +133,14 @@ func TestDiskCacheCorruptEntryRecovers(t *testing.T) {
 	st, dir := tempStore(t)
 	rc := NewRunCache()
 	rc.AttachStore(st)
-	want := Exec{Cache: rc}.runSingle(cfg, SchemePPF, w, 1, b)
+	want := Exec{Cache: rc}.RunSingle(cfg, SchemePPF, w, 1, b)
 
 	corruptAll(t, dir)
 
 	st2 := openStore(t, dir)
 	rc2 := NewRunCache()
 	rc2.AttachStore(st2)
-	got := Exec{Cache: rc2}.runSingle(cfg, SchemePPF, w, 1, b)
+	got := Exec{Cache: rc2}.RunSingle(cfg, SchemePPF, w, 1, b)
 	if !resultsEqual(want, got) {
 		t.Fatal("corrupt store changed a result instead of falling back to simulation")
 	}
@@ -153,7 +153,7 @@ func TestDiskCacheCorruptEntryRecovers(t *testing.T) {
 	st3 := openStore(t, dir)
 	rc3 := NewRunCache()
 	rc3.AttachStore(st3)
-	got3 := Exec{Cache: rc3}.runSingle(cfg, SchemePPF, w, 1, b)
+	got3 := Exec{Cache: rc3}.RunSingle(cfg, SchemePPF, w, 1, b)
 	if !resultsEqual(want, got3) {
 		t.Fatal("rewritten entry served a wrong result")
 	}
@@ -169,7 +169,7 @@ func TestDiskCacheNoWarmupSkipsSnapshots(t *testing.T) {
 	st, _ := tempStore(t)
 	rc := NewRunCache()
 	rc.AttachStore(st)
-	Exec{Cache: rc}.runSingle(sim.DefaultConfig(1), SchemeNone, w, 1, Budget{Warmup: 0, Detail: 5_000})
+	Exec{Cache: rc}.RunSingle(sim.DefaultConfig(1), SchemeNone, w, 1, Budget{Warmup: 0, Detail: 5_000})
 	if s := st.Stats(); s.SnapshotHits+s.SnapshotMisses != 0 {
 		t.Fatalf("zero-warmup cell consulted the snapshot layer: %+v", s)
 	}

@@ -1,12 +1,10 @@
 package experiment
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -21,10 +19,9 @@ import (
 type Exec struct {
 	// Workers bounds concurrently running simulations (0 = GOMAXPROCS).
 	Workers int
-	// Progress, when non-nil, receives live sweep progress/ETA lines.
+	// Progress, when non-nil, receives live sweep progress/ETA lines
+	// and, as each sweep's last line, a summary of its jobs' wall times.
 	Progress io.Writer
-	// Timings, when non-nil, collects per-job wall time.
-	Timings *stats.Timings
 	// Cache, when non-nil, memoizes single-machine simulation cells so
 	// identical (config, scheme, workload, seed, budget) runs simulate
 	// once per process. Sharing one RunCache across experiments dedups
@@ -39,28 +36,17 @@ func Serial() Exec { return Exec{Workers: 1} }
 
 // runJobs fans fn over n cells on the shared worker pool and returns the
 // results in cell order. Experiment configurations are statically valid,
-// so a job failure (always a recovered panic) is re-raised here, keeping
-// the package's historical panic-on-bug behaviour.
+// so a panicking cell is a bug: runner.Map re-raises it here, naming the
+// sweep and the cell.
 func runJobs[T any](x Exec, label string, n int, fn func(i int) T) []T {
-	out, err := runner.Map(context.Background(), n, runner.Options{
-		Workers:  x.Workers,
-		Label:    label,
-		Progress: x.Progress,
-		Timings:  x.Timings,
-	}, func(_ context.Context, i int) (T, error) {
-		return fn(i), nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	return out
+	return runner.Map(n, runner.Options{Workers: x.Workers, Label: label, Progress: x.Progress}, fn)
 }
 
 // baselineIPCs measures every workload's no-prefetch IPC (the
 // denominator of each speedup) as one parallel phase.
 func baselineIPCs(x Exec, cfg sim.Config, ws []workload.Workload, seed uint64, b Budget) []float64 {
 	return runJobs(x, "baseline", len(ws), func(i int) float64 {
-		return x.runSingle(cfg, SchemeNone, ws[i], seed, b).PerCore[0].IPC
+		return x.RunSingle(cfg, SchemeNone, ws[i], seed, b).PerCore[0].IPC
 	})
 }
 

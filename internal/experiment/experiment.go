@@ -7,6 +7,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,6 +42,21 @@ const (
 // AllSchemes lists the paper's comparison set in its plotting order.
 func AllSchemes() []Scheme {
 	return []Scheme{SchemeBOP, SchemeAMPM, SchemeSPP, SchemePPF}
+}
+
+// NamedSchemes lists the eight schemes with fixed names: no prefetching,
+// the paper's comparison set, then the related-work engines.
+func NamedSchemes() []Scheme {
+	return append(append([]Scheme{SchemeNone}, AllSchemes()...), SchemeVLDP, SchemeSMS, SchemeSandbox)
+}
+
+// CheckScheme reports whether s names a known scheme — a named one or a
+// PPFVariant — without building its state.
+func CheckScheme(s Scheme) error {
+	if _, _, ok := parsePPFVariant(s); ok || slices.Contains(NamedSchemes(), s) {
+		return nil
+	}
+	return fmt.Errorf("experiment: unknown scheme %q; known schemes are %v and ppf[tau_hi=N,tau_lo=M]", s, NamedSchemes())
 }
 
 // PPFVariant names a PPF configuration with explicit filter thresholds.
@@ -117,31 +133,38 @@ func DefaultBudget() Budget { return Budget{Warmup: 200_000, Detail: 1_000_000} 
 // QuickBudget is a shorter budget for tests and -quick runs.
 func QuickBudget() Budget { return Budget{Warmup: 50_000, Detail: 200_000} }
 
-// buildSingle constructs the fresh 1-core machine for a cell. The run
-// cache's snapshot-resume path uses it to build identical systems for
-// the cold and restored runs.
-func buildSingle(cfg sim.Config, s Scheme, w workload.Workload, seed uint64) (*sim.System, error) {
+// buildSingle constructs a fresh 1-core machine around setup.
+// Experiment configurations are statically valid, so a config error is
+// a bug and panics.
+func buildSingle(cfg sim.Config, setup sim.CoreSetup) *sim.System {
 	cfg.Cores = 1
-	return sim.NewSystem(cfg, []sim.CoreSetup{NewSetup(s, w, seed)})
-}
-
-// RunSingle simulates one workload on a 1-core machine under a scheme.
-func RunSingle(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) (sim.Result, error) {
-	sys, err := buildSingle(cfg, s, w, seed)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sys.Run(b.Warmup, b.Detail), nil
-}
-
-// mustRunSingle panics on configuration errors (all experiment configs are
-// statically valid).
-func mustRunSingle(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) sim.Result {
-	r, err := RunSingle(cfg, s, w, seed, b)
+	sys, err := sim.NewSystem(cfg, []sim.CoreSetup{setup})
 	if err != nil {
 		panic(err)
 	}
-	return r
+	return sys
+}
+
+// runSetup simulates setup on the default 1-core machine. It is the
+// path for the machines no scheme names (custom filters, engines and
+// forced depths), which Exec.RunSingle cannot key; they bypass the run
+// cache.
+func runSetup(setup sim.CoreSetup, b Budget) sim.Result {
+	return buildSingle(sim.DefaultConfig(1), setup).Run(b.Warmup, b.Detail)
+}
+
+// runMix simulates one N-core machine in which core c runs ws[c] under
+// scheme s with mix m's seed for that core.
+func runMix(cfg sim.Config, s Scheme, ws []workload.Workload, m int, b Budget) sim.Result {
+	setups := make([]sim.CoreSetup, len(ws))
+	for c := range setups {
+		setups[c] = NewSetup(s, ws[c], mixSeed(m, c))
+	}
+	sys, err := sim.NewSystem(cfg, setups)
+	if err != nil {
+		panic(err)
+	}
+	return sys.Run(b.Warmup, b.Detail)
 }
 
 // SpeedupRow holds one workload's speedups over the no-prefetch baseline.

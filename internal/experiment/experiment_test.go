@@ -55,10 +55,7 @@ func TestNewSetupPanicsOnUnknown(t *testing.T) {
 
 func TestRunSingle(t *testing.T) {
 	w := workload.MustByName("648.exchange2_s")
-	r, err := RunSingle(sim.DefaultConfig(1), SchemeSPP, w, 1, tinyBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Exec{}.RunSingle(sim.DefaultConfig(1), SchemeSPP, w, 1, tinyBudget())
 	if r.PerCore[0].IPC <= 0 {
 		t.Fatal("no IPC measured")
 	}

@@ -113,28 +113,19 @@ func (a *corrAccumulator) pearson(i int) float64 {
 	return cov / math.Sqrt(vx*vy)
 }
 
-// runFeatureStudy simulates one workload with the extended feature set and
-// feeds training events into acc; it returns the filter for weight dumps.
-func runFeatureStudy(w workload.Workload, b Budget, acc *corrAccumulator) *ppf.Filter {
-	filter := ppf.New(ppf.Config{
-		TauHi:    ppf.DefaultConfig().TauHi,
-		TauLo:    ppf.DefaultConfig().TauLo,
-		ThetaP:   ppf.DefaultConfig().ThetaP,
-		ThetaN:   ppf.DefaultConfig().ThetaN,
-		Features: featureStudyFeatures(),
-	})
-	if acc != nil {
-		filter.OnTrainEvent = acc.add
-	}
-	sys, err := sim.NewSystem(sim.DefaultConfig(1), []sim.CoreSetup{{
+// runFeatureStudy simulates one workload under SPP with a PPF filter over
+// feats, handing every training example to onTrain (nil: none); it
+// returns the filter for weight dumps.
+func runFeatureStudy(w workload.Workload, b Budget, feats []ppf.FeatureSpec, onTrain func(weights []int8, outcome int)) *ppf.Filter {
+	cfg := ppf.DefaultConfig()
+	cfg.Features = feats
+	filter := ppf.New(cfg)
+	filter.OnTrainEvent = onTrain
+	runSetup(sim.CoreSetup{
 		Trace:      w.NewReader(1),
 		Prefetcher: prefetch.NewSPP(prefetch.AggressiveSPPConfig()),
 		Filter:     filter,
-	}})
-	if err != nil {
-		panic(err)
-	}
-	sys.Run(b.Warmup, b.Detail)
+	}, b)
 	return filter
 }
 
@@ -146,7 +137,7 @@ func Figure7(x Exec, b Budget) Figure7Result {
 	ws := sortedCopy(workload.SPEC2017())
 	accs := runJobs(x, "fig7", len(ws), func(i int) *corrAccumulator {
 		acc := newCorrAccumulator(len(feats))
-		runFeatureStudy(ws[i], b, acc)
+		runFeatureStudy(ws[i], b, feats, acc.add)
 		return acc
 	})
 	acc := newCorrAccumulator(len(feats))
@@ -208,7 +199,7 @@ func Figure6(x Exec, b Budget) Figure6Result {
 	}
 	ws := workload.SPEC2017MemIntensive()
 	filters := runJobs(x, "fig6", len(ws), func(i int) *ppf.Filter {
-		return runFeatureStudy(ws[i], b, nil)
+		return runFeatureStudy(ws[i], b, feats, nil)
 	})
 	for _, f := range filters {
 		for _, v := range f.WeightsOf(confIdx) {
@@ -263,7 +254,7 @@ func Figure8(x Exec, b Budget) Figure8Result {
 	ws := sortedCopy(workload.SPEC2017())
 	perWorkload := runJobs(x, "fig8", len(ws), func(i int) []float64 {
 		acc := newCorrAccumulator(len(feats))
-		runFeatureStudy(ws[i], b, acc)
+		runFeatureStudy(ws[i], b, feats, acc.add)
 		vals := make([]float64, len(target))
 		for t, name := range target {
 			vals[t] = abs64(acc.pearson(idx[name]))

@@ -42,7 +42,6 @@ func figure1On(x Exec, name string, b Budget) Figure1Result {
 	const minDepth, maxDepth = 7, 15
 	results := runJobs(x, "fig1-depth", maxDepth-minDepth+1, func(i int) sim.CoreResult {
 		depth := minDepth + i
-		cfg := sim.DefaultConfig(1)
 		spp := prefetch.NewSPP(prefetch.SPPConfig{
 			PrefetchThreshold: 1,
 			FillThreshold:     90,
@@ -50,14 +49,7 @@ func figure1On(x Exec, name string, b Budget) Figure1Result {
 			MaxCandidates:     depth + 4,
 			ForcedDepth:       depth,
 		})
-		sys, err := sim.NewSystem(cfg, []sim.CoreSetup{{
-			Trace:      w.NewReader(1),
-			Prefetcher: spp,
-		}})
-		if err != nil {
-			panic(err)
-		}
-		return sys.Run(b.Warmup, b.Detail).PerCore[0]
+		return runSetup(sim.CoreSetup{Trace: w.NewReader(1), Prefetcher: spp}, b).PerCore[0]
 	})
 
 	res := Figure1Result{Workload: w.Name}

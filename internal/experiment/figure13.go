@@ -38,18 +38,10 @@ func Figure13(x Exec, b Budget) Figure13Result {
 	apps := workload.CloudSuite()
 	schemes := append([]Scheme{SchemeNone}, cloud.Schemes...)
 	totals := runJobs(x, "cloudsuite", len(apps)*len(schemes), func(i int) float64 {
-		m, s := i/len(schemes), schemes[i%len(schemes)]
-		setups := make([]sim.CoreSetup, 4)
-		for c := range setups {
-			setups[c] = NewSetup(s, apps[m], mixSeed(m, c))
-		}
-		sys, err := sim.NewSystem(cfg, setups)
-		if err != nil {
-			panic(err)
-		}
-		r := sys.Run(b.Warmup, b.Detail)
+		m := i / len(schemes)
+		copies := []workload.Workload{apps[m], apps[m], apps[m], apps[m]}
 		total := 0.0
-		for _, pc := range r.PerCore {
+		for _, pc := range runMix(cfg, schemes[i%len(schemes)], copies, m, b).PerCore {
 			total += pc.IPC
 		}
 		return total

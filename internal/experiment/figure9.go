@@ -37,7 +37,7 @@ func speedupStudy(x Exec, cfg sim.Config, ws []workload.Workload, schemes []Sche
 	cells := schemeCells(len(ws), schemes)
 	results := runJobs(x, "speedup", len(cells), func(i int) sim.Result {
 		c := cells[i]
-		return x.runSingle(cfg, c.s, ws[c.wi], 1, b)
+		return x.RunSingle(cfg, c.s, ws[c.wi], 1, b)
 	})
 
 	res := Figure9Result{

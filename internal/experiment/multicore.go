@@ -70,7 +70,7 @@ func Multicore(x Exec, cores, nMixes int, pool []workload.Workload, b Budget) Mu
 		}
 	}
 	isoIPC := runJobs(x, "multicore-iso", len(isoJobs), func(i int) float64 {
-		return x.runSingle(isoCfg, SchemeNone, isoJobs[i].w, isoJobs[i].seed, b).PerCore[0].IPC
+		return x.RunSingle(isoCfg, SchemeNone, isoJobs[i].w, isoJobs[i].seed, b).PerCore[0].IPC
 	})
 	isolated := func(m, c int) float64 {
 		return isoIPC[isoIndex[fmt.Sprintf("%s/%d", mixes[m][c].Name, mixSeed(m, c))]]
@@ -79,16 +79,8 @@ func Multicore(x Exec, cores, nMixes int, pool []workload.Workload, b Budget) Mu
 	// Phase 2: every (mix, scheme) machine, no-prefetch baseline first.
 	mixSchemes := append([]Scheme{SchemeNone}, res.Schemes...)
 	perMix := runJobs(x, "multicore-mix", nMixes*len(mixSchemes), func(i int) sim.Result {
-		m, s := i/len(mixSchemes), mixSchemes[i%len(mixSchemes)]
-		setups := make([]sim.CoreSetup, cores)
-		for c := range setups {
-			setups[c] = NewSetup(s, mixes[m][c], mixSeed(m, c))
-		}
-		sys, err := sim.NewSystem(cfg, setups)
-		if err != nil {
-			panic(err)
-		}
-		return sys.Run(b.Warmup, b.Detail)
+		m := i / len(mixSchemes)
+		return runMix(cfg, mixSchemes[i%len(mixSchemes)], mixes[m], m, b)
 	})
 
 	weighted := func(m int, r sim.Result) float64 {

@@ -123,7 +123,7 @@ func cloneResult(r sim.Result) sim.Result {
 // warmup snapshot when one exists) and the result is written back.
 func (rc *RunCache) computeCell(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) sim.Result {
 	if rc.store == nil {
-		return mustRunSingle(cfg, s, w, seed, b)
+		return buildSingle(cfg, NewSetup(s, w, seed)).Run(b.Warmup, b.Detail)
 	}
 	key := cellKey(cfg, s, w, seed, b)
 	if blob, ok := rc.store.LoadResult(key); ok {
@@ -150,25 +150,19 @@ func (rc *RunCache) computeCell(cfg sim.Config, s Scheme, w workload.Workload, s
 // creating — the post-warmup snapshot shared by every cell with the
 // same warmup prefix.
 func (rc *RunCache) snapshotRun(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) sim.Result {
+	sys := buildSingle(cfg, NewSetup(s, w, seed))
 	if b.Warmup == 0 {
-		return mustRunSingle(cfg, s, w, seed, b)
+		return sys.Run(0, b.Detail)
 	}
 	wkey := warmupKey(cfg, s, w, seed, b.Warmup)
 	if blob, ok := rc.store.LoadSnapshot(wkey); ok {
-		sys, err := buildSingle(cfg, s, w, seed)
-		if err != nil {
-			panic(err)
-		}
 		if err := sys.Restore(blob); err == nil {
 			return sys.RunDetail(b.Detail)
 		}
 		// Restore failed past the store's checksum (e.g. a snapshot from
 		// an unsnapshottable-prefetcher era or a stale walk layout): fall
 		// through to a cold run, which rewrites the snapshot.
-	}
-	sys, err := buildSingle(cfg, s, w, seed)
-	if err != nil {
-		panic(err)
+		sys = buildSingle(cfg, NewSetup(s, w, seed))
 	}
 	sys.RunWarmup(b.Warmup)
 	if blob, err := sys.Snapshot(); err == nil {
@@ -177,25 +171,18 @@ func (rc *RunCache) snapshotRun(cfg sim.Config, s Scheme, w workload.Workload, s
 	return sys.RunDetail(b.Detail)
 }
 
-// runSingle is the cached path every sweep's single-machine cells route
-// through: with a cache attached the cell simulates at most once per
-// process (and, with a disk store, at most once across processes);
-// without one (the zero-value Exec) it behaves exactly like
-// mustRunSingle.
-func (x Exec) runSingle(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) sim.Result {
+// RunSingle simulates one workload on a 1-core machine under a scheme:
+// the one path every single-core cell with a scheme name takes. With a
+// cache attached the cell simulates at most once per process (and, with
+// a store, at most once across processes); without one (the zero-value
+// Exec) it simulates every time. Experiment configurations are
+// statically valid, so a config error panics.
+func (x Exec) RunSingle(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) sim.Result {
 	if x.Cache == nil {
-		return mustRunSingle(cfg, s, w, seed, b)
+		return buildSingle(cfg, NewSetup(s, w, seed)).Run(b.Warmup, b.Detail)
 	}
 	r, _ := x.Cache.memo.Do(cellKey(cfg, s, w, seed, b), func() sim.Result {
 		return x.Cache.computeCell(cfg, s, w, seed, b)
 	})
 	return cloneResult(r)
-}
-
-// RunSingle is the exported cached entry point: identical to the
-// package-level RunSingle when no cache is attached, and a memoized
-// replay when one is. cmd/bench uses it to measure the effective
-// throughput duplicated experiment cells see.
-func (x Exec) RunSingle(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) sim.Result {
-	return x.runSingle(cfg, s, w, seed, b)
 }

@@ -7,8 +7,6 @@ import (
 	"strings"
 
 	ppf "repro/internal/core"
-	"repro/internal/prefetch"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -96,23 +94,7 @@ func Selection(x Exec, b Budget) SelectionResult {
 	ws := sortedCopy(workload.SPEC2017MemIntensive())
 	accs := runJobs(x, "selection", len(ws), func(i int) *selectionAccumulator {
 		acc := newSelectionAccumulator(len(feats))
-		filter := ppf.New(ppf.Config{
-			TauHi:    ppf.DefaultConfig().TauHi,
-			TauLo:    ppf.DefaultConfig().TauLo,
-			ThetaP:   ppf.DefaultConfig().ThetaP,
-			ThetaN:   ppf.DefaultConfig().ThetaN,
-			Features: feats,
-		})
-		filter.OnTrainEvent = acc.add
-		sys, err := sim.NewSystem(sim.DefaultConfig(1), []sim.CoreSetup{{
-			Trace:      ws[i].NewReader(1),
-			Prefetcher: prefetch.NewSPP(prefetch.AggressiveSPPConfig()),
-			Filter:     filter,
-		}})
-		if err != nil {
-			panic(err)
-		}
-		sys.Run(b.Warmup, b.Detail)
+		runFeatureStudy(ws[i], b, feats, acc.add)
 		return acc
 	})
 	acc := newSelectionAccumulator(len(feats))

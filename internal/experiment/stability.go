@@ -37,7 +37,7 @@ func Stability(x Exec, seeds []uint64, b Budget) StabilityResult {
 		seed := seeds[i/(len(ws)*len(schemes))]
 		w := ws[i/len(schemes)%len(ws)]
 		s := schemes[i%len(schemes)]
-		return x.runSingle(sim.DefaultConfig(1), s, w, seed, b).PerCore[0].IPC
+		return x.RunSingle(sim.DefaultConfig(1), s, w, seed, b).PerCore[0].IPC
 	})
 	i := 0
 	for range seeds {

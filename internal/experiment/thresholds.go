@@ -49,7 +49,7 @@ func ThresholdSweep(x Exec, b Budget) ThresholdSweepResult {
 	// workload the distributed fabric exists to scale out.
 	ipcs := runJobs(x, "thresholds", len(grid)*len(ws), func(i int) float64 {
 		pt, w := grid[i/len(ws)], ws[i%len(ws)]
-		return x.runSingle(sim.DefaultConfig(1), PPFVariant(pt.TauHi, pt.TauLo), w, 1, b).PerCore[0].IPC
+		return x.RunSingle(sim.DefaultConfig(1), PPFVariant(pt.TauHi, pt.TauLo), w, 1, b).PerCore[0].IPC
 	})
 
 	var res ThresholdSweepResult

@@ -1,7 +1,8 @@
 // Package runner is the parallel job engine every experiment sweep runs
-// on: a bounded worker pool with deterministic result placement, context
-// cancellation, first-error propagation, panic recovery, per-job seed
-// derivation and an optional progress/ETA reporter.
+// on: a bounded worker pool with deterministic result placement, a
+// panic that stops the sweep and resurfaces in the caller, and an
+// optional progress reporter that times each job. Memo, the sweeps'
+// single-flight cell cache, lives here too.
 //
 // Determinism contract: Map assigns job i's result to slot i of the
 // returned slice, so callers that enumerate their (scheme, workload,
@@ -10,29 +11,26 @@
 package runner
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"repro/internal/stats"
 )
 
-// Options configures one Map or Do invocation.
+// Options configures one Map call.
 type Options struct {
 	// Workers bounds the number of concurrently running jobs. Zero or
 	// negative selects GOMAXPROCS.
 	Workers int
-	// Label names the sweep in progress output and timing samples.
+	// Label names the sweep in progress lines and panic messages.
 	Label string
-	// Progress, when non-nil, receives live done/total/ETA lines
-	// (typically os.Stderr). Nil disables reporting.
+	// Progress, when non-nil, receives live done/total/ETA lines and,
+	// as the sweep's final line, a summary of the jobs' wall times
+	// (typically os.Stderr). Nil disables reporting and timing.
 	Progress io.Writer
-	// Timings, when non-nil, collects each job's wall time.
-	Timings *stats.Timings
 }
 
 // workers resolves the effective pool size for n jobs.
@@ -41,108 +39,68 @@ func (o Options) workers(n int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(w, n))
 }
 
-// Map runs fn(ctx, i) for every i in [0, n) on a bounded worker pool and
-// returns the results in job order. The first job error (or recovered
-// panic) cancels the sweep: jobs not yet started are skipped, running
-// jobs may observe ctx.Done(), and the first error is returned with a
-// nil slice. A panicking job is reported as an error carrying the panic
-// value and stack rather than crashing the pool.
-func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, job int) (T, error)) ([]T, error) {
+// Map runs fn(i) for every i in [0, n) on a bounded worker pool and
+// returns the results in job order. A panicking job stops the sweep:
+// every worker checks before starting a job, so no job starts after the
+// panic, the jobs already running finish, and Map then panics in the
+// caller's goroutine with the job's label, index, panic value and
+// stack.
+func Map[T any](n int, opts Options, fn func(i int) T) []T {
 	if n < 0 {
 		panic(fmt.Sprintf("runner: negative job count %d", n))
 	}
 	results := make([]T, n)
 	if n == 0 {
-		return results, ctx.Err()
+		return results
 	}
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
+	workers := opts.workers(n)
 	var prog *progress
 	if opts.Progress != nil {
-		prog = newProgress(opts.Progress, opts.Label, n, opts.workers(n))
-		defer prog.stop()
+		prog = newProgress(opts.Progress, opts.Label, n, workers)
 	}
 
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		panicMsg string // written once, by the job that set failed
+	)
 	runJob := func(i int) {
 		defer func() {
-			if r := recover(); r != nil {
-				fail(fmt.Errorf("runner: job %d (%s) panicked: %v\n%s",
-					i, opts.Label, r, debug.Stack()))
+			if r := recover(); r != nil && failed.CompareAndSwap(false, true) {
+				panicMsg = fmt.Sprintf("runner: job %d (%s) panicked: %v\n%s",
+					i, opts.Label, r, debug.Stack())
 			}
 		}()
 		start := time.Now()
-		v, err := fn(ctx, i)
-		if opts.Timings != nil {
-			opts.Timings.Add(fmt.Sprintf("%s[%d]", opts.Label, i), time.Since(start))
-		}
+		results[i] = fn(i)
 		if prog != nil {
-			prog.jobDone()
+			prog.jobDone(i, time.Since(start))
 		}
-		if err != nil {
-			fail(fmt.Errorf("runner: job %d (%s): %w", i, opts.Label, err))
-			return
-		}
-		results[i] = v
 	}
 
-	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < opts.workers(n); w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				runJob(i)
 			}
 		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
 	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
+	if prog != nil {
+		prog.stop()
 	}
-	if err := parent.Err(); err != nil {
-		// The caller's context was cancelled before every job ran.
-		return nil, err
+	if failed.Load() {
+		panic(panicMsg)
 	}
-	return results, nil
-}
-
-// Do is Map for jobs with no result value.
-func Do(ctx context.Context, n int, opts Options, fn func(ctx context.Context, job int) error) error {
-	_, err := Map(ctx, n, opts, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
+	return results
 }

@@ -2,24 +2,16 @@ package runner
 
 import (
 	"bytes"
-	"context"
-	"errors"
-	"fmt"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/stats"
 )
 
 func TestMapOrderStableResults(t *testing.T) {
 	for _, workers := range []int{1, 3, 8, 64} {
-		got, err := Map(context.Background(), 100, Options{Workers: workers},
-			func(_ context.Context, i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		got := Map(100, Options{Workers: workers}, func(i int) int { return i * i })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: slot %d holds %d, want %d", workers, i, v, i*i)
@@ -31,195 +23,143 @@ func TestMapOrderStableResults(t *testing.T) {
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
-	_, err := Map(context.Background(), 40, Options{Workers: workers},
-		func(_ context.Context, i int) (int, error) {
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
+	Map(40, Options{Workers: workers}, func(i int) int {
+		n := cur.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
 			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-			return i, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+		}
+		time.Sleep(time.Millisecond)
+		cur.Add(-1)
+		return i
+	})
 	if p := peak.Load(); p > workers {
 		t.Fatalf("observed %d concurrent jobs, pool bound is %d", p, workers)
 	}
 }
 
-func TestMapFirstErrorPropagationCancelsSweep(t *testing.T) {
-	sentinel := errors.New("boom")
-	var started atomic.Int64
-	_, err := Map(context.Background(), 1000, Options{Workers: 2},
-		func(ctx context.Context, i int) (int, error) {
-			started.Add(1)
-			if i == 3 {
-				return 0, sentinel
-			}
-			// Later jobs linger briefly so the canceled feeder, not luck,
-			// is what keeps the started count low.
-			select {
-			case <-ctx.Done():
-			case <-time.After(time.Millisecond):
-			}
-			return i, nil
-		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("error %v does not wrap the job error", err)
-	}
-	if n := started.Load(); n == 1000 {
-		t.Fatal("sweep ran every job despite an early error")
-	}
+// mapPanic runs Map and returns the panic it raised in the caller, or
+// nil.
+func mapPanic(n int, opts Options, fn func(i int) int) (v any) {
+	defer func() { v = recover() }()
+	Map(n, opts, fn)
+	return nil
 }
 
-// TestMapExternalCancellationMidSweep parks every running job on
-// ctx.Done and cancels from outside: the pool must stop feeding, unblock
-// the parked jobs, and report context.Canceled instead of hanging.
-func TestMapExternalCancellationMidSweep(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+// TestMapPanicStopsSweep is deterministic: with one worker, job 0
+// panics, and the worker's check before each job must keep every later
+// job from starting. The caller's panic names the sweep's label, the
+// job's index and the panic value.
+func TestMapPanicStopsSweep(t *testing.T) {
 	var started atomic.Int64
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	done := make(chan error, 1)
-	go func() {
-		_, err := Map(ctx, 500, Options{Workers: 4},
-			func(ctx context.Context, i int) (int, error) {
-				started.Add(1)
-				<-ctx.Done() // jobs only finish once cancelled
-				return 0, ctx.Err()
-			})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+	v := mapPanic(100, Options{Workers: 1, Label: "explode"}, func(i int) int {
+		started.Add(1)
+		if i == 0 {
+			panic("kaboom")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Map did not return after external cancellation")
+		return i
+	})
+	msg, ok := v.(string)
+	if !ok {
+		t.Fatalf("Map panicked with %#v, want a message", v)
 	}
-	if n := started.Load(); n >= 500 {
-		t.Fatalf("all %d jobs started despite mid-sweep cancellation", n)
+	if !strings.HasPrefix(msg, "runner: job 0 (explode) panicked: kaboom\n") {
+		t.Fatalf("panic message lacks the job's label, index or value: %q", msg)
+	}
+	if !strings.Contains(msg, "goroutine") {
+		t.Fatalf("panic message lacks the job's stack: %q", msg)
+	}
+	if n := started.Load(); n != 1 {
+		t.Fatalf("%d jobs started, want 1: jobs kept starting after a panic", n)
 	}
 }
 
+// TestMapPanicRecovery: a panic in a multi-worker sweep still surfaces
+// in the caller, after every running job has finished.
 func TestMapPanicRecovery(t *testing.T) {
-	_, err := Map(context.Background(), 20, Options{Workers: 4, Label: "explode"},
-		func(_ context.Context, i int) (int, error) {
-			if i == 7 {
-				panic("kaboom")
-			}
-			return i, nil
-		})
-	if err == nil {
-		t.Fatal("panicking job must surface as an error")
+	var running atomic.Int64
+	v := mapPanic(20, Options{Workers: 4, Label: "explode"}, func(i int) int {
+		running.Add(1)
+		defer running.Add(-1)
+		if i == 7 {
+			panic("kaboom")
+		}
+		return i
+	})
+	if msg, _ := v.(string); !strings.Contains(msg, "job 7 (explode) panicked: kaboom") {
+		t.Fatalf("panic lacks context: %#v", v)
 	}
-	msg := err.Error()
-	if !strings.Contains(msg, "panicked") || !strings.Contains(msg, "kaboom") ||
-		!strings.Contains(msg, "explode") {
-		t.Fatalf("panic error lacks context: %v", msg)
-	}
-}
-
-// TestMapSharedAccumulatorUnderRace exercises the pattern the experiment
-// sweeps rely on — concurrent jobs funnelling into a shared
-// stats.Timings and the results slice — and fails under `go test -race`
-// if either path shares state incorrectly.
-func TestMapSharedAccumulatorUnderRace(t *testing.T) {
-	var tm stats.Timings
-	var sum atomic.Int64
-	got, err := Map(context.Background(), 200, Options{Workers: 8, Label: "acc", Timings: &tm},
-		func(_ context.Context, i int) (int, error) {
-			sum.Add(int64(i))
-			return i, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 200 || tm.Len() != 200 {
-		t.Fatalf("results %d / timings %d, want 200/200", len(got), tm.Len())
-	}
-	s := tm.Summary()
-	if s.Jobs != 200 || s.Max < s.P50 || !strings.HasPrefix(s.Slowest, "acc[") {
-		t.Fatalf("bad summary %+v", s)
-	}
-	if sum.Load() != 199*200/2 {
-		t.Fatalf("shared counter %d", sum.Load())
+	if n := running.Load(); n != 0 {
+		t.Fatalf("Map re-panicked with %d jobs still running", n)
 	}
 }
 
 func TestMapZeroJobs(t *testing.T) {
-	got, err := Map(context.Background(), 0, Options{},
-		func(_ context.Context, i int) (int, error) { return i, nil })
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v, %v", got, err)
-	}
-}
-
-func TestDoPropagatesError(t *testing.T) {
-	sentinel := errors.New("nope")
-	if err := Do(context.Background(), 10, Options{Workers: 2},
-		func(_ context.Context, i int) error {
-			if i == 2 {
-				return sentinel
-			}
-			return nil
-		}); !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := Do(context.Background(), 10, Options{Workers: 2},
-		func(_ context.Context, i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProgressReporting(t *testing.T) {
 	var buf bytes.Buffer
-	_, err := Map(context.Background(), 12, Options{Workers: 4, Label: "sweep", Progress: &buf},
-		func(_ context.Context, i int) (int, error) {
-			time.Sleep(time.Millisecond)
-			return i, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String() // safe: the reporter goroutine joined before Map returned
-	if !strings.Contains(out, "sweep: 12/12") || !strings.Contains(out, "j=4") {
-		t.Fatalf("progress output missing final line: %q", out)
+	got := Map(0, Options{Progress: &buf}, func(i int) int { return i })
+	if len(got) != 0 || buf.Len() != 0 {
+		t.Fatalf("got %v, progress %q", got, buf.String())
 	}
 }
 
-func TestSeedDeterministicAndDistinct(t *testing.T) {
-	seen := map[uint64]string{}
-	for _, base := range []uint64{0, 1, 42, ^uint64(0)} {
-		for job := 0; job < 1000; job++ {
-			s := Seed(base, job)
-			if s == 0 {
-				t.Fatalf("Seed(%d,%d) = 0", base, job)
-			}
-			if s != Seed(base, job) {
-				t.Fatalf("Seed(%d,%d) not deterministic", base, job)
-			}
-			key := fmt.Sprintf("%d/%d", base, job)
-			if prev, dup := seen[s]; dup {
-				t.Fatalf("seed collision between %s and %s", prev, key)
-			}
-			seen[s] = key
+// TestMapSharedAccumulatorUnderRace exercises the pattern the experiment
+// sweeps rely on: concurrent jobs funnelling into shared state, their
+// own timing slots and the results slice while the progress reporter
+// runs. It fails under `go test -race` if any of those paths shares
+// state incorrectly.
+func TestMapSharedAccumulatorUnderRace(t *testing.T) {
+	var buf bytes.Buffer
+	var sum atomic.Int64
+	got := Map(200, Options{Workers: 8, Label: "acc", Progress: &buf}, func(i int) int {
+		sum.Add(int64(i))
+		return i
+	})
+	if len(got) != 200 || sum.Load() != 199*200/2 {
+		t.Fatalf("results %d, shared counter %d", len(got), sum.Load())
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("slot %d holds %d", i, v)
 		}
 	}
-	// Mix64 fixes zero (all its ops preserve 0) — Seed's Weyl step is
-	// what keeps job seeds away from that degenerate point.
-	if Mix64(0) != 0 {
-		t.Fatal("Mix64(0) changed; the zero-fixed-point contract moved")
+	final := finalLine(buf.String()) // safe: the reporter goroutine joined before Map returned
+	if !strings.HasPrefix(final, "acc: 200/200 jobs (j=8, ") || !strings.Contains(final, " (acc[") {
+		t.Fatalf("bad summary line %q", final)
 	}
-	if Mix64(1) == Mix64(2) {
-		t.Fatal("Mix64 degenerate")
+}
+
+// finalLine returns the last line a progress reporter wrote, past any
+// intermediate \r-terminated status lines.
+func finalLine(out string) string {
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	final := lines[len(lines)-1]
+	if i := strings.LastIndexByte(final, '\r'); i >= 0 {
+		final = final[i+1:]
+	}
+	return final
+}
+
+// TestProgressReporting checks the sweep's final line and its timing
+// summary, whose max must cover the slow job.
+func TestProgressReporting(t *testing.T) {
+	var buf bytes.Buffer
+	Map(12, Options{Workers: 4, Label: "sweep", Progress: &buf}, func(i int) int {
+		time.Sleep(time.Millisecond)
+		if i == 5 {
+			time.Sleep(20 * time.Millisecond)
+		}
+		return i
+	})
+	final := finalLine(buf.String())
+	want := regexp.MustCompile(`^sweep: 12/12 jobs \(j=4, [0-9.]+s elapsed\): [0-9.]+s job-time, [0-9.]+x job-time/wall, ` +
+		`p50 \S+, p95 \S+, max (\S+) \(sweep\[\d+\]\)$`)
+	m := want.FindStringSubmatch(final)
+	if m == nil {
+		t.Fatalf("final progress line %q does not match %v", final, want)
+	}
+	if d, err := time.ParseDuration(m[1]); err != nil || d < 20*time.Millisecond {
+		t.Fatalf("max %q: %v, want at least the slow job's 20ms", m[1], err)
 	}
 }

@@ -75,25 +75,13 @@ func TestServedStreamMatchesLocalSession(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	remote := engine.New(core.DefaultConfig())
-	if err := remote.Restore(blob); err != nil {
-		t.Fatalf("restore served snapshot: %v", err)
+	localBlob, err := local.Snapshot()
+	if err != nil {
+		t.Fatalf("local snapshot: %v", err)
 	}
-	localBytes := encodeSession(t, local)
-	if !bytes.Equal(encodeSession(t, remote), localBytes) {
+	if !bytes.Equal(blob, localBlob) {
 		t.Fatal("served filter state diverged from the local sequential run")
 	}
-}
-
-func encodeSession(t *testing.T, s *engine.Session) []byte {
-	t.Helper()
-	w := snap.NewEncoder()
-	s.SnapshotWalk(w)
-	blob, err := w.Bytes()
-	if err != nil {
-		t.Fatalf("encoding session: %v", err)
-	}
-	return blob
 }
 
 // TestSessionReattach: a trained session survives disconnect and is

@@ -25,7 +25,7 @@ type Core struct {
 	l2     *cache.Cache
 	pf     prefetch.Prefetcher
 	bpf    prefetch.BatchProducer // pf's batch interface, nil if unsupported
-	filter *engine.Session
+	filter *ppf.Filter
 
 	emit  prefetch.Emit
 	bsink prefetch.BatchSink
@@ -62,11 +62,9 @@ type Core struct {
 	startCycle   uint64
 }
 
-// Filter returns the attached PPF filter, or nil.
-func (c *Core) Filter() *ppf.Filter { return c.filter.Filter() }
-
-// Session returns the engine session driving the filter, or nil.
-func (c *Core) Session() *engine.Session { return c.filter }
+// Session wraps the attached PPF filter in an engine session, or
+// returns nil when the core has none.
+func (c *Core) Session() *engine.Session { return engine.Wrap(c.filter) }
 
 // Prefetcher returns the attached prefetcher.
 func (c *Core) Prefetcher() prefetch.Prefetcher { return c.pf }

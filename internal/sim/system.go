@@ -8,7 +8,6 @@ import (
 	"repro/internal/cache"
 	ppf "repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/engine"
 	"repro/internal/prefetch"
 	"repro/internal/trace"
 )
@@ -141,7 +140,7 @@ func NewSystem(cfg Config, setups []CoreSetup) (*System, error) {
 			l1d:      l1d,
 			l2:       l2,
 			pf:       pf,
-			filter:   engine.Wrap(su.Filter),
+			filter:   su.Filter,
 			rob:      make([]uint64, cfg.ROBSize),
 			loadDone: make([]uint64, 1<<bits.Len(uint(cfg.ROBSize-1))),
 		}

@@ -225,10 +225,7 @@ func TestFleetCrashRerunsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localR, err := experiment.RunSingle(spec.Config, spec.Scheme, w, spec.Seed, spec.Budget)
-	if err != nil {
-		t.Fatal(err)
-	}
+	localR := experiment.Exec{}.RunSingle(spec.Config, spec.Scheme, w, spec.Seed, spec.Budget)
 	if r.PerCore[0].IPC != localR.PerCore[0].IPC {
 		t.Fatalf("rescued IPC %v != local IPC %v", r.PerCore[0].IPC, localR.PerCore[0].IPC)
 	}
