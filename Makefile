@@ -128,10 +128,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeFrame$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricFrame$$' -fuzztime $(FUZZTIME) ./internal/sweepfab/
 
-# profile captures CPU and heap profiles of a representative experiment;
+# profile captures CPU and heap profiles of a 1-core and a 4-core sweep;
 # inspect with `go tool pprof cpu.pprof`.
 profile:
-	$(GO) run ./cmd/experiments -run fig1 -quick -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/experiments -run fig1,fig11 -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 
 experiments:
 	$(GO) run ./cmd/experiments -run all -quick -progress

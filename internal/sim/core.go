@@ -287,11 +287,11 @@ func (c *Core) Tick(cycle uint64) {
 const noEvent = ^uint64(0)
 
 // NextEvent reports the earliest cycle after now at which Tick can make
-// progress — retire an instruction, fetch, or dispatch — assuming no
-// other core acts first. Between now and that cycle every Tick is a
-// provable no-op (modulo the stall counters, which skipTo reconstructs),
-// so System.runUntil may advance the clock straight to the minimum
-// NextEvent across cores. The candidate events are:
+// progress — retire an instruction, fetch, or dispatch. Between now and
+// that cycle every Tick is a provable no-op (modulo the stall counters,
+// which skipTo reconstructs), so System.runUntil ticks the core next at
+// that cycle. It reads only state this core's own Tick writes, so other
+// cores acting in between cannot move it. The candidate events are:
 //
 //   - ROB-head completion: with completed instructions pending, retirement
 //     happens at the first cycle >= rob[robHead]. This also covers loads
@@ -327,13 +327,13 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	return next
 }
 
-// skipTo accounts for the cycles in (from, to) that runUntil is about to
-// skip: each would have been a no-op Tick, but the legacy +1 loop still
-// charged them to a stall counter. Reconstructing those charges keeps the
-// skipping loop's statistics bit-identical to the legacy loop's: a
-// skipped cycle below fetchStallUntil is a front-end stall, and a
-// skipped cycle at/after it can only have been survived by a full ROB
-// (otherwise NextEvent would have stopped the skip there to fetch).
+// skipTo accounts for the cycles in (from, to) that runUntil did not tick
+// this core: each would have been a no-op Tick, but the legacy +1 loop
+// still charged them to a stall counter. Reconstructing those charges
+// keeps the statistics bit-identical to the legacy loop's: a skipped
+// cycle below fetchStallUntil is a front-end stall, and a skipped cycle
+// at/after it can only have been survived by a full ROB (otherwise
+// NextEvent would have stopped the skip there to fetch).
 func (c *Core) skipTo(from, to uint64) {
 	if c.traceDone || to <= from+1 {
 		return

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
 
 	ppf "repro/internal/core"
 	"repro/internal/prefetch"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -91,6 +94,41 @@ func TestSkipEquivalence(t *testing.T) {
 	}
 }
 
+// TestMulticoreResultGolden pins multi-core results absolutely. The
+// skip-equivalence cases compare the run loop only with its own
+// due-every-cycle policy, so a change both share would pass them; these
+// digests of EncodeResult were recorded before runUntil ticked only the
+// cores that can act.
+func TestMulticoreResultGolden(t *testing.T) {
+	mix4 := []string{"605.mcf_s", "603.bwaves_s", "641.leela_s", "620.omnetpp_s"}
+	mix8 := append(append([]string(nil), mix4...),
+		"649.fotonik3d_s", "619.lbm_s", "648.exchange2_s", "623.xalancbmk_s")
+	for _, tc := range []struct {
+		name, scheme   string
+		names          []string
+		seed           uint64
+		warmup, detail uint64
+		want           string
+	}{
+		{"4core/none", "none", mix4, 1, 5_000, 40_000, "a2aa94a619b1817bdc5237e189e28bdfe6fa488a1431eefe69ba5c78a91fec96"},
+		{"4core/ppf", "ppf", mix4, 2, 5_000, 40_000, "b17b62156215362e8cfd3703b318c777de62839bd27316aa8cd7a5840196a402"},
+		{"8core/none", "none", mix8, 3, 5_000, 20_000, "d414c9a8fd1cc6caf526c3ba8ae03c0070dd513df1f81b312ab6cc4900abb0d3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, sys := buildPair(t, tc.scheme, tc.names, tc.seed)
+			res := sys.Run(tc.warmup, tc.detail)
+			blob, err := EncodeResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(blob)
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("result digest %s, want %s (cycles %d)", got, tc.want, res.Cycles)
+			}
+		})
+	}
+}
+
 // TestSkipActuallySkips pins the optimization itself: on DRAM-bound
 // single-core runs the event-horizon loop must execute materially fewer
 // tick rounds than cycles elapsed, otherwise the fast path has silently
@@ -155,5 +193,43 @@ func TestFinishedCoresKeepContending(t *testing.T) {
 	}
 	if minFinish == maxFinish {
 		t.Fatal("test workloads finished simultaneously; contention window not exercised")
+	}
+}
+
+// TestSkipEquivalenceTraceRunsOut covers a core whose trace ends
+// mid-run beside three endless generators: core 0 reads 6,000 mcf
+// instructions and stops fetching long before the others finish. Its
+// idle stretch exercises skipTo's traceDone branch and the stall flush
+// when runUntil returns, and both loops must agree on every counter,
+// core 0's stall cycles and finish cycle included.
+func TestSkipEquivalenceTraceRunsOut(t *testing.T) {
+	const warmup, detail = 2_000, 30_000
+	insts := trace.Collect(workload.MustByName("605.mcf_s").NewReader(1), 6_000)
+	mk := func(legacy bool) *System {
+		setups := []CoreSetup{{Trace: trace.NewSliceReader(insts)}}
+		for i, n := range []string{"603.bwaves_s", "641.leela_s", "620.omnetpp_s"} {
+			setups = append(setups, skipScheme(t, "spp", workload.MustByName(n), uint64(i+2)))
+		}
+		sys, err := NewSystem(DefaultConfig(4), setups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SetLegacyLoop(legacy)
+		return sys
+	}
+	legacy, skip := mk(true), mk(false)
+	rl := legacy.Run(warmup, detail)
+	rs := skip.Run(warmup, detail)
+	if !reflect.DeepEqual(rl, rs) {
+		t.Fatalf("legacy and skipping loops diverged\nlegacy: %+v\nskip:   %+v", rl, rs)
+	}
+	for i := range skip.cores {
+		if l, s := legacy.cores[i].finishCycle, skip.cores[i].finishCycle; l != s {
+			t.Fatalf("core %d finish cycle: legacy %d, skip %d", i, l, s)
+		}
+	}
+	if c0 := rs.PerCore[0]; c0.Instructions >= detail || c0.Cycles >= rs.Cycles {
+		t.Fatalf("core 0 should run out of trace first: %d instructions over %d of %d cycles",
+			c0.Instructions, c0.Cycles, rs.Cycles)
 	}
 }

@@ -67,10 +67,10 @@ type System struct {
 	llc   *cache.Cache
 	mem   *dram.DRAM
 	cycle uint64
-	// legacyLoop forces the historical one-cycle-at-a-time runUntil loop
-	// instead of event-horizon skipping. Test/benchmark hook only: the
-	// skip-equivalence goldens run both loops and assert bit-identical
-	// results, and cmd/bench measures the speedup.
+	// legacyLoop makes runUntil tick every core at every cycle instead
+	// of only the cores due at their next event. Test hook only: the
+	// skip-equivalence goldens and advfuzz's oracle run both policies and
+	// assert bit-identical results.
 	legacyLoop bool
 	// ticks counts executed tick rounds, for observing how many dead
 	// cycles the event-horizon loop skipped (ticks == cycles advanced in
@@ -78,10 +78,10 @@ type System struct {
 	ticks uint64
 }
 
-// SetLegacyLoop selects the pre-event-horizon +1 cycle loop (on = true)
-// and returns the previous setting. It exists so tests and benchmarks
-// can prove the skipping loop bit-identical; simulations must not toggle
-// it mid-run.
+// SetLegacyLoop selects the due-every-cycle policy of the legacy +1
+// cycle loop (on = true) and returns the previous setting. It exists so
+// tests can prove per-core scheduling bit-identical; simulations must
+// not toggle it mid-run.
 func (s *System) SetLegacyLoop(on bool) bool {
 	prev := s.legacyLoop
 	s.legacyLoop = on
@@ -182,67 +182,68 @@ func (s *System) DRAM() *dram.DRAM { return s.mem }
 // per the paper's multi-core methodology; their finish cycle is recorded
 // the moment they cross the target.
 //
-// The clock advances by event horizon rather than by +1: every core
-// reports the earliest future cycle at which it can make progress
-// (Core.NextEvent), and the machine jumps straight to the minimum. The
-// cycles in between are provable no-ops for every core — including cores
-// past their target that keep contending for the shared LLC and DRAM —
-// so every Tick that executes does so at exactly the cycle, and in
-// exactly the core order, the legacy +1 loop would have used. Results
-// are bit-identical (the skip-equivalence goldens in skip_test.go prove
-// it); only wall-clock time changes.
+// The clock is scheduled per core: it jumps to the minimum of the cores'
+// next events (Core.NextEvent), and only the cores due then tick, in
+// core order. skipTo charges the stall counters of the no-op ticks an
+// idle core skipped, before its next tick and for every core at the end.
+// A next event stays valid until the core's own tick: NextEvent reads
+// only the core's ROB head, ROB count, fetch-stall deadline and trace
+// state, and only its Tick writes them (other cores reach it only through
+// LLC hooks that train its prefetcher and filter). So every Tick runs at
+// the cycle and in the order of the legacy +1 loop, and so does the
+// finish check, since only Tick moves retired, traceDone and robCount;
+// skip_test.go proves the results bit-identical. SetLegacyLoop runs this
+// loop with every core due at every cycle.
 func (s *System) runUntil(target func(c *Core) uint64) {
-	for {
-		allDone := true
-		for _, c := range s.cores {
-			if c.finishedRun {
-				continue
-			}
-			if c.retired >= target(c) || c.traceDone && c.robCount == 0 {
-				c.finishedRun = true
-				c.finishCycle = s.cycle
-				continue
-			}
-			allDone = false
+	n := len(s.cores)
+	targets := make([]uint64, n)
+	next := make([]uint64, n)    // the cycle of each core's next tick
+	charged := make([]uint64, n) // each core's stalls are charged through this cycle
+	// due is the cycle at which c ticks next, having acted at now.
+	due := func(c *Core, now uint64) uint64 {
+		if s.legacyLoop {
+			return now + 1
 		}
-		if allDone {
-			return
+		return c.NextEvent(now)
+	}
+	// finish records c's finish cycle the first time it meets its target
+	// and reports whether it did.
+	finish := func(c *Core, target uint64) bool {
+		if c.finishedRun || c.retired < target && !(c.traceDone && c.robCount == 0) {
+			return false
 		}
-		next := s.cycle + 1
-		if !s.legacyLoop {
-			if ne := s.nextEvent(); ne > next {
-				for _, c := range s.cores {
-					c.skipTo(s.cycle, ne)
-				}
-				next = ne
-			}
+		c.finishedRun, c.finishCycle = true, s.cycle
+		return true
+	}
+	remaining, cycle := 0, uint64(noEvent)
+	for i, c := range s.cores {
+		targets[i], next[i], charged[i] = target(c), due(c, s.cycle), s.cycle
+		finish(c, targets[i])
+		if !c.finishedRun {
+			remaining++
 		}
-		s.cycle = next
+		cycle = min(cycle, next[i])
+	}
+	for remaining > 0 {
+		s.cycle = cycle
 		s.ticks++
-		for _, c := range s.cores {
-			c.Tick(s.cycle)
+		cycle = noEvent
+		for i, c := range s.cores {
+			if next[i] == s.cycle {
+				c.skipTo(charged[i], s.cycle)
+				c.Tick(s.cycle)
+				charged[i] = s.cycle
+				if finish(c, targets[i]) {
+					remaining--
+				}
+				next[i] = due(c, s.cycle)
+			}
+			cycle = min(cycle, next[i])
 		}
 	}
-}
-
-// nextEvent is the machine-wide event horizon: the minimum NextEvent
-// across every core that can still act. Finished-but-draining cores and
-// finished cores still fetching past their target participate — their
-// memory traffic contends with unfinished cores, so skipping over one of
-// their active cycles would change shared-cache state. At least one
-// unfinished core exists when this is called, and an unfinished core
-// always has a finite next event, so the result is a real cycle.
-func (s *System) nextEvent() uint64 {
-	next := uint64(noEvent)
-	for _, c := range s.cores {
-		if ne := c.NextEvent(s.cycle); ne < next {
-			next = ne
-		}
+	for i, c := range s.cores {
+		c.skipTo(charged[i], s.cycle+1)
 	}
-	if next == noEvent {
-		return s.cycle + 1
-	}
-	return next
 }
 
 // Run executes warmup instructions per core (statistics discarded), then a

@@ -76,7 +76,7 @@ type component struct {
 // GenConfig. It implements Reader.
 type Generator struct {
 	cfg   GenConfig
-	r     *rng
+	r     rng
 	count uint64
 
 	phases     []genPhase
@@ -102,20 +102,25 @@ type Generator struct {
 	stackPos    uint64
 	streamReuse int
 
-	// Cumulative instruction-mix thresholds, precomputed once so Next's
-	// kind dispatch is three compares against ready values instead of
-	// re-summing the config ratios per instruction. Same operands in the
-	// same order as the inline sums they replace, so the comparisons are
-	// bit-identical.
-	thrLoad   float64 // LoadRatio
-	thrStore  float64 // LoadRatio + StoreRatio
-	thrBranch float64 // LoadRatio + StoreRatio + BranchRatio
+	// Each per-instruction choice compares one draw with a threshold set
+	// here. The kind thresholds are of LoadRatio, +StoreRatio, +BranchRatio.
+	thrLoad, thrStore, thrBranch uint64
+	thrHot, thrStoreStream       uint64 // HotLoadRatio, StoreStreamRatio
+	thrPredictable               uint64 // BranchPredictability
 }
+
+// The fixed switch points of the hot-load and stack-store walks and the
+// fair coin of an unpredictable branch.
+var (
+	thrHotStay, thrHotSlide     = threshold(0.70), threshold(0.90)
+	thrStackSame, thrStackFrame = threshold(0.75), threshold(0.92)
+	thrCoin                     = threshold(0.5)
+)
 
 type genPhase struct {
 	length uint64
 	comps  []*component
-	cum    []float64 // cumulative weights, normalised to 1
+	cum    []uint64 // thresholds of the cumulative weights, normalised to 1
 }
 
 // NewGenerator validates cfg and returns a generator.
@@ -123,11 +128,17 @@ func NewGenerator(cfg GenConfig) (*Generator, error) {
 	if len(cfg.Phases) == 0 {
 		return nil, fmt.Errorf("trace: generator needs at least one phase")
 	}
-	if cfg.LoadRatio < 0 || cfg.StoreRatio < 0 || cfg.BranchRatio < 0 ||
-		cfg.LoadRatio+cfg.StoreRatio+cfg.BranchRatio > 1 {
+	// Each check is written so that NaN, which compares false, fails it.
+	if !(cfg.LoadRatio >= 0 && cfg.StoreRatio >= 0 && cfg.BranchRatio >= 0 &&
+		cfg.LoadRatio+cfg.StoreRatio+cfg.BranchRatio <= 1) {
 		return nil, fmt.Errorf("trace: invalid instruction mix ratios")
 	}
-	g := &Generator{cfg: cfg, r: newRNG(cfg.Seed)}
+	if !(cfg.StoreStreamRatio >= 0 && cfg.StoreStreamRatio <= 1 &&
+		cfg.BranchPredictability >= 0 && cfg.BranchPredictability <= 1 &&
+		cfg.HotLoadRatio <= 1) {
+		return nil, fmt.Errorf("trace: probability outside [0, 1]")
+	}
+	g := &Generator{cfg: cfg, r: *newRNG(cfg.Seed)}
 	pcRNG := newRNG(cfg.Seed ^ 0xABCDEF)
 	// Components are shared across phases when the same Pattern value
 	// appears in several mixes, preserving pattern state across phases.
@@ -148,7 +159,7 @@ func NewGenerator(cfg GenConfig) (*Generator, error) {
 		gp := genPhase{length: ph.Length}
 		total := 0.0
 		for _, w := range ph.Mix {
-			if w.Weight <= 0 {
+			if !(w.Weight > 0) {
 				return nil, fmt.Errorf("trace: non-positive pattern weight")
 			}
 			total += w.Weight
@@ -162,7 +173,7 @@ func NewGenerator(cfg GenConfig) (*Generator, error) {
 		run := 0.0
 		for _, w := range ph.Mix {
 			run += w.Weight / total
-			gp.cum = append(gp.cum, run)
+			gp.cum = append(gp.cum, threshold(run))
 		}
 		g.phases = append(g.phases, gp)
 	}
@@ -189,9 +200,12 @@ func NewGenerator(cfg GenConfig) (*Generator, error) {
 	if g.cfg.BlockReuse <= 0 {
 		g.cfg.BlockReuse = 6
 	}
-	g.thrLoad = g.cfg.LoadRatio
-	g.thrStore = g.cfg.LoadRatio + g.cfg.StoreRatio
-	g.thrBranch = g.cfg.LoadRatio + g.cfg.StoreRatio + g.cfg.BranchRatio
+	g.thrLoad = threshold(g.cfg.LoadRatio)
+	g.thrStore = threshold(g.cfg.LoadRatio + g.cfg.StoreRatio)
+	g.thrBranch = threshold(g.cfg.LoadRatio + g.cfg.StoreRatio + g.cfg.BranchRatio)
+	g.thrHot = threshold(g.cfg.HotLoadRatio)
+	g.thrStoreStream = threshold(g.cfg.StoreStreamRatio)
+	g.thrPredictable = threshold(g.cfg.BranchPredictability)
 	return g, nil
 }
 
@@ -223,7 +237,7 @@ func (g *Generator) Next() (Inst, bool) {
 	idx := g.count
 	g.count++
 
-	x := g.r.Float64()
+	x := g.r.draw()
 	switch {
 	case x < g.thrLoad:
 		return g.genLoad(ph, idx), true
@@ -242,7 +256,7 @@ func (g *Generator) Next() (Inst, bool) {
 }
 
 func (g *Generator) genLoad(ph *genPhase, idx uint64) Inst {
-	if g.r.Bool(g.cfg.HotLoadRatio) {
+	if g.r.draw() < g.thrHot {
 		pc := g.hotPCs[g.hotIdx]
 		g.hotIdx++
 		if g.hotIdx == len(g.hotPCs) {
@@ -252,9 +266,9 @@ func (g *Generator) genLoad(ph *genPhase, idx uint64) Inst {
 		// (delta 0, invisible to delta prefetchers, like real locals and
 		// loop-carried scalars), occasionally move to a neighbour or
 		// jump to another hot block.
-		switch x := g.r.Float64(); {
-		case x < 0.70: // stay on the current block
-		case x < 0.90: // slide to the adjacent block
+		switch x := g.r.draw(); {
+		case x < thrHotStay: // stay on the current block
+		case x < thrHotSlide: // slide to the adjacent block
 			if g.hotCur++; g.hotCur == g.hotBlocks {
 				g.hotCur = 0
 			}
@@ -265,7 +279,7 @@ func (g *Generator) genLoad(ph *genPhase, idx uint64) Inst {
 		return Inst{PC: pc, Kind: KindLoad, Addr: addr}
 	}
 	// Select a component by weight.
-	x := g.r.Float64()
+	x := g.r.draw()
 	ci := len(ph.comps) - 1
 	for i, c := range ph.cum {
 		if x < c {
@@ -275,12 +289,12 @@ func (g *Generator) genLoad(ph *genPhase, idx uint64) Inst {
 	}
 	comp := ph.comps[ci]
 	if comp.reuseLeft <= 0 {
-		comp.curAddr, comp.curDep = comp.p.next(g.r)
+		comp.curAddr, comp.curDep = comp.p.next(&g.r)
 		comp.reuseLeft = g.cfg.BlockReuse
 	}
 	comp.reuseLeft--
 	// Word-granular touches within the block: vary the low bits a little.
-	addr := comp.curAddr + uint64(g.r.Intn(8))*8
+	addr := comp.curAddr + (g.r.Uint64()&7)*8
 	dep := comp.curDep && comp.reuseLeft == g.cfg.BlockReuse-1
 	pc := comp.pcs[comp.pcIdx]
 	comp.pcIdx++
@@ -301,7 +315,7 @@ func (g *Generator) genLoad(ph *genPhase, idx uint64) Inst {
 
 func (g *Generator) genStore() Inst {
 	pc := g.aluPCs[0] + 2
-	if g.r.Bool(g.cfg.StoreStreamRatio) {
+	if g.r.draw() < g.thrStoreStream {
 		// Streaming stores fill each block with several word writes
 		// before advancing (write-combining behaviour).
 		if g.streamReuse <= 0 {
@@ -312,14 +326,14 @@ func (g *Generator) genStore() Inst {
 			g.streamReuse = g.cfg.BlockReuse
 		}
 		g.streamReuse--
-		addr := g.streamBase + g.streamPos + uint64(g.r.Intn(8))*8
+		addr := g.streamBase + g.streamPos + (g.r.Uint64()&7)*8
 		return Inst{PC: pc, Kind: KindStore, Addr: addr}
 	}
 	// Stack stores walk a small window mostly staying on the same block
 	// (push/pop locality) with occasional frame changes.
-	switch x := g.r.Float64(); {
-	case x < 0.75: // same block
-	case x < 0.92: // next block in the frame
+	switch x := g.r.draw(); {
+	case x < thrStackSame: // same block
+	case x < thrStackFrame: // next block in the frame
 		if g.stackPos++; g.stackPos == g.stackBlocks {
 			g.stackPos = 0
 		}
@@ -334,8 +348,8 @@ func (g *Generator) genBranch() Inst {
 	i := g.r.Intn(len(g.branchPCs))
 	pc := g.branchPCs[i]
 	taken := g.branchBias[i] >= 0.5
-	if !g.r.Bool(g.cfg.BranchPredictability) {
-		taken = g.r.Bool(0.5)
+	if g.r.draw() >= g.thrPredictable {
+		taken = g.r.draw() < thrCoin
 	}
 	return Inst{PC: pc, Kind: KindBranch, Taken: taken}
 }

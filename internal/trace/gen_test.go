@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -181,9 +182,80 @@ func TestGeneratorConfigValidation(t *testing.T) {
 		{LoadRatio: 0.3, Phases: []Phase{{}}}, // empty mix
 		{LoadRatio: 0.3, Phases: []Phase{{Mix: []Weighted{{P: NewRandomPattern(0, 1<<20), Weight: 0}}}}}, // zero weight
 	}
+	one := func(w float64) []Phase { return []Phase{{Mix: []Weighted{{P: NewRandomPattern(0, 1<<20), Weight: w}}}} }
+	nan := math.NaN()
+	bad = append(bad,
+		GenConfig{LoadRatio: nan, Phases: one(1)},
+		GenConfig{StoreRatio: nan, Phases: one(1)},
+		GenConfig{BranchRatio: nan, Phases: one(1)},
+		GenConfig{LoadRatio: 0.3, Phases: one(nan)},
+		GenConfig{StoreStreamRatio: -0.1, Phases: one(1)},
+		GenConfig{StoreStreamRatio: 1.5, Phases: one(1)},
+		GenConfig{StoreStreamRatio: nan, Phases: one(1)},
+		GenConfig{BranchPredictability: -0.1, Phases: one(1)},
+		GenConfig{BranchPredictability: 1.5, Phases: one(1)},
+		GenConfig{BranchPredictability: nan, Phases: one(1)},
+		GenConfig{HotLoadRatio: 1.5, Phases: one(1)},
+		GenConfig{HotLoadRatio: nan, Phases: one(1)},
+	)
 	for i, cfg := range bad {
 		if _, err := NewGenerator(cfg); err == nil {
 			t.Errorf("config %d should be rejected", i)
+		}
+	}
+	// The bounds themselves, and a negative HotLoadRatio (hot loads
+	// disabled), stay valid.
+	good := []GenConfig{
+		{StoreStreamRatio: 1, BranchPredictability: 1, HotLoadRatio: 1, Phases: one(1)},
+		{HotLoadRatio: -1, Phases: one(1)},
+	}
+	for i, cfg := range good {
+		if _, err := NewGenerator(cfg); err != nil {
+			t.Errorf("config %d rejected: %v", i, err)
+		}
+	}
+}
+
+// TestThresholdMatchesFloatCompare is the property the generator's
+// integer draws rest on: for every 53-bit draw v and probability p,
+// float64(v)/2^53 < p exactly when v < threshold(p).
+func TestThresholdMatchesFloatCompare(t *testing.T) {
+	const top = uint64(1) << 53
+	check := func(p float64, v uint64) {
+		if want, got := float64(v)/(1<<53) < p, v < threshold(p); got != want {
+			t.Fatalf("p=%v (%#x) v=%d: threshold %d says %v, float compare says %v",
+				p, math.Float64bits(p), v, threshold(p), got, want)
+		}
+	}
+	// near checks the draws around p's threshold and at both ends.
+	near := func(p float64) {
+		t.Helper()
+		th := threshold(p)
+		for _, v := range []uint64{0, 1, th - 1, th, th + 1, top - 2, top - 1} {
+			if v < top {
+				check(p, v)
+			}
+		}
+	}
+	for _, p := range []float64{0, math.SmallestNonzeroFloat64, 1.0 / (1 << 53), 0.5, 0.65, 0.7, 0.9, 1, 1.5, -0.1, math.NaN()} {
+		near(p)
+	}
+	for _, k := range []uint64{1, 2, 3, 1 << 20, 1<<52 - 1, 1 << 52, 1<<52 + 1, top - 2, top - 1, top} {
+		p := float64(k) / (1 << 53)
+		near(p)
+		near(math.Nextafter(p, math.Inf(-1)))
+		near(math.Nextafter(p, math.Inf(1)))
+	}
+	if got := threshold(0.7); got != 6305039478318694 {
+		t.Fatalf("threshold(0.7) = %d, want 6305039478318694", got)
+	}
+	r := newRNG(11)
+	for i := 0; i < 1_000_000; i++ {
+		p := r.Float64()*1.2 - 0.1
+		check(p, r.draw())
+		if th := threshold(p); th > 0 && th < top {
+			check(p, th-1)
+			check(p, th)
 		}
 	}
 }

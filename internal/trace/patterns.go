@@ -5,6 +5,8 @@ package trace
 // the address space (selected by its segment) so that patterns mixed into
 // one workload do not accidentally alias.
 
+import "fmt"
+
 // Geometry constants shared with the rest of the simulator.
 const (
 	// BlockBits is log2 of the cache block size (64 B blocks).
@@ -180,7 +182,7 @@ func (p *RegionFootprintPattern) next(r *rng) (uint64, bool) {
 		p.idx = 0
 		// Mostly sequential region order with occasional jumps keeps a
 		// spatial prefetcher honest.
-		if r.Bool(0.1) {
+		if r.draw() < thrRegionJump {
 			p.region = r.Uint64() % p.regions
 		} else {
 			p.region = (p.region + 1) % p.regions
@@ -188,6 +190,10 @@ func (p *RegionFootprintPattern) next(r *rng) (uint64, bool) {
 	}
 	return addr, false
 }
+
+// thrRegionJump is the chance that RegionFootprintPattern jumps to a
+// random region rather than the next one.
+var thrRegionJump = threshold(0.1)
 
 // RandomPattern issues independent uniform-random accesses over the
 // working set: the prefetch-hostile extreme.
@@ -213,22 +219,30 @@ type HotColdPattern struct {
 	base       uint64
 	hotBlocks  uint64
 	coldBlocks uint64
-	pHot       float64
+	thrHot     uint64 // threshold(pHot)
 }
 
 // NewHotColdPattern returns accesses that hit a hotBytes-sized hot set
 // with probability pHot and a coldBytes cold set otherwise.
 func NewHotColdPattern(seg int, hotBytes, coldBytes uint64, pHot float64) *HotColdPattern {
+	mustProb("HotColdPattern pHot", pHot)
 	return &HotColdPattern{
 		base:       segBase(seg),
 		hotBlocks:  hotBytes / BlockSize,
 		coldBlocks: coldBytes / BlockSize,
-		pHot:       pHot,
+		thrHot:     threshold(pHot),
+	}
+}
+
+// mustProb panics unless p is a probability in [0, 1].
+func mustProb(what string, p float64) {
+	if !(p >= 0 && p <= 1) {
+		panic(fmt.Sprintf("trace: %s = %v outside [0, 1]", what, p))
 	}
 }
 
 func (p *HotColdPattern) next(r *rng) (uint64, bool) {
-	if r.Bool(p.pHot) {
+	if r.draw() < p.thrHot {
 		return p.base + (r.Uint64()%p.hotBlocks)*BlockSize, false
 	}
 	cold := p.base + p.hotBlocks*BlockSize
@@ -240,15 +254,15 @@ func (p *HotColdPattern) next(r *rng) (uint64, bool) {
 // paper reports for 623.xalancbmk_s: SPP's conservative throttling halts
 // at shallow depth, while a better accuracy check can keep speculating.
 type VaryingDeltaPattern struct {
-	base    uint64
-	pages   uint64
-	seqs    [][]int
-	page    uint64
-	off     int
-	seq     int
-	idx     int
-	steps   int
-	switchP float64
+	base      uint64
+	pages     uint64
+	seqs      [][]int
+	page      uint64
+	off       int
+	seq       int
+	idx       int
+	steps     int
+	thrSwitch uint64 // threshold(switchP)
 }
 
 // NewVaryingDeltaPattern returns a pattern that interleaves the given
@@ -258,16 +272,17 @@ func NewVaryingDeltaPattern(seg int, pages uint64, seqs [][]int, switchP float64
 	if len(seqs) == 0 {
 		panic("trace: VaryingDeltaPattern requires at least one sequence")
 	}
+	mustProb("VaryingDeltaPattern switchP", switchP)
 	cp := make([][]int, len(seqs))
 	for i, s := range seqs {
 		cp[i] = append([]int(nil), s...)
 	}
-	return &VaryingDeltaPattern{base: segBase(seg), pages: pages, seqs: cp, switchP: switchP}
+	return &VaryingDeltaPattern{base: segBase(seg), pages: pages, seqs: cp, thrSwitch: threshold(switchP)}
 }
 
 func (p *VaryingDeltaPattern) next(r *rng) (uint64, bool) {
 	addr := p.base + p.page*PageSize + uint64(p.off)*BlockSize
-	if r.Bool(p.switchP) {
+	if r.draw() < p.thrSwitch {
 		p.seq = r.Intn(len(p.seqs))
 		p.idx = 0
 	}

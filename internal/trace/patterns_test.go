@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -169,6 +171,11 @@ func TestPatternConstructorsPanicOnBadInput(t *testing.T) {
 	assertPanics(t, "DeltaSeq empty", func() { NewDeltaSeqPattern(0, 4, nil) })
 	assertPanics(t, "Footprint empty", func() { NewRegionFootprintPattern(0, 4, nil) })
 	assertPanics(t, "VaryingDelta empty", func() { NewVaryingDeltaPattern(0, 4, nil, 0.1) })
+	seqs := [][]int{{1}}
+	for _, p := range []float64{-0.1, 1.5, math.NaN()} {
+		assertPanics(t, fmt.Sprintf("HotCold pHot=%v", p), func() { NewHotColdPattern(0, 1<<12, 1<<20, p) })
+		assertPanics(t, fmt.Sprintf("VaryingDelta switchP=%v", p), func() { NewVaryingDeltaPattern(0, 4, seqs, p) })
+	}
 }
 
 func assertPanics(t *testing.T, name string, f func()) {
