@@ -113,18 +113,27 @@ sweep-smoke:
 
 # fuzz-smoke runs each native fuzz target briefly on top of its
 # committed seed corpus: the ChampSim trace decode path, the seal every
-# snapshot and store entry is framed in, the snapshot/result codecs, and
-# the ppfd and sweep-fabric frame decoders (server, coordinator and
-# client sides). `go test -fuzz` accepts one
-# target per invocation, so the targets run back to back. Longer
-# sessions: raise FUZZTIME or run a single target by hand.
+# snapshot and store entry is framed in, the snapshot/result codecs, the
+# component walkers and the session restore behind that seal (fed
+# unsealed streams, which a checksum would otherwise stop), and the ppfd
+# and sweep-fabric frame decoders (server, coordinator and client
+# sides). `go test -fuzz` accepts one target per invocation, so the
+# targets run back to back. Longer sessions: raise FUZZTIME or run a
+# single target by hand. The three snapshot targets are seeded with
+# real snapshots tens to hundreds of kilobytes long; the engine's
+# default 60 s minimization of each new interesting input that long
+# took their whole FUZZTIME (7 to 91 executions in 30 s from an empty
+# fuzz cache, against 9,108 to 129,010 at 1 s), so they minimize for
+# at most 1 s.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/tracefile/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdapter$$' -fuzztime $(FUZZTIME) ./internal/tracefile/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnseal$$' -fuzztime $(FUZZTIME) ./internal/snap/
-	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotWalk$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionRestore$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeFrame$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricFrame$$' -fuzztime $(FUZZTIME) ./internal/sweepfab/
 

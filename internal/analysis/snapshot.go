@@ -7,7 +7,7 @@ import (
 )
 
 // Snapshot enforces total field coverage in snapshot walks. A method
-// named SnapshotWalk or snapshotWalk whose single parameter is a
+// named SnapshotWalk or snapshotWalk whose first parameter is a
 // *Walker registers its receiver struct for snapshot serialization
 // (internal/snap): one walk function drives both the encode and decode
 // directions, so encode/decode symmetry holds by construction — but
@@ -166,7 +166,7 @@ func checkSnapshotWalk(p *Package, fn *ast.FuncDecl, report func(Diagnostic)) (*
 		return nil, nil
 	}
 	sig := obj.Type().(*types.Signature)
-	if sig.Params().Len() != 1 {
+	if sig.Params().Len() == 0 {
 		return nil, nil
 	}
 	pt, ok := sig.Params().At(0).Type().(*types.Pointer)
@@ -199,7 +199,7 @@ func checkSnapshotWalk(p *Package, fn *ast.FuncDecl, report func(Diagnostic)) (*
 		recvObj = p.Info.Defs[names[0]]
 	}
 	var walkerObj types.Object
-	if params := fn.Type.Params.List; len(params) == 1 && len(params[0].Names) == 1 {
+	if params := fn.Type.Params.List; len(params[0].Names) > 0 {
 		walkerObj = p.Info.Defs[params[0].Names[0]]
 	}
 	recvField := func(e ast.Expr) (string, bool) {

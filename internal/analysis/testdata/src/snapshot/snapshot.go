@@ -77,6 +77,17 @@ func (d *delegated) snapshotWalk(w *Walker) {
 	d.nested.snapshotWalk(w)
 }
 
+// withContext takes the walker first and context after it: still a
+// snapshot walk, so its missing field is reported.
+type withContext struct {
+	valid bool
+	seq   uint64
+}
+
+func (c *withContext) snapshotWalk(w *Walker, n int) { // want "snapshot walk for withContext does not visit field seq"
+	w.Bool(&c.valid)
+}
+
 // notWalker has the right method name but the wrong parameter type; it
 // is not a snapshot walk and its missing fields must not be reported.
 type notWalker struct{}

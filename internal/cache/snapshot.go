@@ -1,19 +1,55 @@
 package cache
 
-import "repro/internal/snap"
+import (
+	"fmt"
+	"math/bits"
 
-// SnapshotWalk serializes the cache's mutable state — line arrays,
+	"repro/internal/snap"
+)
+
+// SnapshotWalk serializes the cache's mutable state — live lines,
 // MSHRs, the LRU clock and statistics — through one walk shared by the
 // encode and decode directions (see internal/snap). Geometry and
 // wiring are not serialized: the restoring machine is built from the
 // same Config (pinned by the snapshot's cache key), so cfg, sets, ways
 // and setMask are already correct, and next/hooks point at the fresh
 // machine's own structures.
+//
+// Only live lines are walked: those holding a block (tag !=
+// invalidTag). Lines are never invalidated, so an empty line is all
+// zeros behind its invalidTag, and a warmed cache is still mostly empty
+// lines. The stream is a bitmap of the live lines, recomputed from the
+// tags on every encode, then each live line's tag, LRU stamp, flags and
+// owner in index order. Decode starts from empty lines and latches an
+// error for a live bit past the last line, and for a live line whose
+// tag is invalidTag or belongs to another set.
 func (c *Cache) SnapshotWalk(w *snap.Walker) {
-	w.Uint64s(c.tags)
-	w.Uint64s(c.lastUse)
-	w.Uint8s(c.flags)
-	w.Int16s(c.owner)
+	live := make([]uint64, (len(c.tags)+63)/64)
+	for i, t := range c.tags {
+		if w.Decoding() {
+			c.tags[i], c.lastUse[i], c.flags[i], c.owner[i] = invalidTag, 0, 0, 0
+		} else if t != invalidTag {
+			live[i>>6] |= 1 << (i & 63)
+		}
+	}
+	w.Uint64s(live)
+	for k, word := range live {
+		for ; word != 0; word &= word - 1 {
+			i := k<<6 | bits.TrailingZeros64(word)
+			if i >= len(c.tags) {
+				w.Check(fmt.Errorf("cache %q: live bit %d past the last of %d lines", c.cfg.Name, i, len(c.tags)))
+				return
+			}
+			w.Uint64(&c.tags[i])
+			w.Uint64(&c.lastUse[i])
+			w.Uint8(&c.flags[i])
+			w.Int16(&c.owner[i])
+			if t := c.tags[i]; w.Decoding() && (t == invalidTag || c.setOf(t) != i/c.ways) {
+				w.Check(fmt.Errorf("cache %q: line %d (set %d) holds tag %#x", c.cfg.Name, i, i/c.ways, t))
+				return
+			}
+		}
+	}
 	w.Uint64(&c.useTick)
 	w.Uint64s(c.mshrBlock)
 	w.Uint64s(c.mshrDone)

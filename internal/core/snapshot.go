@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/snap"
+import (
+	"fmt"
+
+	"repro/internal/snap"
+)
 
 // SnapshotWalk serializes the filter's learned and architectural
 // state: all perceptron weight tables, the prefetch and reject record
@@ -19,11 +23,12 @@ func (f *Filter) SnapshotWalk(w *snap.Walker) {
 		lo, hi := f.base[i], f.base[i]+f.fmask[i]+1
 		w.Int8s(f.plane[lo:hi])
 	}
+	fmask := f.fmask[:f.nf]
 	for i := range f.prefetchTable {
-		f.prefetchTable[i].snapshotWalk(w)
+		f.prefetchTable[i].snapshotWalk(w, fmask)
 	}
 	for i := range f.rejectTable {
-		f.rejectTable[i].snapshotWalk(w)
+		f.rejectTable[i].snapshotWalk(w, fmask)
 	}
 	w.Uint64s(f.pcHist[:])
 	w.Uint64(&f.issueSeq)
@@ -34,13 +39,30 @@ func (f *Filter) SnapshotWalk(w *snap.Walker) {
 		f.OnTrainEvent, f.trainBuf)
 }
 
-func (e *recordEntry) snapshotWalk(w *snap.Walker) {
+// snapshotWalk walks one record entry against the filter's per-feature
+// index masks. An invalid entry is its valid byte alone and decodes to
+// the zero entry: no path reads an invalid entry's other fields. A
+// valid entry walks the indices of the len(fmask) live features only,
+// and decode latches an error for an index past its feature's table.
+func (e *recordEntry) snapshotWalk(w *snap.Walker, fmask []uint32) {
+	if w.Decoding() {
+		*e = recordEntry{}
+	}
 	w.Bool(&e.valid)
+	if !e.valid {
+		return
+	}
 	w.Uint16(&e.tag)
 	w.Bool(&e.useful)
 	e.decision.SnapshotWalk(w)
 	w.Uint64(&e.seq)
-	w.Uint16s(e.idx[:])
+	w.Uint16s(e.idx[:len(fmask)])
+	for i, x := range e.idx[:len(fmask)] {
+		if w.Decoding() && uint32(x) > fmask[i] {
+			w.Check(fmt.Errorf("core: record index %d past feature %d's %d-entry table", x, i, fmask[i]+1))
+			return
+		}
+	}
 }
 
 // SnapshotWalk round-trips a Decision as one byte. The decode direction

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/snap"
@@ -66,6 +67,28 @@ func TestSnapshotStableAcrossLayout(t *testing.T) {
 		in := randInput(rng)
 		if df, dg := f.Decide(&in), g.Decide(&in); df != dg {
 			t.Fatalf("restored filter decides %v, original %v", dg, df)
+		}
+	}
+}
+
+// TestDecodeRejectsRecordIndex builds a filter stream whose record entry
+// holds a feature index past that feature's table: restoring it would
+// let the next demand to the block index past the weight plane.
+func TestDecodeRejectsRecordIndex(t *testing.T) {
+	for _, table := range []string{"prefetch", "reject"} {
+		f := New(DefaultConfig())
+		e := recordEntry{valid: true, tag: 3, decision: FillL2, seq: 1}
+		e.idx[f.nf-1] = uint16(f.fmask[f.nf-1]) + 1
+		if table == "prefetch" {
+			f.prefetchTable[7] = e
+		} else {
+			e.decision = Drop
+			f.rejectTable[7] = e
+		}
+		dec := snap.NewDecoder(encodeFilter(t, f))
+		New(DefaultConfig()).SnapshotWalk(dec)
+		if err := dec.Err(); err == nil || !strings.Contains(err.Error(), "record index") {
+			t.Errorf("%s table: err = %v, want a record-index error", table, err)
 		}
 	}
 }

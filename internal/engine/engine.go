@@ -102,8 +102,11 @@ func (s *Session) ApplyBatch(events []Event, out []core.Decision) []core.Decisio
 // (thresholds, feature tables) into garbage weights, so a snapshot
 // cannot be restored into a session built differently.
 const (
-	sessMagic   = 0x45465050 // "PPFE"
-	sessVersion = 1
+	sessMagic = 0x45465050 // "PPFE"
+	// Version history: 1 = original layout; 2 = record-table entries
+	// walk only their valid byte when invalid and only the live
+	// features' indices when valid.
+	sessVersion = 2
 )
 
 // ErrBadSessionSnapshot reports a session snapshot whose seal failed

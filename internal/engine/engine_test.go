@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -118,6 +119,34 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 		if d1[i] != d2[i] {
 			t.Fatalf("post-restore decision %d diverged: %v vs %v", i, d1[i], d2[i])
 		}
+	}
+}
+
+// TestRestoreIntoTrainedSession restores a snapshot into a session that
+// has trained on another stream. Nothing of the session's own state may
+// survive: it must re-encode to the snapshotted session's bytes and
+// decide as that session does from then on.
+func TestRestoreIntoTrainedSession(t *testing.T) {
+	s := New(core.DefaultConfig())
+	s.ApplyBatch(eventStream(7, 8192), nil)
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	r := New(core.DefaultConfig())
+	r.ApplyBatch(eventStream(21, 8192), nil)
+	if err := r.Restore(blob); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if !bytes.Equal(sessionBytes(t, r), sessionBytes(t, s)) {
+		t.Fatal("restored session state differs from the snapshotted one")
+	}
+	tail := eventStream(8, 2048)
+	if d1, d2 := s.ApplyBatch(tail, nil), r.ApplyBatch(tail, nil); !slices.Equal(d1, d2) {
+		t.Fatal("post-restore decisions diverged")
+	}
+	if !bytes.Equal(sessionBytes(t, r), sessionBytes(t, s)) {
+		t.Fatal("post-restore session state diverged")
 	}
 }
 

@@ -1,6 +1,11 @@
 package prefetch
 
-import "repro/internal/snap"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/snap"
+)
 
 // Snapshotter is implemented by prefetchers whose state can be
 // serialized into a post-warmup machine snapshot (internal/snap). All
@@ -45,13 +50,19 @@ func (e *sppSTEntry) snapshotWalk(w *snap.Walker) {
 // the walked fields, so they stay Static — the encoding is unchanged
 // from before they existed — and decode recomputes them. Zero entries
 // skip refresh so a restored table is field-identical to a fresh one.
+// Decode rejects a counter outside its 4-bit range, which would index
+// past sppCdTab.
 func (e *sppPTEntry) snapshotWalk(w *snap.Walker) {
 	w.Int(&e.cSig)
 	w.Ints(e.deltas[:])
 	w.Ints(e.cDelta[:])
 	w.Bools(e.used[:])
 	w.Static(e.cd, e.bestWay, e.bestC, e.bestEnc, e.bestDelta, e.order, e.nUsed, e.firstFree)
-	if w.Decoding() && e.cSig > 0 {
+	switch {
+	case !w.Decoding():
+	case e.cSig < 0 || e.cSig > sppCSigMax || slices.ContainsFunc(e.cDelta[:], func(c int) bool { return c < 0 || c > sppCDeltaMax }):
+		w.Check(fmt.Errorf("prefetch: SPP pattern counters (signature %d, deltas %v) outside their 4-bit range", e.cSig, e.cDelta))
+	case e.cSig > 0:
 		e.refresh()
 	}
 }
@@ -75,6 +86,9 @@ func (b *BOP) SnapshotWalk(w *snap.Walker) {
 	w.Ints(b.scores)
 	w.Int(&b.round)
 	w.Int(&b.testIdx)
+	if w.Decoding() && (b.testIdx < 0 || b.testIdx >= len(b.offsets)) {
+		w.Check(fmt.Errorf("prefetch: BOP test index %d outside its %d offsets", b.testIdx, len(b.offsets)))
+	}
 	w.Int(&b.bestOff)
 	w.Int(&b.bestScore)
 	w.Bool(&b.enabled)
@@ -122,6 +136,9 @@ func (e *vldpDHBEntry) snapshotWalk(w *snap.Walker) {
 	w.Int(&e.lastOffset)
 	w.Ints(e.deltas[:])
 	w.Int(&e.numDeltas)
+	if w.Decoding() && (e.numDeltas < 0 || e.numDeltas > vldpMaxHistory) {
+		w.Check(fmt.Errorf("prefetch: VLDP history length %d outside [0, %d]", e.numDeltas, vldpMaxHistory))
+	}
 	w.Uint64(&e.lastUse)
 }
 
@@ -166,6 +183,9 @@ func (s *Sandbox) SnapshotWalk(w *snap.Walker) {
 		s.slots[i].snapshotWalk(w)
 	}
 	w.Int(&s.current)
+	if w.Decoding() && (s.current < 0 || s.current >= len(s.slots)) {
+		w.Check(fmt.Errorf("prefetch: Sandbox slot %d outside its %d slots", s.current, len(s.slots)))
+	}
 	w.Int(&s.accs)
 	w.Static(s.cfg)
 }

@@ -211,7 +211,7 @@ func TestWireGolden(t *testing.T) {
 		{"ok", framed(wire.Body(opOK, nil)), "0100000080"},
 		{"decisions", framed(encodeDecisions(nil, decisions)), "0c000000810300000000000000020100"},
 		{"stats reply", framed(st.execute(opStats)), "590000008277000000000000007700000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-		{"snapshot reply", framed(st.execute(opSnapshot)), "len 180780 sha256 ddb613fa05f9eb2d7fab6fd79c0674d20d44f8d513e51243d879bec7af02725c"},
+		{"snapshot reply", framed(st.execute(opSnapshot)), "len 28492 sha256 20a31fa3622931645b14f72bfb50167ff73f6c0660de2d5934da7944fed22a2a"},
 		{"bad-frame", errorFrameBytes(wire.ErrBadFrame), "19000000ff010f000000000000006d616c666f726d6564206672616d65"},
 		{"bad-order", errorFrameBytes(wire.ErrBadOrder), "1e000000ff02140000000000000072657175657374206265666f72652068656c6c6f"},
 		{"session-busy", errorFrameBytes(wire.ErrSessionBusy), "1c000000ff03120000000000000073657373696f6e206b657920696e20757365"},

@@ -5,10 +5,16 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
+	ppf "repro/internal/core"
+	"repro/internal/prefetch"
+	"repro/internal/snap"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -69,6 +75,100 @@ func FuzzRestore(f *testing.F) {
 	})
 }
 
+// walkable is a component with a snapshot walk.
+type walkable interface{ SnapshotWalk(*snap.Walker) }
+
+// flatMem is a constant-latency level under the fuzzed L2.
+type flatMem struct{}
+
+func (flatMem) Read(_, at uint64) uint64 { return at + 200 }
+func (flatMem) Write(uint64, uint64)     {}
+
+// walkTargets returns fresh components to decode into: an L2-sized
+// cache, SPP, BOP and the PPF filter.
+func walkTargets() []walkable {
+	return []walkable{
+		cache.MustNew(DefaultConfig(1).L2, flatMem{}),
+		prefetch.NewSPP(prefetch.AggressiveSPPConfig()),
+		prefetch.NewBOP(prefetch.DefaultBOPConfig()),
+		ppf.New(ppf.DefaultConfig()),
+	}
+}
+
+// FuzzSnapshotWalk feeds unsealed walker streams to the component
+// decoders: behind a snapshot's checksum, mutated machine blobs almost
+// never reach them. Every input is decoded into each of walkTargets, and
+// each component that decodes cleanly is driven with the first loads of
+// the trace its seed warmed on, which must not panic. The seeds are the
+// streams of those components in warmed PPF and BOP machines. Whole
+// machines are left out: a fuzzed instCount would make Restore's trace
+// replay run without end.
+func FuzzSnapshotWalk(f *testing.F) {
+	var addrs []uint64
+	var seeds [][]byte
+	for r := workload.MustByName("605.mcf_s").NewReader(1); len(addrs) < 64; {
+		if in, _ := r.Next(); in.Kind == trace.KindLoad {
+			addrs = append(addrs, in.Addr)
+		}
+	}
+	for _, setup := range []CoreSetup{
+		{Prefetcher: prefetch.NewSPP(prefetch.AggressiveSPPConfig()), Filter: ppf.New(ppf.DefaultConfig())},
+		{Prefetcher: prefetch.NewBOP(prefetch.DefaultBOPConfig())},
+	} {
+		setup.Trace = workload.MustByName("605.mcf_s").NewReader(1)
+		sys, err := NewSystem(DefaultConfig(1), []CoreSetup{setup})
+		if err != nil {
+			f.Fatal(err)
+		}
+		sys.RunWarmup(20_000)
+		c := sys.cores[0]
+		parts := []walkable{c.l2, c.pf.(walkable)}
+		if c.filter != nil {
+			parts = append(parts, c.filter)
+		}
+		for _, part := range parts {
+			w := snap.NewEncoder()
+			part.SnapshotWalk(w)
+			b, err := w.Bytes()
+			if err != nil {
+				f.Fatal(err)
+			}
+			seeds = append(seeds, b)
+			f.Add(b)
+		}
+	}
+	accept := func(prefetch.Candidate) bool { return true }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decoded := 0
+		for _, part := range walkTargets() {
+			w := snap.NewDecoder(data)
+			part.SnapshotWalk(w)
+			if w.Finish() != nil {
+				continue
+			}
+			decoded++
+			for i, a := range addrs {
+				at := uint64(100 * i)
+				switch p := part.(type) {
+				case *cache.Cache:
+					p.Read(a, at)
+					p.Prefetch(a+cache.BlockSize, at, true, 0)
+				case prefetch.Prefetcher:
+					p.OnDemand(prefetch.Access{PC: 0x400000, Addr: a, Cycle: at}, accept)
+				case *ppf.Filter:
+					in := ppf.FeatureInput{Addr: a + cache.BlockSize, PC: 0x400000, Depth: 1, Confidence: 50, Delta: 1}
+					p.Filter(&in)
+					p.OnDemand(a)
+					p.OnEvict(a, false)
+				}
+			}
+		}
+		if decoded == 0 && slices.ContainsFunc(seeds, func(b []byte) bool { return bytes.Equal(b, data) }) {
+			t.Fatal("a seed stream decoded into none of the components")
+		}
+	})
+}
+
 // FuzzDecodeResult feeds arbitrary bytes to the Result codec used by
 // the disk-backed run cache: any input must either decode to a Result
 // or error — no panics and no corrupt-length allocation bombs.
@@ -125,6 +225,29 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 }
 
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
+
+// TestRestoreRejectsROBCursor snapshots machines whose ROB head or
+// count does not fit the ROB: Restore must fail, where it used to
+// leave a machine whose next retire indexed past the ROB.
+func TestRestoreRejectsROBCursor(t *testing.T) {
+	for name, bad := range map[string]func(c *Core){
+		"head -1":            func(c *Core) { c.robHead = -1 },
+		"head past the ROB":  func(c *Core) { c.robHead = len(c.rob) },
+		"count -1":           func(c *Core) { c.robCount = -1 },
+		"count past the ROB": func(c *Core) { c.robCount = len(c.rob) + 1 },
+	} {
+		sys := fuzzSystem(t)
+		sys.RunWarmup(1_000)
+		bad(sys.cores[0])
+		blob, err := sys.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fuzzSystem(t).Restore(blob); err == nil || !strings.Contains(err.Error(), "ROB head") {
+			t.Errorf("%s: Restore err = %v, want a ROB range error", name, err)
+		}
+	}
+}
 
 // TestRestoreSeedsHitTheirBranch keeps the committed FuzzRestore seeds
 // aimed at the checks their names give: each must fail Restore with

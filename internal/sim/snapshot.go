@@ -25,8 +25,11 @@ const (
 	// decode, which a promotion could make resume differently); 4 = each
 	// core's loadDone ring is sized to its ROB (was 65,536 entries); 5 =
 	// the frame is snap.Seal's (an empty tag, and the CRC-32 follows the
-	// payload instead of preceding it), with the same walker stream.
-	snapVersion = 5
+	// payload instead of preceding it), with the same walker stream; 6 =
+	// caches walk only their live lines behind a bitmap, and record-table
+	// entries walk only their valid byte when invalid and only the live
+	// features' indices when valid.
+	snapVersion = 6
 )
 
 // ErrBadSnapshot reports a snapshot whose seal failed validation.
@@ -115,6 +118,9 @@ func (c *Core) snapshotWalk(w *snap.Walker) {
 	w.Uint64s(c.rob)
 	w.Int(&c.robHead)
 	w.Int(&c.robCount)
+	if w.Decoding() && (c.robHead < 0 || c.robHead >= len(c.rob) || c.robCount < 0 || c.robCount > len(c.rob)) {
+		w.Check(fmt.Errorf("sim: core %d ROB head %d and count %d outside its %d entries", c.id, c.robHead, c.robCount, len(c.rob)))
+	}
 	w.Uint64s(c.loadDone)
 	w.Uint64(&c.instCount)
 	w.Uint64(&c.fetchStallUntil)

@@ -2,7 +2,6 @@ package simstore
 
 import (
 	"bytes"
-	"compress/gzip"
 	"io"
 	"log"
 	"net/http"
@@ -114,7 +113,7 @@ func TestRemoteCorruptionFallsBack(t *testing.T) {
 func TestRemoteVersionMismatch(t *testing.T) {
 	for _, v := range []uint32{version, version + 1} {
 		r, st := remoteTemp(t)
-		raw := sealAt(t, v, kindResult, "k", []byte("payload"), gzip.BestSpeed)
+		raw := sealAt(t, v, kindResult, "k", []byte("payload"))
 		if err := os.WriteFile(st.locate(kindResult, "k"), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}

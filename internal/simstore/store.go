@@ -1,6 +1,6 @@
 // Package simstore implements the content-addressed simulation store
-// behind the experiment run cache: versioned, checksummed,
-// gzip-compressed entries keyed by canonical cell keys. Two kinds of
+// behind the experiment run cache: versioned, checksummed entries
+// keyed by canonical cell keys, stored uncompressed. Two kinds of
 // entries live in separate namespaces — encoded sim.Results under r/
 // (keyed by the full cell key) and post-warmup machine snapshots under
 // w/ (keyed by the cell key's warmup prefix). Entry names are the hex
@@ -19,9 +19,7 @@ package simstore
 
 import (
 	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -34,13 +32,15 @@ import (
 	"repro/internal/snap"
 )
 
-// An entry is snap.Seal(magic, version, kind byte + key,
-// gzip(payload)); version must be bumped whenever the tag or payload
-// encoding changes. Version 1 had its own header and a CRC-32 over the
-// whole entry.
+// An entry is snap.Seal(magic, version, kind byte + key, payload);
+// version must be bumped whenever the tag or payload encoding changes.
+// Version history: 1 had its own header and a CRC-32 over the whole
+// entry; 2 = snap.Seal around gzip(payload); 3 = the payload is sealed
+// as it is, with no gzip (snapshots became sparse, so deflate cost more
+// time than the disk it saved).
 const (
 	magic   = 0x53465050 // "PPFS"
-	version = 2
+	version = 3
 )
 
 // Backend is the store surface the experiment run cache layers over:
@@ -185,7 +185,7 @@ func (s *Store) SaveSnapshot(key string, payload []byte) error {
 	return s.save(kindSnapshot, key, payload)
 }
 
-// load fetches, verifies and decompresses one entry. Any failure
+// load fetches and verifies one entry. Any failure
 // reports a miss so the caller recomputes (and rewrites) the entry.
 func (s *Store) load(kind uint8, key string, hits, misses *uint64) ([]byte, bool) {
 	loc := s.locate(kind, key)
@@ -232,11 +232,7 @@ func (s *Store) miss(misses *uint64, loc string, corrupt bool, err error) {
 // results can tell a dead store from a slow one.
 func (s *Store) save(kind uint8, key string, payload []byte) error {
 	loc := s.locate(kind, key)
-	blob, err := encodeEntry(kind, key, payload)
-	if err == nil {
-		err = s.t.put(loc, blob)
-	}
-	if err != nil {
+	if err := s.t.put(loc, encodeEntry(kind, key, payload)); err != nil {
 		return fmt.Errorf("simstore: saving %s: %w", loc, err)
 	}
 	return nil
@@ -280,60 +276,24 @@ func (dirTransport) put(path string, blob []byte) error {
 func tag(kind uint8, key string) []byte { return append([]byte{kind}, key...) }
 
 // maxEntry bounds what a hostile length can make the store buffer: a
-// fetched or uploaded entry, and the payload presize decodeEntry reads
-// from a gzip trailer. At 64 MiB it sits far above any real entry (an
-// 8-core snapshot is about 8 MB).
+// fetched or uploaded entry. At 64 MiB it sits far above any real
+// entry (an 8-core snapshot is about 1.6 MB after a 50k warmup).
 const maxEntry = 64 << 20
 
-// encodeEntry seals payload, gzipped, under its kind and key. Entries
-// are written at gzip.BestSpeed: on snapshots it compresses four to
-// five times faster than the default level for a file about 10%
-// larger. Any level decodes, so entries written at another level still
-// load.
-//
-// Each call allocates a fresh compressor (about 1.15 MB of flate state)
-// on purpose. Pooling the gzip.Writer (sync.Pool plus Reset) was
-// measured and declined: over 3 alternating 10 s pairs on a 2-vCPU VM
-// it raised perfbench's sweep-tau peak_rss_mb from 14.68/15.05/14.99 to
-// 18.21/18.36/17.99, past that metric's 0.2 bound, while work_per_s
-// stayed flat (23.40/21.71/22.16 pooled, 23.19/22.16/21.27 fresh). The
-// pool keeps compressor state live between saves.
-func encodeEntry(kind uint8, key string, payload []byte) ([]byte, error) {
-	var gz bytes.Buffer
-	zw, _ := gzip.NewWriterLevel(&gz, gzip.BestSpeed) // a valid level cannot fail
-	if _, err := zw.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return snap.Seal(magic, version, tag(kind, key), gz.Bytes()), nil
+// encodeEntry seals payload under its kind and key.
+func encodeEntry(kind uint8, key string, payload []byte) []byte {
+	return snap.Seal(magic, version, tag(kind, key), payload)
 }
 
+// decodeEntry unseals an entry, checks that it was sealed under kind and
+// key, and returns its payload, which aliases raw.
 func decodeEntry(raw []byte, kind uint8, key string) ([]byte, error) {
-	got, gz, err := snap.Unseal(raw, magic, version)
+	got, payload, err := snap.Unseal(raw, magic, version)
 	if err != nil {
 		return nil, err
 	}
 	if want := tag(kind, key); !bytes.Equal(got, want) {
 		return nil, fmt.Errorf("entry tag %q (want %q)", got, want)
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(gz))
-	if err != nil {
-		return nil, fmt.Errorf("payload: %w", err)
-	}
-	// Presize from the gzip trailer's ISIZE (the payload length mod
-	// 2^32; NewReader has read a 10-byte header, so gz holds 4 bytes),
-	// so the buffer is allocated once instead of doubling its way up,
-	// plus room for the read that reports EOF. A lying trailer costs at
-	// most maxEntry before gzip's own length check rejects the entry.
-	hint := min(binary.LittleEndian.Uint32(gz[len(gz)-4:]), maxEntry)
-	out := bytes.NewBuffer(make([]byte, 0, int(hint)+bytes.MinRead))
-	if _, err := out.ReadFrom(zr); err != nil {
-		return nil, fmt.Errorf("payload: %w", err)
-	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("payload: %w", err)
-	}
-	return out.Bytes(), nil
+	return payload, nil
 }

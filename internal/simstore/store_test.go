@@ -2,15 +2,10 @@ package simstore
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/binary"
-	"errors"
 	"log"
-	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -121,7 +116,7 @@ func TestTruncatedEntry(t *testing.T) {
 func TestVersionMismatch(t *testing.T) {
 	for _, v := range []uint32{version, version + 1} {
 		s := openTemp(t)
-		raw := sealAt(t, v, kindResult, "k", []byte("payload"), gzip.BestSpeed)
+		raw := sealAt(t, v, kindResult, "k", []byte("payload"))
 		if err := os.WriteFile(s.locate(kindResult, "k"), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -135,83 +130,11 @@ func TestVersionMismatch(t *testing.T) {
 	}
 }
 
-// sealAt builds an entry by hand through snap.Seal: payload compressed
-// at the given gzip level, sealed at format version v.
-func sealAt(t *testing.T, v uint32, kind uint8, key string, payload []byte, level int) []byte {
+// sealAt builds an entry by hand through snap.Seal, at format version
+// v.
+func sealAt(t *testing.T, v uint32, kind uint8, key string, payload []byte) []byte {
 	t.Helper()
-	var gz bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&gz, level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zw.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return snap.Seal(magic, v, tag(kind, key), gz.Bytes())
-}
-
-// TestLoadsDefaultCompressionEntry pins that the compression level is
-// not part of the entry format: an entry compressed at
-// gzip.DefaultCompression, not the BestSpeed the store writes, still
-// loads.
-func TestLoadsDefaultCompressionEntry(t *testing.T) {
-	s := openTemp(t)
-	var payload []byte
-	for i := uint32(0); i < 8192; i++ {
-		payload = binary.LittleEndian.AppendUint32(payload, i*i%1021)
-	}
-	raw := sealAt(t, version, kindSnapshot, "warm-key", payload, gzip.DefaultCompression)
-	fast, err := encodeEntry(kindSnapshot, "warm-key", payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(raw, fast) {
-		t.Fatal("DefaultCompression and BestSpeed wrote identical entries; the test checks nothing")
-	}
-	if err := os.WriteFile(s.locate(kindSnapshot, "warm-key"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.LoadSnapshot("warm-key")
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("DefaultCompression entry: ok=%v, %d of %d bytes", ok, len(got), len(payload))
-	}
-}
-
-// TestLyingSizeTrailer pins the bound on decode's presize: an entry whose
-// seal is valid but whose gzip trailer claims a 4 GiB payload is a
-// corrupt miss, rejected by gzip's own length check, and loading it
-// allocates no more than the maxEntry cap.
-func TestLyingSizeTrailer(t *testing.T) {
-	s := openTemp(t)
-	raw := sealAt(t, version, kindSnapshot, "k", bytes.Repeat([]byte("machine state "), 64), gzip.BestSpeed)
-	_, gz, err := snap.Unseal(raw, magic, version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(gz[len(gz)-4:], math.MaxUint32) // gzip ISIZE
-	raw = snap.Seal(magic, version, tag(kindSnapshot, "k"), gz)
-	if _, err := decodeEntry(raw, kindSnapshot, "k"); !errors.Is(err, gzip.ErrChecksum) {
-		t.Fatalf("decode: %v, want the gzip trailer check (gzip.ErrChecksum)", err)
-	}
-	if err := os.WriteFile(s.locate(kindSnapshot, "k"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, ok := s.LoadSnapshot("k")
-	runtime.ReadMemStats(&after)
-	if ok {
-		t.Fatal("entry with a lying size trailer served a hit")
-	}
-	if st := s.Stats(); st.Corrupt != 1 || st.SnapshotMisses != 1 {
-		t.Fatalf("stats = %+v; want 1 corrupt miss", st)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxEntry+1<<20 {
-		t.Fatalf("load allocated %d bytes, past the %d-byte presize cap", grew, maxEntry)
-	}
+	return snap.Seal(magic, v, tag(kind, key), payload)
 }
 
 // TestKeyEchoGuardsAliasing simulates two keys landing on one file (a

@@ -410,13 +410,6 @@ func (w *Walker) Int8s(v []int8) {
 	}
 }
 
-// Int16s walks a fixed-length []int16 in place.
-func (w *Walker) Int16s(v []int16) {
-	for i := range v {
-		w.Int16(&v[i])
-	}
-}
-
 // Ints walks a fixed-length []int in place at 64-bit width.
 func (w *Walker) Ints(v []int) {
 	for i := range v {

@@ -24,7 +24,6 @@ type walkEverything struct {
 	u16s []uint16
 	u8s  []uint8
 	i8s  []int8
-	i16s []int16
 	is   []int
 	bs   []bool
 }
@@ -44,7 +43,6 @@ func (e *walkEverything) snapshotWalk(w *Walker) {
 	w.Uint16s(e.u16s)
 	w.Uint8s(e.u8s)
 	w.Int8s(e.i8s)
-	w.Int16s(e.i16s)
 	w.Ints(e.is)
 	w.Bools(e.bs)
 }
@@ -58,7 +56,6 @@ func sample() walkEverything {
 		u16s: []uint16{9, 8, 7},
 		u8s:  []uint8{0, 255, 128},
 		i8s:  []int8{-16, 15, 0},
-		i16s: []int16{-1, 1},
 		is:   []int{-7, 7},
 		bs:   []bool{true, false, true},
 	}
@@ -75,7 +72,7 @@ func TestRoundTrip(t *testing.T) {
 
 	out := walkEverything{
 		u64s: make([]uint64, 3), u16s: make([]uint16, 3), u8s: make([]uint8, 3),
-		i8s: make([]int8, 3), i16s: make([]int16, 2), is: make([]int, 2),
+		i8s: make([]int8, 3), is: make([]int, 2),
 		bs: make([]bool, 3),
 	}
 	dec := NewDecoder(blob)

@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Pattern is the interface implemented by the memory pattern components in
 // this package. Its method set is unexported so the simulator's workloads
@@ -159,10 +162,10 @@ func NewGenerator(cfg GenConfig) (*Generator, error) {
 		gp := genPhase{length: ph.Length}
 		total := 0.0
 		for _, w := range ph.Mix {
-			if !(w.Weight > 0) {
-				return nil, fmt.Errorf("trace: non-positive pattern weight")
-			}
 			total += w.Weight
+			if !(w.Weight > 0 && total <= math.MaxFloat64) {
+				return nil, fmt.Errorf("trace: pattern weights must be positive with a finite sum")
+			}
 			c, ok := seen[w.P]
 			if !ok {
 				c = &component{p: w.P, pcs: newPCs(3 + pcRNG.Intn(5))}

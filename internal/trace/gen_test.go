@@ -197,6 +197,11 @@ func TestGeneratorConfigValidation(t *testing.T) {
 		GenConfig{BranchPredictability: nan, Phases: one(1)},
 		GenConfig{HotLoadRatio: 1.5, Phases: one(1)},
 		GenConfig{HotLoadRatio: nan, Phases: one(1)},
+		GenConfig{LoadRatio: 0.3, Phases: one(math.Inf(1))},
+		GenConfig{LoadRatio: 0.3, Phases: []Phase{{Mix: []Weighted{
+			{P: NewRandomPattern(0, 1<<20), Weight: math.MaxFloat64},
+			{P: NewSequentialPattern(1, 1<<20), Weight: math.MaxFloat64},
+		}}}}, // weights sum to +Inf
 	)
 	for i, cfg := range bad {
 		if _, err := NewGenerator(cfg); err == nil {
