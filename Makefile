@@ -138,9 +138,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricFrame$$' -fuzztime $(FUZZTIME) ./internal/sweepfab/
 
 # profile captures CPU and heap profiles of a 1-core and a 4-core sweep;
-# inspect with `go tool pprof cpu.pprof`.
+# inspect with `go tool pprof cpu.pprof`. It runs without a store: both
+# sweeps' cells are keyed, so over .simcache a second run would profile
+# store reads instead of the simulator.
 profile:
-	$(GO) run ./cmd/experiments -run fig1,fig11 -quick -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/experiments -run fig1,fig11 -quick -cachedir '' -cpuprofile cpu.pprof -memprofile mem.pprof
 
 experiments:
 	$(GO) run ./cmd/experiments -run all -quick -progress

@@ -115,7 +115,6 @@ func main() {
 	warmup := flag.Uint64("warmup", 0, "override warmup instructions")
 	detail := flag.Uint64("detail", 0, "override detailed instructions")
 	jobs := flag.Int("j", 0, "max parallel simulation jobs (0 = GOMAXPROCS); any value yields identical tables")
-	nocache := flag.Bool("nocache", false, "disable the run cache and the disk store (same tables, more wall-clock)")
 	cachedir := flag.String("cachedir", ".simcache", "persistent sim-store directory ('' = in-memory cache only)")
 	progress := flag.Bool("progress", false, "stream sweep progress/ETA and each sweep's job-time summary to stderr")
 	jsonDir := flag.String("json", "", "also write each result as JSON into this directory")
@@ -134,7 +133,7 @@ func main() {
 	}
 
 	if *workerMode != "" {
-		os.Exit(runFleetWorker(*workerMode, *workerName, *storeURL, *cachedir, *nocache))
+		os.Exit(runFleetWorker(*workerMode, *workerName, *storeURL, *cachedir))
 	}
 
 	if *cpuProfile != "" {
@@ -227,15 +226,12 @@ func main() {
 	// persistent content-addressed store, so cells survive across
 	// invocations: stored results replay for free and cells sharing a
 	// warmup prefix resume from post-warmup machine snapshots. Tables are
-	// byte-identical with or without either layer (-nocache to compare).
-	var cache *experiment.RunCache
-	if !*nocache {
-		cache = experiment.NewRunCache()
-		if st, err := openStore(*cachedir, *storeURL); err != nil {
-			fmt.Fprintf(os.Stderr, "opening sim store: %v (continuing without it)\n", err)
-		} else if st != nil {
-			cache.AttachStore(st)
-		}
+	// byte-identical with or without the store (-cachedir '' to compare).
+	cache := experiment.NewRunCache()
+	if st, err := openStore(*cachedir, *storeURL); err != nil {
+		fmt.Fprintf(os.Stderr, "opening sim store: %v (continuing without it)\n", err)
+	} else if st != nil {
+		cache.AttachStore(st)
 	}
 	// Coordinator mode: store-missed cells are leased to fleet workers
 	// instead of simulating in this process; everything else — budgets,
@@ -243,8 +239,8 @@ func main() {
 	// tables stay byte-identical at any fleet size.
 	var coord *sweepfab.Coordinator
 	if *coordinate != "" {
-		if cache == nil || cache.Store() == nil {
-			fmt.Fprintln(os.Stderr, "-coordinate needs a shared store (-storeurl and/or -cachedir) and the run cache enabled")
+		if cache.Store() == nil {
+			fmt.Fprintln(os.Stderr, "-coordinate needs a shared store (-storeurl and/or -cachedir)")
 			os.Exit(2)
 		}
 		coord = sweepfab.NewCoordinator(sweepfab.Config{Store: cache.Store(), LeaseTimeout: *leaseTimeout})
@@ -286,11 +282,7 @@ func main() {
 		fmt.Printf("fleet: %d cell(s) submitted to workers (%d completion(s), %d requeue(s), %d failure(s))\n",
 			c.Submitted, c.Completions, c.Requeues, c.Failures)
 	}
-	if cache != nil {
-		fmt.Println(cache.ReportLine())
-	} else {
-		fmt.Println("run cache: disabled (-nocache)")
-	}
+	fmt.Println(cache.ReportLine())
 }
 
 // openStore assembles the store backend from the -cachedir/-storeurl
@@ -317,11 +309,7 @@ func openStore(cachedir, storeURL string) (simstore.Backend, error) {
 // runFleetWorker is -worker mode: lease cells from the coordinator and
 // run them through a run cache whose save path publishes every result
 // (and warmup snapshot) to the shared store.
-func runFleetWorker(addr, name, storeURL, cachedir string, nocache bool) int {
-	if nocache {
-		fmt.Fprintln(os.Stderr, "-worker needs the run cache (its save path is how results publish); drop -nocache")
-		return 2
-	}
+func runFleetWorker(addr, name, storeURL, cachedir string) int {
 	if storeURL == "" {
 		fmt.Fprintln(os.Stderr, "-worker needs -storeurl: the shared store is how results reach the coordinator")
 		return 2

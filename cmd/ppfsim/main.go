@@ -80,7 +80,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	wl := fs.String("workload", "", "workload name (see -listworkloads)")
 	traceFile := fs.String("trace", "", "trace file, native .ppft or ChampSim format, optionally gzipped (alternative to -workload)")
-	scheme := fs.String("scheme", "ppf", fmt.Sprintf("one of %v, or ppf[tau_hi=N,tau_lo=M]", experiment.NamedSchemes()))
+	scheme := fs.String("scheme", "ppf", fmt.Sprintf("one of %v, or %s", experiment.NamedSchemes(), experiment.SchemeGrammar))
 	cores := fs.Int("cores", 1, "number of cores (the workload runs on every core)")
 	warmup := fs.Uint64("warmup", 200_000, "warmup instructions per core")
 	detail := fs.Uint64("detail", 1_000_000, "detailed instructions per core")
@@ -224,8 +224,8 @@ func runComparison(stdout io.Writer, w workload.Workload, seed, warmup, detail u
 		"scheme", "IPC", "speedup", "L2 MPKI", "pf issued", "pf useful")
 	var baseIPC float64
 	for _, s := range experiment.NamedSchemes() {
-		res := experiment.Exec{}.RunSingle(sim.DefaultConfig(1), s, w, seed,
-			experiment.Budget{Warmup: warmup, Detail: detail})
+		res := experiment.Exec{}.Run(experiment.NewCellSpec(sim.DefaultConfig(1), s, w, seed,
+			experiment.Budget{Warmup: warmup, Detail: detail}))
 		c := res.PerCore[0]
 		rel := "—"
 		if s == experiment.SchemeNone {

@@ -9,53 +9,35 @@ package main
 import (
 	"fmt"
 
-	ppf "repro/internal/core"
-	"repro/internal/prefetch"
+	"repro/internal/experiment"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 func main() {
-	const warmup, detail = 100_000, 400_000
 	names := []string{"603.bwaves_s", "605.mcf_s", "619.lbm_s", "623.xalancbmk_s"}
-
-	type scheme struct {
-		label string
-		setup func(w workload.Workload, seed uint64) sim.CoreSetup
-	}
-	schemes := []scheme{
-		{"baseline", func(w workload.Workload, seed uint64) sim.CoreSetup {
-			return sim.CoreSetup{Trace: w.NewReader(seed)}
-		}},
-		{"spp", func(w workload.Workload, seed uint64) sim.CoreSetup {
-			return sim.CoreSetup{Trace: w.NewReader(seed), Prefetcher: prefetch.NewSPP(prefetch.DefaultSPPConfig())}
-		}},
-		{"spp+ppf", func(w workload.Workload, seed uint64) sim.CoreSetup {
-			return sim.CoreSetup{
-				Trace:      w.NewReader(seed),
-				Prefetcher: prefetch.NewSPP(prefetch.AggressiveSPPConfig()),
-				Filter:     ppf.New(ppf.DefaultConfig()),
-			}
-		}},
+	var cores []experiment.CoreSpec
+	for i, n := range names {
+		w := workload.MustByName(n)
+		cores = append(cores, experiment.CoreSpec{Suite: w.Suite, Workload: w.Name, Seed: uint64(i + 1)})
 	}
 
 	baseIPC := make([]float64, len(names))
-	for _, sc := range schemes {
-		setups := make([]sim.CoreSetup, len(names))
-		for i, n := range names {
-			setups[i] = sc.setup(workload.MustByName(n), uint64(i+1))
-		}
-		sys, err := sim.NewSystem(sim.DefaultConfig(len(names)), setups)
-		if err != nil {
-			panic(err)
-		}
-		res := sys.Run(warmup, detail)
+	for _, s := range []experiment.Scheme{experiment.SchemeNone, experiment.SchemeSPP, experiment.SchemePPF} {
+		// One 4-core machine sharing an LLC and DRAM: the same cell the
+		// experiments key, store and lease.
+		res := experiment.Exec{}.Run(experiment.CellSpec{
+			Config: sim.DefaultConfig(len(names)),
+			Scheme: s,
+			Cores:  cores,
+			Budget: experiment.Budget{Warmup: 100_000, Detail: 400_000},
+		})
 
-		fmt.Printf("== %s ==\n", sc.label)
+		fmt.Printf("== %s ==\n", s)
 		sum := 0.0
 		for i, c := range res.PerCore {
 			rel := ""
-			if sc.label == "baseline" {
+			if s == experiment.SchemeNone {
 				baseIPC[i] = c.IPC
 			} else if baseIPC[i] > 0 {
 				rel = fmt.Sprintf("  (%+.1f%%)", 100*(c.IPC/baseIPC[i]-1))

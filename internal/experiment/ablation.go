@@ -2,13 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	ppf "repro/internal/core"
-	"repro/internal/prefetch"
-	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -27,73 +23,29 @@ type AblationResult struct {
 	Rows     []AblationRow
 }
 
-// variantGeomean folds one variant's per-workload IPCs into a geomean
-// speedup over the shared baselines.
-func variantGeomean(ipcs, baseIPC []float64) float64 {
-	speedups := make([]float64, len(ipcs))
-	for i := range ipcs {
-		speedups[i] = ipcs[i] / baseIPC[i]
-	}
-	return stats.GeoMean(speedups)
-}
-
-// Ablation runs the variant study over the memory-intensive subset. The
-// no-prefetch baselines run once as a parallel phase, then every
-// (variant, workload) cell fans out as one job matrix. The variants that
-// are named schemes (plain SPP, full PPF, the single-threshold filter)
-// run through the run cache, so they share their cells with Figure 9
-// and the threshold sweep; the leave-one-out filters have no scheme name
-// and simulate directly.
+// Ablation runs the variant study over the memory-intensive subset.
+// Every variant is a scheme name, so every cell runs through the run
+// cache, and plain SPP, full PPF and the single-threshold filter share
+// their cells with Figure 9 and the threshold sweep.
 func Ablation(x Exec, b Budget) AblationResult {
-	ws := sortedCopy(workload.SPEC2017MemIntensive())
-	var res AblationResult
-
-	baseIPC := baselineIPCs(x, sim.DefaultConfig(1), ws, 1, b)
-
 	// The variant matrix: plain SPP (reference, no filter), full PPF,
-	// leave-one-out per feature, and the single-threshold filter.
-	type variant struct {
-		name   string
-		scheme Scheme
-		feats  []ppf.FeatureSpec // the leave-one-out filter's features, when scheme is ""
+	// leave-one-out per feature, and the single-threshold filter: no LLC
+	// middle band (TauLo == TauHi), so every accepted prefetch fills the
+	// L2.
+	names := []string{"spp", "full"}
+	schemes := []Scheme{SchemeSPP, SchemePPF}
+	for _, f := range ppf.DefaultFeatures() {
+		names = append(names, "without "+f.Name)
+		schemes = append(schemes, parametric{engine: SchemePPF, drop: f.Name}.scheme())
 	}
-	variants := []variant{{name: "spp", scheme: SchemeSPP}, {name: "full", scheme: SchemePPF}}
-	full := ppf.DefaultFeatures()
-	for drop := range full {
-		variants = append(variants, variant{
-			name:  "without " + full[drop].Name,
-			feats: slices.Delete(slices.Clone(full), drop, drop+1),
-		})
-	}
-	// Single threshold: no LLC middle band (TauLo == TauHi), so every
-	// accepted prefetch fills the L2.
 	tauHi := ppf.DefaultConfig().TauHi
-	variants = append(variants, variant{name: "single threshold (no LLC band)", scheme: PPFVariant(tauHi, tauHi)})
+	names = append(names, "single threshold (no LLC band)")
+	schemes = append(schemes, PPFVariant(tauHi, tauHi))
 
-	ipcs := runJobs(x, "ablation", len(variants)*len(ws), func(i int) float64 {
-		v, w := variants[i/len(ws)], ws[i%len(ws)]
-		if v.scheme != "" {
-			return x.RunSingle(sim.DefaultConfig(1), v.scheme, w, 1, b).PerCore[0].IPC
-		}
-		cfg := ppf.DefaultConfig()
-		cfg.Features = v.feats
-		return runSetup(sim.CoreSetup{
-			Trace:      w.NewReader(1),
-			Prefetcher: prefetch.NewSPP(prefetch.AggressiveSPPConfig()),
-			Filter:     ppf.New(cfg),
-		}, b).PerCore[0].IPC
-	})
-
-	for vi, v := range variants {
-		g := variantGeomean(ipcs[vi*len(ws):(vi+1)*len(ws)], baseIPC)
-		switch v.name {
-		case "spp":
-			res.SPP = g
-		case "full":
-			res.Baseline = g
-		default:
-			res.Rows = append(res.Rows, AblationRow{Variant: v.name, Geomean: g})
-		}
+	g := schemeGeomeans(x, "ablation", sortedCopy(workload.SPEC2017MemIntensive()), 1, schemes, b)
+	res := AblationResult{SPP: g[0], Baseline: g[1]}
+	for i := 2; i < len(g); i++ {
+		res.Rows = append(res.Rows, AblationRow{Variant: names[i], Geomean: g[i]})
 	}
 	return res
 }
@@ -130,52 +82,32 @@ type GeneralityRow struct {
 type GeneralityResult struct{ Rows []GeneralityRow }
 
 // Generality measures seven prefetchers with and without a PPF filter
-// over the memory-intensive subset. The no-prefetch baselines run once,
-// then every (engine, filtered, workload) cell is one job. An unfiltered
-// engine that is a named scheme runs through the run cache (DA-AMPM's
-// cells are Figure 9's); the rest have no scheme name and simulate
-// directly.
+// over the memory-intensive subset. Every engine is a scheme name and
+// its filtered form adds filter=ppf, so every cell runs through the run
+// cache (DA-AMPM's unfiltered cells are Figure 9's).
 func Generality(x Exec, b Budget) GeneralityResult {
-	ws := sortedCopy(workload.SPEC2017MemIntensive())
-	var res GeneralityResult
 	engines := []struct {
 		name   string
-		scheme Scheme // the unfiltered engine's scheme, or ""
-		mk     func() prefetch.Prefetcher
+		engine parametric
 	}{
-		{"next-line(4)", "", func() prefetch.Prefetcher { return prefetch.NewNextLine(4) }},
-		{"stride(4)", "", func() prefetch.Prefetcher { return prefetch.NewStride(4) }},
-		{"bop(2)", "", func() prefetch.Prefetcher { return prefetch.NewBOP(prefetch.BOPConfig{Degree: 2}) }},
-		{"da-ampm", SchemeAMPM, func() prefetch.Prefetcher { return prefetch.NewAMPM(prefetch.DefaultAMPMConfig()) }},
-		{"vldp", SchemeVLDP, func() prefetch.Prefetcher { return prefetch.NewVLDP(prefetch.DefaultVLDPConfig()) }},
-		{"sms", SchemeSMS, func() prefetch.Prefetcher { return prefetch.NewSMS(prefetch.DefaultSMSConfig()) }},
-		{"sandbox", SchemeSandbox, func() prefetch.Prefetcher { return prefetch.NewSandbox(prefetch.DefaultSandboxConfig()) }},
+		{"next-line(4)", parametric{engine: "next-line", degree: 4}},
+		{"stride(4)", parametric{engine: "stride", degree: 4}},
+		{"bop(2)", parametric{engine: SchemeBOP, degree: 2}},
+		{"da-ampm", parametric{engine: SchemeAMPM}},
+		{"vldp", parametric{engine: SchemeVLDP}},
+		{"sms", parametric{engine: SchemeSMS}},
+		{"sandbox", parametric{engine: SchemeSandbox}},
 	}
-
-	baseIPC := baselineIPCs(x, sim.DefaultConfig(1), ws, 1, b)
-
-	// Cell order mirrors the historical loops: engine, then unfiltered/
-	// filtered, then workload.
-	variants := len(engines) * 2
-	ipcs := runJobs(x, "generality", variants*len(ws), func(i int) float64 {
-		vi, w := i/len(ws), ws[i%len(ws)]
-		eng, filtered := engines[vi/2], vi%2 == 1
-		if !filtered && eng.scheme != "" {
-			return x.RunSingle(sim.DefaultConfig(1), eng.scheme, w, 1, b).PerCore[0].IPC
-		}
-		setup := sim.CoreSetup{Trace: w.NewReader(1), Prefetcher: eng.mk()}
-		if filtered {
-			setup.Filter = ppf.New(ppf.DefaultConfig())
-		}
-		return runSetup(setup, b).PerCore[0].IPC
-	})
-
-	for vi := 0; vi < variants; vi++ {
-		res.Rows = append(res.Rows, GeneralityRow{
-			Prefetcher: engines[vi/2].name,
-			Filtered:   vi%2 == 1,
-			Geomean:    variantGeomean(ipcs[vi*len(ws):(vi+1)*len(ws)], baseIPC),
-		})
+	// Each engine unfiltered, then filtered.
+	var schemes []Scheme
+	for _, e := range engines {
+		filtered := e.engine
+		filtered.filter = true
+		schemes = append(schemes, e.engine.scheme(), filtered.scheme())
+	}
+	var res GeneralityResult
+	for i, g := range schemeGeomeans(x, "generality", sortedCopy(workload.SPEC2017MemIntensive()), 1, schemes, b) {
+		res.Rows = append(res.Rows, GeneralityRow{Prefetcher: engines[i/2].name, Filtered: i%2 == 1, Geomean: g})
 	}
 	return res
 }

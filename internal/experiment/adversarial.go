@@ -52,7 +52,7 @@ func Adversarial(x Exec, b Budget) AdversarialResult {
 	cfg := sim.DefaultConfig(1)
 	results := runJobs(x, "adversarial", len(cells), func(i int) sim.Result {
 		c := cells[i]
-		return x.RunSingle(cfg, c.s, specs[c.wi].Workload(), 1, b)
+		return x.Run(NewCellSpec(cfg, c.s, specs[c.wi].Workload(), 1, b))
 	})
 
 	var res AdversarialResult

@@ -94,6 +94,45 @@ func TestDiskCacheGolden(t *testing.T) {
 	}
 }
 
+// TestDiskCacheGoldenStudies applies TestDiskCacheGolden's check to the
+// studies whose machines are N-core mixes or parametric schemes: the
+// storeless, cold-store and warm-store renders must be equal, and the
+// warm run must read every result from the store.
+func TestDiskCacheGoldenStudies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	b := Budget{Warmup: 2_000, Detail: 8_000}
+	for _, study := range []struct {
+		name   string
+		render func(Exec) string
+	}{
+		{"fig11", func(x Exec) string { return Figure11(x, 2, b).Render() }},
+		{"ablation", func(x Exec) string { return Ablation(x, b).Render() }},
+		{"generality", func(x Exec) string { return Generality(x, b).Render() }},
+		{"fig1", func(x Exec) string { return Figure1(x, b).Render() }},
+	} {
+		t.Run(study.name, func(t *testing.T) {
+			want := study.render(Exec{})
+			st, dir := tempStore(t)
+			cold := NewRunCache()
+			cold.AttachStore(st)
+			if got := study.render(Exec{Cache: cold}); got != want {
+				t.Fatalf("cold-store render diverged from storeless\nwant:\n%s\ngot:\n%s", want, got)
+			}
+			st2 := openStore(t, dir)
+			warm := NewRunCache()
+			warm.AttachStore(st2)
+			if got := study.render(Exec{Cache: warm}); got != want {
+				t.Fatalf("warm-store render diverged from storeless\nwant:\n%s\ngot:\n%s", want, got)
+			}
+			if s := st2.Stats(); s.ResultMisses != 0 || s.ResultHits == 0 {
+				t.Fatalf("warm run store stats = %+v, want only result hits", s)
+			}
+		})
+	}
+}
+
 // TestDiskCacheSnapshotResume pins layer 2 on its own: a cell that
 // misses the result store but shares a warmup prefix with an earlier
 // cell must resume from the stored snapshot and produce a result
@@ -108,14 +147,14 @@ func TestDiskCacheSnapshotResume(t *testing.T) {
 	rc := NewRunCache()
 	rc.AttachStore(st)
 	x := Exec{Cache: rc}
-	x.RunSingle(cfg, SchemePPF, w, 1, short) // seeds the warmup snapshot
+	x.Run(NewCellSpec(cfg, SchemePPF, w, 1, short)) // seeds the warmup snapshot
 
-	resumed := x.RunSingle(cfg, SchemePPF, w, 1, long)
+	resumed := x.Run(NewCellSpec(cfg, SchemePPF, w, 1, long))
 	if got := st.Stats(); got.SnapshotHits != 1 {
 		t.Fatalf("long cell did not resume from the stored snapshot: %+v", got)
 	}
 
-	cold := Exec{Cache: NewRunCache()}.RunSingle(cfg, SchemePPF, w, 1, long)
+	cold := Exec{Cache: NewRunCache()}.Run(NewCellSpec(cfg, SchemePPF, w, 1, long))
 	if !resultsEqual(resumed, cold) {
 		t.Fatalf("snapshot-resumed result diverged from cold\ncold:    %+v\nresumed: %+v", cold, resumed)
 	}
@@ -126,21 +165,20 @@ func TestDiskCacheSnapshotResume(t *testing.T) {
 // still return correct results (by re-simulating) and must leave valid
 // rewritten entries behind.
 func TestDiskCacheCorruptEntryRecovers(t *testing.T) {
-	w := workload.MustByName("641.leela_s")
-	cfg := sim.DefaultConfig(1)
-	b := Budget{Warmup: 5_000, Detail: 10_000}
+	spec := NewCellSpec(sim.DefaultConfig(1), SchemePPF, workload.MustByName("641.leela_s"), 1,
+		Budget{Warmup: 5_000, Detail: 10_000})
 
 	st, dir := tempStore(t)
 	rc := NewRunCache()
 	rc.AttachStore(st)
-	want := Exec{Cache: rc}.RunSingle(cfg, SchemePPF, w, 1, b)
+	want := Exec{Cache: rc}.Run(spec)
 
 	corruptAll(t, dir)
 
 	st2 := openStore(t, dir)
 	rc2 := NewRunCache()
 	rc2.AttachStore(st2)
-	got := Exec{Cache: rc2}.RunSingle(cfg, SchemePPF, w, 1, b)
+	got := Exec{Cache: rc2}.Run(spec)
 	if !resultsEqual(want, got) {
 		t.Fatal("corrupt store changed a result instead of falling back to simulation")
 	}
@@ -153,7 +191,7 @@ func TestDiskCacheCorruptEntryRecovers(t *testing.T) {
 	st3 := openStore(t, dir)
 	rc3 := NewRunCache()
 	rc3.AttachStore(st3)
-	got3 := Exec{Cache: rc3}.RunSingle(cfg, SchemePPF, w, 1, b)
+	got3 := Exec{Cache: rc3}.Run(spec)
 	if !resultsEqual(want, got3) {
 		t.Fatal("rewritten entry served a wrong result")
 	}
@@ -169,7 +207,7 @@ func TestDiskCacheNoWarmupSkipsSnapshots(t *testing.T) {
 	st, _ := tempStore(t)
 	rc := NewRunCache()
 	rc.AttachStore(st)
-	Exec{Cache: rc}.RunSingle(sim.DefaultConfig(1), SchemeNone, w, 1, Budget{Warmup: 0, Detail: 5_000})
+	Exec{Cache: rc}.Run(NewCellSpec(sim.DefaultConfig(1), SchemeNone, w, 1, Budget{Warmup: 0, Detail: 5_000}))
 	if s := st.Stats(); s.SnapshotHits+s.SnapshotMisses != 0 {
 		t.Fatalf("zero-warmup cell consulted the snapshot layer: %+v", s)
 	}

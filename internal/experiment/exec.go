@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -22,9 +23,9 @@ type Exec struct {
 	// Progress, when non-nil, receives live sweep progress/ETA lines
 	// and, as each sweep's last line, a summary of its jobs' wall times.
 	Progress io.Writer
-	// Cache, when non-nil, memoizes single-machine simulation cells so
-	// identical (config, scheme, workload, seed, budget) runs simulate
-	// once per process. Sharing one RunCache across experiments dedups
+	// Cache, when non-nil, memoizes simulation cells so identical
+	// (config, scheme, per-core workloads and seeds, budget) runs
+	// simulate once per process. Sharing one RunCache across experiments dedups
 	// the baselines they have in common; see RunCache for the
 	// correctness argument. Nil keeps the historical always-simulate
 	// behaviour (cached and uncached output is byte-identical).
@@ -42,12 +43,28 @@ func runJobs[T any](x Exec, label string, n int, fn func(i int) T) []T {
 	return runner.Map(n, runner.Options{Workers: x.Workers, Label: label, Progress: x.Progress}, fn)
 }
 
-// baselineIPCs measures every workload's no-prefetch IPC (the
-// denominator of each speedup) as one parallel phase.
-func baselineIPCs(x Exec, cfg sim.Config, ws []workload.Workload, seed uint64, b Budget) []float64 {
-	return runJobs(x, "baseline", len(ws), func(i int) float64 {
-		return x.RunSingle(cfg, SchemeNone, ws[i], seed, b).PerCore[0].IPC
+// schemeGeomeans runs every scheme on every workload, with the given
+// trace seed, on the default 1-core machine and returns each scheme's
+// geomean speedup over no prefetching. The baselines run first as one
+// parallel phase, then the (scheme, workload) cells fan out as one job
+// matrix.
+func schemeGeomeans(x Exec, label string, ws []workload.Workload, seed uint64, schemes []Scheme, b Budget) []float64 {
+	cfg := sim.DefaultConfig(1)
+	baseIPC := runJobs(x, "baseline", len(ws), func(i int) float64 {
+		return x.Run(NewCellSpec(cfg, SchemeNone, ws[i], seed, b)).PerCore[0].IPC
 	})
+	ipcs := runJobs(x, label, len(schemes)*len(ws), func(i int) float64 {
+		return x.Run(NewCellSpec(cfg, schemes[i/len(ws)], ws[i%len(ws)], seed, b)).PerCore[0].IPC
+	})
+	geomeans := make([]float64, len(schemes))
+	for si := range schemes {
+		speedups := make([]float64, len(ws))
+		for wi := range ws {
+			speedups[wi] = ipcs[si*len(ws)+wi] / baseIPC[wi]
+		}
+		geomeans[si] = stats.GeoMean(speedups)
+	}
+	return geomeans
 }
 
 // schemeCell is one (workload, scheme) simulation in a speedup sweep;

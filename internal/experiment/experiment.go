@@ -6,9 +6,11 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	ppf "repro/internal/core"
@@ -50,71 +52,195 @@ func NamedSchemes() []Scheme {
 	return append(append([]Scheme{SchemeNone}, AllSchemes()...), SchemeVLDP, SchemeSMS, SchemeSandbox)
 }
 
+// SchemeGrammar spells the parametric scheme names CheckScheme accepts.
+const SchemeGrammar = "engine[key=value,...], keys in alphabetical order: degree=1..64 (next-line and stride, " +
+	"which need it; bop), depth=1..64 (spp, lookahead forced), drop=FEATURE (ppf), filter=ppf (next-line, stride, " +
+	"bop, da-ampm, vldp, sms, sandbox), tau_hi=N,tau_lo=M (ppf)"
+
 // CheckScheme reports whether s names a known scheme — a named one or a
-// PPFVariant — without building its state.
+// parametric one — without building its state.
 func CheckScheme(s Scheme) error {
-	if _, _, ok := parsePPFVariant(s); ok || slices.Contains(NamedSchemes(), s) {
+	if slices.Contains(NamedSchemes(), s) {
 		return nil
 	}
-	return fmt.Errorf("experiment: unknown scheme %q; known schemes are %v and ppf[tau_hi=N,tau_lo=M]", s, NamedSchemes())
-}
-
-// PPFVariant names a PPF configuration with explicit filter thresholds.
-// The name is parametric — NewSetup parses it back — so threshold-grid
-// cells flow through the run cache, the store and the sweep fabric as
-// ordinary scheme-named cells instead of bypassing them with ad-hoc
-// machine construction.
-func PPFVariant(tauHi, tauLo int) Scheme {
-	return Scheme(fmt.Sprintf("ppf[tau_hi=%d,tau_lo=%d]", tauHi, tauLo))
-}
-
-// parsePPFVariant inverts PPFVariant; ok is false for any other scheme
-// name. Re-rendering rejects the near-misses Sscanf tolerates (trailing
-// garbage, "+4"-style signs), so only canonical names are accepted —
-// one cell, one key.
-func parsePPFVariant(s Scheme) (tauHi, tauLo int, ok bool) {
-	if _, err := fmt.Sscanf(string(s), "ppf[tau_hi=%d,tau_lo=%d]", &tauHi, &tauLo); err != nil {
-		return 0, 0, false
+	err := fmt.Errorf("experiment: unknown scheme %q", s)
+	if strings.Contains(string(s), "[") {
+		if _, err = parseParametric(s); err == nil {
+			return nil
+		}
 	}
-	return tauHi, tauLo, PPFVariant(tauHi, tauLo) == s
+	return fmt.Errorf("%w; known schemes are %v, or %s", err, NamedSchemes(), SchemeGrammar)
+}
+
+// PPFVariant names a PPF configuration with explicit filter thresholds,
+// so threshold-grid cells are ordinary scheme-named cells.
+func PPFVariant(tauHi, tauLo int) Scheme {
+	return parametric{engine: SchemePPF, tau: true, tauHi: tauHi, tauLo: tauLo}.scheme()
+}
+
+// parametric is a scheme name with parameters, engine[key=value,...]:
+// an engine named like a scheme (or next-line or stride) and the
+// settings that make it another machine. Every machine the experiments
+// build has a name, so every one is a cell with a key.
+type parametric struct {
+	engine       Scheme
+	degree       int    // next-line, stride, bop: prefetches per trigger
+	depth        int    // spp: confidence throttling off, lookahead forced to depth (Figure 1)
+	drop         string // ppf: a default feature left out (the ablation)
+	filter       bool   // a default PPF filter over the engine (the generality study)
+	tau          bool   // ppf: explicit thresholds tauHi, tauLo (PPFVariant)
+	tauHi, tauLo int
+}
+
+// paramEngines lists the engines each key applies to.
+var paramEngines = map[string][]Scheme{
+	"degree": {"next-line", "stride", SchemeBOP},
+	"depth":  {SchemeSPP},
+	"drop":   {SchemePPF},
+	"filter": {"next-line", "stride", SchemeBOP, SchemeAMPM, SchemeVLDP, SchemeSMS, SchemeSandbox},
+	"tau_hi": {SchemePPF},
+	"tau_lo": {SchemePPF},
+}
+
+// scheme renders p, keys in alphabetical order; with no parameters it
+// is the engine's own name.
+func (p parametric) scheme() Scheme {
+	var kv []string
+	add := func(set bool, format string, v ...any) {
+		if set {
+			kv = append(kv, fmt.Sprintf(format, v...))
+		}
+	}
+	add(p.degree != 0, "degree=%d", p.degree)
+	add(p.depth != 0, "depth=%d", p.depth)
+	add(p.drop != "", "drop=%s", p.drop)
+	add(p.filter, "filter=ppf")
+	add(p.tau, "tau_hi=%d,tau_lo=%d", p.tauHi, p.tauLo)
+	if kv == nil {
+		return p.engine
+	}
+	return Scheme(fmt.Sprintf("%s[%s]", p.engine, strings.Join(kv, ",")))
+}
+
+// parseParametric inverts scheme. A name is accepted only if it renders
+// back to itself, which rejects what a lenient parse lets through (keys
+// out of order or repeated, "+2" or "07", a lone tau_hi, a filter other
+// than ppf): one machine, one name, one cell key. Degree and depth size
+// per-trigger buffers, and a spec arrives over the wire, so they are
+// bounded.
+func parseParametric(s Scheme) (parametric, error) {
+	engine, list, _ := strings.Cut(string(s), "[")
+	p := parametric{engine: Scheme(engine)}
+	var err error
+	for _, kv := range strings.Split(strings.TrimSuffix(list, "]"), ",") {
+		k, v, _ := strings.Cut(kv, "=")
+		n, nerr := strconv.Atoi(v)
+		switch {
+		case !slices.Contains(paramEngines[k], p.engine):
+			err = fmt.Errorf("engine %q takes no key %q", engine, k)
+		case k == "drop":
+			p.drop = v
+		case k == "filter":
+			p.filter = v == "ppf"
+		case nerr != nil:
+			err = nerr
+		case k == "degree":
+			p.degree = n
+		case k == "depth":
+			p.depth = n
+		case k == "tau_hi":
+			p.tau, p.tauHi = true, n
+		case k == "tau_lo":
+			p.tau, p.tauLo = true, n
+		}
+		if err != nil {
+			break
+		}
+	}
+	switch {
+	case err != nil:
+	case p.scheme() != s:
+		err = fmt.Errorf("not canonical (these parameters are spelled %q)", p.scheme())
+	case p.degree < 0 || p.degree > 64 || p.depth < 0 || p.depth > 64:
+		err = errors.New("degree and depth must be 1..64")
+	case p.degree == 0 && (engine == "next-line" || engine == "stride"):
+		err = errors.New("next-line and stride need a degree")
+	case p.drop != "" && !slices.ContainsFunc(ppf.DefaultFeatures(), func(f ppf.FeatureSpec) bool { return f.Name == p.drop }):
+		err = fmt.Errorf("%q is not a default feature", p.drop)
+	}
+	if err != nil {
+		return parametric{}, fmt.Errorf("experiment: scheme %q: %w", s, err)
+	}
+	return p, nil
+}
+
+// build constructs p's prefetcher and filter; a named scheme is the
+// parametric one with no parameters.
+func (p parametric) build() (pf prefetch.Prefetcher, f *ppf.Filter) {
+	switch p.engine {
+	case SchemeNone:
+	case "next-line":
+		pf = prefetch.NewNextLine(p.degree)
+	case "stride":
+		pf = prefetch.NewStride(p.degree)
+	case SchemeBOP:
+		cfg := prefetch.DefaultBOPConfig()
+		if p.degree > 0 {
+			cfg = prefetch.BOPConfig{Degree: p.degree}
+		}
+		pf = prefetch.NewBOP(cfg)
+	case SchemeAMPM:
+		pf = prefetch.NewAMPM(prefetch.DefaultAMPMConfig())
+	case SchemeSPP:
+		cfg := prefetch.DefaultSPPConfig()
+		if p.depth > 0 {
+			cfg = prefetch.SPPConfig{PrefetchThreshold: 1, FillThreshold: 90,
+				MaxDepth: p.depth, MaxCandidates: p.depth + 4, ForcedDepth: p.depth}
+		}
+		pf = prefetch.NewSPP(cfg)
+	case SchemePPF:
+		cfg := ppf.DefaultConfig()
+		if p.drop != "" {
+			cfg.Features = slices.DeleteFunc(ppf.DefaultFeatures(), func(f ppf.FeatureSpec) bool { return f.Name == p.drop })
+		}
+		if p.tau {
+			cfg.TauHi, cfg.TauLo = p.tauHi, p.tauLo
+		}
+		pf, f = prefetch.NewSPP(prefetch.AggressiveSPPConfig()), ppf.New(cfg)
+	case SchemeVLDP:
+		pf = prefetch.NewVLDP(prefetch.DefaultVLDPConfig())
+	case SchemeSMS:
+		pf = prefetch.NewSMS(prefetch.DefaultSMSConfig())
+	case SchemeSandbox:
+		pf = prefetch.NewSandbox(prefetch.DefaultSandboxConfig())
+	default:
+		panic(fmt.Sprintf("experiment: unknown scheme %q", p.engine))
+	}
+	if p.filter {
+		f = ppf.New(ppf.DefaultConfig())
+	}
+	return pf, f
 }
 
 // NewSetup builds a per-core simulator setup for a scheme. Each call
 // returns fresh prefetcher/filter state. A zero-value workload leaves
 // Trace nil for the caller to supply (cmd/ppfsim does this when driving
-// a binary trace file or its own reader).
+// a binary trace file or its own reader). Only a name with parameters is
+// parsed. Input names are checked with CheckScheme first, so an unknown
+// engine or a malformed name here is a bug and panics.
 func NewSetup(s Scheme, w workload.Workload, seed uint64) sim.CoreSetup {
 	var setup sim.CoreSetup
 	if w.Name != "" {
 		setup.Trace = w.NewReader(seed)
 	}
-	switch s {
-	case SchemeNone:
-	case SchemeBOP:
-		setup.Prefetcher = prefetch.NewBOP(prefetch.DefaultBOPConfig())
-	case SchemeAMPM:
-		setup.Prefetcher = prefetch.NewAMPM(prefetch.DefaultAMPMConfig())
-	case SchemeSPP:
-		setup.Prefetcher = prefetch.NewSPP(prefetch.DefaultSPPConfig())
-	case SchemePPF:
-		setup.Prefetcher = prefetch.NewSPP(prefetch.AggressiveSPPConfig())
-		setup.Filter = ppf.New(ppf.DefaultConfig())
-	case SchemeVLDP:
-		setup.Prefetcher = prefetch.NewVLDP(prefetch.DefaultVLDPConfig())
-	case SchemeSMS:
-		setup.Prefetcher = prefetch.NewSMS(prefetch.DefaultSMSConfig())
-	case SchemeSandbox:
-		setup.Prefetcher = prefetch.NewSandbox(prefetch.DefaultSandboxConfig())
-	default:
-		tauHi, tauLo, ok := parsePPFVariant(s)
-		if !ok {
-			panic(fmt.Sprintf("experiment: unknown scheme %q", s))
+	p := parametric{engine: s}
+	if strings.Contains(string(s), "[") {
+		var err error
+		if p, err = parseParametric(s); err != nil {
+			panic(err)
 		}
-		cfg := ppf.DefaultConfig()
-		cfg.TauHi, cfg.TauLo = tauHi, tauLo
-		setup.Prefetcher = prefetch.NewSPP(prefetch.AggressiveSPPConfig())
-		setup.Filter = ppf.New(cfg)
 	}
+	setup.Prefetcher, setup.Filter = p.build()
 	return setup
 }
 
@@ -132,40 +258,6 @@ func DefaultBudget() Budget { return Budget{Warmup: 200_000, Detail: 1_000_000} 
 
 // QuickBudget is a shorter budget for tests and -quick runs.
 func QuickBudget() Budget { return Budget{Warmup: 50_000, Detail: 200_000} }
-
-// buildSingle constructs a fresh 1-core machine around setup.
-// Experiment configurations are statically valid, so a config error is
-// a bug and panics.
-func buildSingle(cfg sim.Config, setup sim.CoreSetup) *sim.System {
-	cfg.Cores = 1
-	sys, err := sim.NewSystem(cfg, []sim.CoreSetup{setup})
-	if err != nil {
-		panic(err)
-	}
-	return sys
-}
-
-// runSetup simulates setup on the default 1-core machine. It is the
-// path for the machines no scheme names (custom filters, engines and
-// forced depths), which Exec.RunSingle cannot key; they bypass the run
-// cache.
-func runSetup(setup sim.CoreSetup, b Budget) sim.Result {
-	return buildSingle(sim.DefaultConfig(1), setup).Run(b.Warmup, b.Detail)
-}
-
-// runMix simulates one N-core machine in which core c runs ws[c] under
-// scheme s with mix m's seed for that core.
-func runMix(cfg sim.Config, s Scheme, ws []workload.Workload, m int, b Budget) sim.Result {
-	setups := make([]sim.CoreSetup, len(ws))
-	for c := range setups {
-		setups[c] = NewSetup(s, ws[c], mixSeed(m, c))
-	}
-	sys, err := sim.NewSystem(cfg, setups)
-	if err != nil {
-		panic(err)
-	}
-	return sys.Run(b.Warmup, b.Detail)
-}
 
 // SpeedupRow holds one workload's speedups over the no-prefetch baseline.
 type SpeedupRow struct {

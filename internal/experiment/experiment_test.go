@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	ppf "repro/internal/core"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -53,9 +56,70 @@ func TestNewSetupPanicsOnUnknown(t *testing.T) {
 	NewSetup("bogus", workload.MustByName("603.bwaves_s"), 1)
 }
 
-func TestRunSingle(t *testing.T) {
+// TestParametricSchemes: each parametric name passes CheckScheme and
+// builds, through NewSetup, exactly the machine the experiments built by
+// hand before their machines had names; and CheckScheme refuses every
+// near-miss spelling, so one machine has one name and one cell key.
+func TestParametricSchemes(t *testing.T) {
+	noCacheLine := ppf.DefaultConfig()
+	noCacheLine.Features = ppf.DefaultFeatures()[1:]
+	taus := ppf.DefaultConfig()
+	taus.TauHi, taus.TauLo = 4, -10
+	aggressive := prefetch.NewSPP(prefetch.AggressiveSPPConfig())
+	bop2 := prefetch.NewBOP(prefetch.BOPConfig{Degree: 2})
+	for _, tc := range []struct {
+		name   Scheme
+		pf     prefetch.Prefetcher
+		filter *ppf.Filter
+	}{
+		{"ppf[drop=CacheLine]", aggressive, ppf.New(noCacheLine)},
+		{PPFVariant(4, -10), aggressive, ppf.New(taus)},
+		{"next-line[degree=4]", prefetch.NewNextLine(4), nil},
+		{"stride[degree=4]", prefetch.NewStride(4), nil},
+		{"bop[degree=2]", bop2, nil},
+		{"bop[degree=2,filter=ppf]", bop2, ppf.New(ppf.DefaultConfig())},
+		{"da-ampm[filter=ppf]", prefetch.NewAMPM(prefetch.DefaultAMPMConfig()), ppf.New(ppf.DefaultConfig())},
+		{"spp[depth=9]", prefetch.NewSPP(prefetch.SPPConfig{
+			PrefetchThreshold: 1, FillThreshold: 90, MaxDepth: 9, MaxCandidates: 13, ForcedDepth: 9,
+		}), nil},
+	} {
+		if err := CheckScheme(tc.name); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		setup := NewSetup(tc.name, workload.Workload{}, 1)
+		if !reflect.DeepEqual(setup.Prefetcher, tc.pf) || !reflect.DeepEqual(setup.Filter, tc.filter) {
+			t.Errorf("%s built another machine", tc.name)
+		}
+	}
+	if got := PPFVariant(4, -10); got != "ppf[tau_hi=4,tau_lo=-10]" {
+		t.Errorf("PPFVariant renders %q; stored threshold cells need ppf[tau_hi=4,tau_lo=-10]", got)
+	}
+	for _, near := range []Scheme{
+		"ppf[drop=cacheline]",      // feature names are case-sensitive
+		"spp[depth=07]",            // leading zero
+		"bop[degree=+2]",           // sign
+		"bop[filter=ppf,degree=2]", // keys out of order
+		"bop[degree=2,degree=2]",   // repeated key
+		"ppf[theta=40]",            // unknown key
+		"ppf[tau_hi=4]",            // tau_hi without tau_lo
+		"ppf[filter=ppf]",          // ppf already filters
+		"spp[filter=ppf]",          // no study filters plain SPP
+		"none[filter=ppf]",         // nothing to filter
+		"da-ampm[filter=spp]",      // ppf is the only filter
+		"next-line[filter=ppf]",    // next-line needs a degree
+		"bop[degree=0]", "bop[degree=65]", "spp[depth=-1]",
+		"da-ampm[]", "da-ampm[filter=ppf", "[degree=2]", "bogus[filter=ppf]",
+	} {
+		if err := CheckScheme(near); err == nil {
+			t.Errorf("CheckScheme accepted %q", near)
+		}
+	}
+}
+
+func TestExecRun(t *testing.T) {
 	w := workload.MustByName("648.exchange2_s")
-	r := Exec{}.RunSingle(sim.DefaultConfig(1), SchemeSPP, w, 1, tinyBudget())
+	r := Exec{}.Run(NewCellSpec(sim.DefaultConfig(1), SchemeSPP, w, 1, tinyBudget()))
 	if r.PerCore[0].IPC <= 0 {
 		t.Fatal("no IPC measured")
 	}

@@ -115,17 +115,23 @@ func (a *corrAccumulator) pearson(i int) float64 {
 
 // runFeatureStudy simulates one workload under SPP with a PPF filter over
 // feats, handing every training example to onTrain (nil: none); it
-// returns the filter for weight dumps.
+// returns the filter for weight dumps. These studies read training
+// events, not a sim.Result, so their machines are the only ones that
+// are not cells: they build and run here, outside the run cache.
 func runFeatureStudy(w workload.Workload, b Budget, feats []ppf.FeatureSpec, onTrain func(weights []int8, outcome int)) *ppf.Filter {
 	cfg := ppf.DefaultConfig()
 	cfg.Features = feats
 	filter := ppf.New(cfg)
 	filter.OnTrainEvent = onTrain
-	runSetup(sim.CoreSetup{
+	sys, err := sim.NewSystem(sim.DefaultConfig(1), []sim.CoreSetup{{
 		Trace:      w.NewReader(1),
 		Prefetcher: prefetch.NewSPP(prefetch.AggressiveSPPConfig()),
 		Filter:     filter,
-	}, b)
+	}})
+	if err != nil {
+		panic(err) // the default machine is statically valid
+	}
+	sys.Run(b.Warmup, b.Detail)
 	return filter
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/prefetch"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -35,21 +34,14 @@ func Figure1(x Exec, b Budget) Figure1Result {
 
 // figure1On runs the sweep on any workload (used to pick a subject whose
 // irregularity exposes the over-aggression effect). Each forced depth is
-// one independent job; normalisation happens after the gather so the
+// one cell, spp[depth=N]; normalisation happens after the gather so the
 // series is identical at any worker count.
 func figure1On(x Exec, name string, b Budget) Figure1Result {
 	w := workload.MustByName(name)
 	const minDepth, maxDepth = 7, 15
 	results := runJobs(x, "fig1-depth", maxDepth-minDepth+1, func(i int) sim.CoreResult {
-		depth := minDepth + i
-		spp := prefetch.NewSPP(prefetch.SPPConfig{
-			PrefetchThreshold: 1,
-			FillThreshold:     90,
-			MaxDepth:          depth,
-			MaxCandidates:     depth + 4,
-			ForcedDepth:       depth,
-		})
-		return runSetup(sim.CoreSetup{Trace: w.NewReader(1), Prefetcher: spp}, b).PerCore[0]
+		s := parametric{engine: SchemeSPP, depth: minDepth + i}.scheme()
+		return x.Run(NewCellSpec(sim.DefaultConfig(1), s, w, 1, b)).PerCore[0]
 	})
 
 	res := Figure1Result{Workload: w.Name}

@@ -31,7 +31,7 @@ func Figure10(x Exec, b Budget) Figure10Result {
 	cells := schemeCells(len(ws), schemes)
 	results := runJobs(x, "coverage", len(cells), func(i int) sim.Result {
 		c := cells[i]
-		return x.RunSingle(sim.DefaultConfig(1), c.s, ws[c.wi], 1, b)
+		return x.Run(NewCellSpec(sim.DefaultConfig(1), c.s, ws[c.wi], 1, b))
 	})
 
 	res := Figure10Result{

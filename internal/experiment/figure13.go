@@ -25,9 +25,10 @@ func Figure13(x Exec, b Budget) Figure13Result {
 	var res Figure13Result
 
 	// CloudSuite: each application runs four copies (distinct seeds) on a
-	// 4-core machine, as the CRC-2 traces are 4-core applications. One
-	// job per (application, scheme) cell, baseline first; the gather
-	// walks applications in suite order.
+	// 4-core machine, as the CRC-2 traces are 4-core applications: mix m
+	// over a pool of just application m. One job per (application,
+	// scheme) cell, baseline first; the gather walks applications in
+	// suite order.
 	cloud := MulticoreResult{
 		Cores:   4,
 		Schemes: AllSchemes(),
@@ -39,9 +40,9 @@ func Figure13(x Exec, b Budget) Figure13Result {
 	schemes := append([]Scheme{SchemeNone}, cloud.Schemes...)
 	totals := runJobs(x, "cloudsuite", len(apps)*len(schemes), func(i int) float64 {
 		m := i / len(schemes)
-		copies := []workload.Workload{apps[m], apps[m], apps[m], apps[m]}
+		copies := Mix(apps[m:m+1], cfg.Cores, m)
 		total := 0.0
-		for _, pc := range runMix(cfg, schemes[i%len(schemes)], copies, m, b).PerCore {
+		for _, pc := range x.Run(CellSpec{Config: cfg, Scheme: schemes[i%len(schemes)], Cores: copies, Budget: b}).PerCore {
 			total += pc.IPC
 		}
 		return total

@@ -27,13 +27,13 @@ type MulticoreResult struct {
 // mix, Σ(IPC_i / IPC_isolated_i) is computed per scheme and normalised to
 // the no-prefetching value of the same mix.
 //
-// The sweep runs in two parallel phases: the deduplicated isolated
-// single-core baselines first (each mix's normalisation divisors), then
-// every (mix, scheme) machine including the no-prefetch baselines. Mix
-// composition and seeds depend only on (m, c), and the gather walks mixes
-// in order, so the result is identical at any worker count.
+// The sweep runs in two parallel phases: every core's isolated
+// single-core baseline first (each mix's normalisation divisors), then
+// every (mix, scheme) machine including the no-prefetch baselines. Both
+// are cells, so a rerun over a store reads them. Mix composition and
+// seeds depend only on (m, c), and the gather walks mixes in order, so
+// the result is identical at any worker count.
 func Multicore(x Exec, cores, nMixes int, pool []workload.Workload, b Budget) MulticoreResult {
-	pool = sortedCopy(pool)
 	res := MulticoreResult{
 		Cores:   cores,
 		Schemes: AllSchemes(),
@@ -43,54 +43,34 @@ func Multicore(x Exec, cores, nMixes int, pool []workload.Workload, b Budget) Mu
 	cfg := sim.DefaultConfig(cores)
 
 	// Fix every mix's composition up front (deterministic in m, c).
-	mixes := make([][]workload.Workload, nMixes)
+	mixes := make([][]CoreSpec, nMixes)
 	for m := range mixes {
-		mixes[m], _ = Mix(pool, cores, m)
+		mixes[m] = Mix(pool, cores, m)
 	}
 
 	// Phase 1: isolated IPCs, measured on a single-core machine with the
 	// full multi-core LLC, per the paper's methodology ("isolated 1-core
-	// 8 MB LLC environment"). Deduplicated across mixes in first-seen
-	// order, then fanned out as one job batch.
+	// 8 MB LLC environment"). Core c of mix m is job m*cores+c.
 	isoCfg := sim.DefaultConfig(1)
 	isoCfg.LLC = cfg.LLC
-	type isoJob struct {
-		w    workload.Workload
-		seed uint64
-	}
-	var isoJobs []isoJob
-	isoIndex := map[string]int{}
-	for m := range mixes {
-		for c := 0; c < cores; c++ {
-			key := fmt.Sprintf("%s/%d", mixes[m][c].Name, mixSeed(m, c))
-			if _, ok := isoIndex[key]; !ok {
-				isoIndex[key] = len(isoJobs)
-				isoJobs = append(isoJobs, isoJob{mixes[m][c], mixSeed(m, c)})
-			}
-		}
-	}
-	isoIPC := runJobs(x, "multicore-iso", len(isoJobs), func(i int) float64 {
-		return x.RunSingle(isoCfg, SchemeNone, isoJobs[i].w, isoJobs[i].seed, b).PerCore[0].IPC
+	isoIPC := runJobs(x, "multicore-iso", nMixes*cores, func(i int) float64 {
+		iso := CellSpec{Config: isoCfg, Scheme: SchemeNone, Cores: []CoreSpec{mixes[i/cores][i%cores]}, Budget: b}
+		return x.Run(iso).PerCore[0].IPC
 	})
-	isolated := func(m, c int) float64 {
-		return isoIPC[isoIndex[fmt.Sprintf("%s/%d", mixes[m][c].Name, mixSeed(m, c))]]
-	}
 
 	// Phase 2: every (mix, scheme) machine, no-prefetch baseline first.
 	mixSchemes := append([]Scheme{SchemeNone}, res.Schemes...)
 	perMix := runJobs(x, "multicore-mix", nMixes*len(mixSchemes), func(i int) sim.Result {
 		m := i / len(mixSchemes)
-		return runMix(cfg, mixSchemes[i%len(mixSchemes)], mixes[m], m, b)
+		return x.Run(CellSpec{Config: cfg, Scheme: mixSchemes[i%len(mixSchemes)], Cores: mixes[m], Budget: b})
 	})
 
 	weighted := func(m int, r sim.Result) float64 {
 		ipc := make([]float64, cores)
-		iso := make([]float64, cores)
-		for c := 0; c < cores; c++ {
+		for c := range ipc {
 			ipc[c] = r.PerCore[c].IPC
-			iso[c] = isolated(m, c)
 		}
-		return stats.WeightedSpeedup(ipc, iso)
+		return stats.WeightedSpeedup(ipc, isoIPC[m*cores:(m+1)*cores])
 	}
 	for m := 0; m < nMixes; m++ {
 		row := perMix[m*len(mixSchemes) : (m+1)*len(mixSchemes)]
@@ -106,17 +86,15 @@ func Multicore(x Exec, cores, nMixes int, pool []workload.Workload, b Budget) Mu
 	return res
 }
 
-// Mix returns the composition of mix m in a cores-core sweep over pool:
-// each core's workload and trace seed, as Multicore runs them.
-func Mix(pool []workload.Workload, cores, m int) ([]workload.Workload, []uint64) {
+// Mix returns mix m of a cores-core sweep over pool: each core's
+// workload identity and trace seed, as Multicore runs them.
+func Mix(pool []workload.Workload, cores, m int) []CoreSpec {
 	pool = sortedCopy(pool)
-	ws := make([]workload.Workload, cores)
-	seeds := make([]uint64, cores)
-	for c := range ws {
-		ws[c] = pick(pool, m, c)
-		seeds[c] = mixSeed(m, c)
+	mix := make([]CoreSpec, cores)
+	for c := range mix {
+		mix[c] = coreSpec(pick(pool, m, c), mixSeed(m, c))
 	}
-	return ws, seeds
+	return mix
 }
 
 // Figure11 runs the 4-core memory-intensive mixes (paper Figure 11).

@@ -1,41 +1,38 @@
 package experiment
 
 import (
-	"fmt"
-
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/simstore"
-	"repro/internal/workload"
 )
 
-// RunCache memoizes single-core simulation cells across experiments. The
-// suite re-simulates many identical (config, scheme, workload, seed,
-// budget) cells — Figure 10 reruns every Figure 9 cell for its coverage
-// numbers, and the ablation, generality and threshold studies all share
-// the same no-prefetch baselines — so one cache shared across a
-// cmd/experiments invocation collapses each unique cell to a single
-// simulation. Results are immutable once computed: callers receive
-// defensive copies, so no experiment can corrupt another's numbers
-// through a shared slice or Stats pointer.
+// RunCache memoizes simulation cells, 1-core and N-core, across
+// experiments. The suite re-simulates many identical cells — Figure 10
+// reruns every Figure 9 cell for its coverage numbers, and the ablation,
+// generality and threshold studies all share the same no-prefetch
+// baselines — so one cache shared across a cmd/experiments invocation
+// collapses each unique cell to a single simulation. Results are
+// immutable once computed: callers receive defensive copies, so no
+// experiment can corrupt another's numbers through a shared slice or
+// Stats pointer.
 //
 // With a disk store attached (AttachStore), the cache additionally
 // persists across invocations in two layers. Layer 1 stores encoded
 // sim.Results under the full cell key, so re-requesting a cell in a
 // later process is free. Layer 2 stores post-warmup machine snapshots
 // under the cell key's warmup prefix, so a cell that misses layer 1
-// but shares (config, scheme, workload, seed, warmup) with any earlier
-// cell resumes its detail phase from the snapshot instead of
-// re-simulating the warmup.
+// but shares (config, scheme, each core's workload and seed, warmup)
+// with any earlier cell resumes its detail phase from the snapshot
+// instead of re-simulating the warmup.
 //
 // Correctness rests on two properties. First, the key is a canonical,
 // content-complete rendering of every input that determines a run's
-// outcome (sim.Config.CanonicalKey covers the machine; scheme, workload
-// identity, seed and budget cover the rest — workload streams are pure
-// functions of name and seed). Second, simulations are deterministic, so
-// replaying a cached result — or resuming from a snapshot; the resume
-// goldens in internal/sim pin bit-identical results — is
-// indistinguishable from re-simulating. The skip/memo goldens in
+// outcome (sim.Config.CanonicalKey covers the machine; scheme, each
+// core's workload identity and seed, and budget cover the rest —
+// workload streams are pure functions of name and seed). Second,
+// simulations are deterministic, so replaying a cached result — or
+// resuming from a snapshot; the resume goldens in internal/sim pin
+// bit-identical results — is indistinguishable from re-simulating. The skip/memo goldens in
 // cache_test.go assert rendered experiment output is byte-identical
 // with and without the cache, and diskcache_test.go asserts the same
 // across cold and warm store runs.
@@ -85,24 +82,6 @@ func (rc *RunCache) ReportLine() string {
 	return line
 }
 
-// warmupKey canonically identifies a cell's warmup prefix: everything
-// that determines the machine state at the warmup/detail boundary.
-// Cells that differ only in detail budget share it, and with it the
-// stored post-warmup snapshot.
-func warmupKey(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, warmup uint64) string {
-	return fmt.Sprintf("%s|%s|%s/%s|seed=%d|warmup=%d",
-		cfg.CanonicalKey(), s, w.Suite, w.Name, seed, warmup)
-}
-
-// cellKey canonically identifies one single-machine simulation cell:
-// the warmup prefix plus the detail budget. Workloads are identified
-// by suite and name: the generator stream is a pure function of
-// (name, seed), so two Workload values with the same identity produce
-// identical traces.
-func cellKey(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) string {
-	return warmupKey(cfg, s, w, seed, b.Warmup) + fmt.Sprintf("|detail=%d", b.Detail)
-}
-
 // cloneResult deep-copies the parts of a sim.Result that alias mutable
 // storage, so cached results can be handed to multiple experiments.
 func cloneResult(r sim.Result) sim.Result {
@@ -121,11 +100,11 @@ func cloneResult(r sim.Result) sim.Result {
 // the disk layers when a store is attached: a stored result is decoded
 // and returned outright; otherwise the cell simulates (resuming from a
 // warmup snapshot when one exists) and the result is written back.
-func (rc *RunCache) computeCell(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) sim.Result {
+func (rc *RunCache) computeCell(spec CellSpec) sim.Result {
 	if rc.store == nil {
-		return buildSingle(cfg, NewSetup(s, w, seed)).Run(b.Warmup, b.Detail)
+		return spec.build().Run(spec.Budget.Warmup, spec.Budget.Detail)
 	}
-	key := cellKey(cfg, s, w, seed, b)
+	key := spec.Key()
 	if blob, ok := rc.store.LoadResult(key); ok {
 		if r, err := sim.DecodeResult(blob); err == nil {
 			return r
@@ -136,9 +115,9 @@ func (rc *RunCache) computeCell(cfg sim.Config, s Scheme, w workload.Workload, s
 	if rc.fabric != nil {
 		// The fleet simulates the cell; the worker that ran it published
 		// the result to the shared store, so there is nothing to save here.
-		return rc.fabric(NewCellSpec(cfg, s, w, seed, b))
+		return rc.fabric(spec)
 	}
-	r := rc.snapshotRun(cfg, s, w, seed, b)
+	r := rc.snapshotRun(spec)
 	if blob, err := sim.EncodeResult(r); err == nil {
 		// Best-effort persistence: a failed write only costs a future re-run.
 		_ = rc.store.SaveResult(key, blob)
@@ -149,12 +128,13 @@ func (rc *RunCache) computeCell(cfg sim.Config, s Scheme, w workload.Workload, s
 // snapshotRun simulates a cell, resuming from — or, on a miss,
 // creating — the post-warmup snapshot shared by every cell with the
 // same warmup prefix.
-func (rc *RunCache) snapshotRun(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) sim.Result {
-	sys := buildSingle(cfg, NewSetup(s, w, seed))
+func (rc *RunCache) snapshotRun(spec CellSpec) sim.Result {
+	sys := spec.build()
+	b := spec.Budget
 	if b.Warmup == 0 {
 		return sys.Run(0, b.Detail)
 	}
-	wkey := warmupKey(cfg, s, w, seed, b.Warmup)
+	wkey := spec.warmupKey()
 	if blob, ok := rc.store.LoadSnapshot(wkey); ok {
 		if err := sys.Restore(blob); err == nil {
 			return sys.RunDetail(b.Detail)
@@ -162,7 +142,7 @@ func (rc *RunCache) snapshotRun(cfg sim.Config, s Scheme, w workload.Workload, s
 		// Restore failed past the store's checksum (e.g. a snapshot from
 		// an unsnapshottable-prefetcher era or a stale walk layout): fall
 		// through to a cold run, which rewrites the snapshot.
-		sys = buildSingle(cfg, NewSetup(s, w, seed))
+		sys = spec.build()
 	}
 	sys.RunWarmup(b.Warmup)
 	if blob, err := sys.Snapshot(); err == nil {
@@ -171,18 +151,16 @@ func (rc *RunCache) snapshotRun(cfg sim.Config, s Scheme, w workload.Workload, s
 	return sys.RunDetail(b.Detail)
 }
 
-// RunSingle simulates one workload on a 1-core machine under a scheme:
-// the one path every single-core cell with a scheme name takes. With a
-// cache attached the cell simulates at most once per process (and, with
-// a store, at most once across processes); without one (the zero-value
-// Exec) it simulates every time. Experiment configurations are
-// statically valid, so a config error panics.
-func (x Exec) RunSingle(cfg sim.Config, s Scheme, w workload.Workload, seed uint64, b Budget) sim.Result {
+// Run simulates one cell: the one path every machine the experiments
+// measure takes. With a cache attached the cell simulates at most once
+// per process (and, with a store, at most once across processes);
+// without one (the zero-value Exec) it simulates every time.
+// Experiment cells are statically valid, so an invalid spec panics;
+// DecodeCellSpec checks one that arrives over the wire.
+func (x Exec) Run(spec CellSpec) sim.Result {
 	if x.Cache == nil {
-		return buildSingle(cfg, NewSetup(s, w, seed)).Run(b.Warmup, b.Detail)
+		return spec.build().Run(spec.Budget.Warmup, spec.Budget.Detail)
 	}
-	r, _ := x.Cache.memo.Do(cellKey(cfg, s, w, seed, b), func() sim.Result {
-		return x.Cache.computeCell(cfg, s, w, seed, b)
-	})
+	r, _ := x.Cache.memo.Do(spec.Key(), func() sim.Result { return x.Cache.computeCell(spec) })
 	return cloneResult(r)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -24,34 +23,18 @@ type StabilityResult struct {
 }
 
 // Stability runs the memory-intensive Figure 9 comparison under several
-// workload seeds. One job per (seed, workload, scheme) cell; the gather
-// walks seeds then workloads in order.
+// workload seeds, one seed at a time.
 func Stability(x Exec, seeds []uint64, b Budget) StabilityResult {
 	if len(seeds) == 0 {
 		seeds = []uint64{1, 2, 3}
 	}
 	res := StabilityResult{Seeds: seeds}
 	ws := sortedCopy(workload.SPEC2017MemIntensive())
-	schemes := []Scheme{SchemeNone, SchemeSPP, SchemePPF}
-	ipcs := runJobs(x, "stability", len(seeds)*len(ws)*len(schemes), func(i int) float64 {
-		seed := seeds[i/(len(ws)*len(schemes))]
-		w := ws[i/len(schemes)%len(ws)]
-		s := schemes[i%len(schemes)]
-		return x.RunSingle(sim.DefaultConfig(1), s, w, seed, b).PerCore[0].IPC
-	})
-	i := 0
-	for range seeds {
-		var spp, ppf []float64
-		for range ws {
-			base, sIPC, pIPC := ipcs[i], ipcs[i+1], ipcs[i+2]
-			i += 3
-			spp = append(spp, sIPC/base)
-			ppf = append(ppf, pIPC/base)
-		}
-		gs, gp := stats.GeoMean(spp), stats.GeoMean(ppf)
-		res.SPP = append(res.SPP, gs)
-		res.PPF = append(res.PPF, gp)
-		res.PPFvsSPP = append(res.PPFvsSPP, gp/gs)
+	for _, seed := range seeds {
+		g := schemeGeomeans(x, "stability", ws, seed, []Scheme{SchemeSPP, SchemePPF}, b)
+		res.SPP = append(res.SPP, g[0])
+		res.PPF = append(res.PPF, g[1])
+		res.PPFvsSPP = append(res.PPFvsSPP, g[1]/g[0])
 	}
 	return res
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	ppf "repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -26,35 +25,29 @@ type ThresholdSweepResult struct {
 
 // ThresholdSweep evaluates a grid of thresholds over a representative
 // subset of the memory-intensive workloads (the full subset at full
-// budget is expensive; the ranking is stable on the subset). Baselines
-// run as one parallel phase, then every (grid point, workload) cell is
-// one job; the grid gathers in its historical enumeration order.
+// budget is expensive; the ranking is stable on the subset). Each grid
+// point is an ordinary PPFVariant-schemed cell, so the τ grid flows
+// through the run cache, the disk/remote store and the sweep fabric like
+// every other sweep — this grid is exactly the workload the distributed
+// fabric exists to scale out.
 func ThresholdSweep(x Exec, b Budget) ThresholdSweepResult {
 	subset := []string{"603.bwaves_s", "619.lbm_s", "605.mcf_s", "623.xalancbmk_s", "649.fotonik3d_s"}
 	var ws []workload.Workload
 	for _, n := range subset {
 		ws = append(ws, workload.MustByName(n))
 	}
-	baseIPC := baselineIPCs(x, sim.DefaultConfig(1), ws, 1, b)
-
 	var grid []ThresholdPoint
+	var schemes []Scheme
 	for _, tauHi := range []int{-12, -4, 4, 12} {
 		for _, gap := range []int{8, 14, 22} {
 			grid = append(grid, ThresholdPoint{TauHi: tauHi, TauLo: tauHi - gap})
+			schemes = append(schemes, PPFVariant(tauHi, tauHi-gap))
 		}
 	}
-	// Each grid point is an ordinary PPFVariant-schemed cell, so the τ
-	// grid flows through the run cache, the disk/remote store and the
-	// sweep fabric like every other sweep — this grid is exactly the
-	// workload the distributed fabric exists to scale out.
-	ipcs := runJobs(x, "thresholds", len(grid)*len(ws), func(i int) float64 {
-		pt, w := grid[i/len(ws)], ws[i%len(ws)]
-		return x.RunSingle(sim.DefaultConfig(1), PPFVariant(pt.TauHi, pt.TauLo), w, 1, b).PerCore[0].IPC
-	})
-
 	var res ThresholdSweepResult
-	for gi, pt := range grid {
-		pt.Geomean = variantGeomean(ipcs[gi*len(ws):(gi+1)*len(ws)], baseIPC)
+	for gi, g := range schemeGeomeans(x, "thresholds", ws, 1, schemes, b) {
+		pt := grid[gi]
+		pt.Geomean = g
 		res.Points = append(res.Points, pt)
 	}
 	res.Best = bestPoint(res.Points)

@@ -282,7 +282,7 @@ func (c simCell) run() (uint64, time.Duration, error) {
 		var instructions uint64
 		start := time.Now()
 		for i := 0; i < c.memoRuns; i++ {
-			res := x.RunSingle(sim.DefaultConfig(1), c.scheme, w, 1, b)
+			res := x.Run(experiment.NewCellSpec(sim.DefaultConfig(1), c.scheme, w, 1, b))
 			instructions += b.Warmup + res.PerCore[0].Instructions
 		}
 		return instructions, time.Since(start), nil
@@ -314,7 +314,7 @@ func (c simCell) runStore(w workload.Workload, b experiment.Budget) (uint64, tim
 		rc.AttachStore(st)
 		x := experiment.Exec{Workers: 1, Cache: rc}
 		start := time.Now()
-		res := x.RunSingle(sim.DefaultConfig(1), c.scheme, w, 1, b)
+		res := x.Run(experiment.NewCellSpec(sim.DefaultConfig(1), c.scheme, w, 1, b))
 		return res, time.Since(start), st.Stats(), nil
 	}
 	if c.storeMode == "warm" {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -221,11 +222,7 @@ func TestFleetCrashRerunsOnce(t *testing.T) {
 		t.Fatalf("rescued cell returned a bogus result: %+v", r.PerCore[0])
 	}
 	// Cross-check against a direct local run of the same cell.
-	w, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	localR := experiment.Exec{}.RunSingle(spec.Config, spec.Scheme, w, spec.Seed, spec.Budget)
+	localR := experiment.Exec{}.Run(spec)
 	if r.PerCore[0].IPC != localR.PerCore[0].IPC {
 		t.Fatalf("rescued IPC %v != local IPC %v", r.PerCore[0].IPC, localR.PerCore[0].IPC)
 	}
@@ -269,7 +266,7 @@ func TestFleetCorruptPublishReopens(t *testing.T) {
 		if err == nil {
 			rc := experiment.NewRunCache()
 			rc.AttachStore(st)
-			_, err = cs.Run(experiment.Exec{Cache: rc})
+			experiment.Exec{Cache: rc}.Run(cs)
 		}
 		coord.Board().Complete(id, err == nil)
 	}()
@@ -317,7 +314,7 @@ func TestRunCellFailureBounded(t *testing.T) {
 
 	// No worker can resolve this workload, so every run fails.
 	doomed := experiment.CellSpec{Config: sim.DefaultConfig(1), Scheme: experiment.SchemeNone,
-		Workload: "no-such-workload", Seed: 1, Budget: fleetBudget}
+		Cores: []experiment.CoreSpec{{Workload: "no-such-workload", Seed: 1}}, Budget: fleetBudget}
 	panicked := func() (p any) {
 		defer func() { p = recover() }()
 		coord.RunCell(doomed)
@@ -338,5 +335,85 @@ func TestRunCellFailureBounded(t *testing.T) {
 	}
 	if stats.Cells != runCellAttempts || stats.Failed != runCellAttempts {
 		t.Fatalf("worker ran %d cells with %d failures, want %d of each", stats.Cells, stats.Failed, runCellAttempts)
+	}
+}
+
+// startFleet serves a coordinator over a fresh disk store, with one
+// worker publishing to the same store. stop closes the coordinator and
+// returns the worker's stats once it has exited.
+func startFleet(t *testing.T) (coord *Coordinator, stop func() WorkerStats) {
+	t.Helper()
+	st, err := simstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord = NewCoordinator(Config{Store: st, LeaseTimeout: time.Minute})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go coord.Serve(lis)
+	var stats WorkerStats
+	var werr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rc := experiment.NewRunCache()
+		rc.AttachStore(st)
+		stats, werr = RunWorker(lis.Addr().String(), WorkerConfig{Name: "w", Exec: experiment.Exec{Cache: rc}})
+	}()
+	return coord, func() WorkerStats {
+		coord.Close()
+		<-done
+		if werr != nil {
+			t.Errorf("worker: %v", werr)
+		}
+		return stats
+	}
+}
+
+// TestWorkerSurvivesBadConfig: a leased spec whose config the simulator
+// rejects is a failed completion, not a worker crash, and the worker
+// goes on to run the next cell.
+func TestWorkerSurvivesBadConfig(t *testing.T) {
+	coord, stop := startFleet(t)
+	bad := experiment.NewCellSpec(sim.DefaultConfig(1), experiment.SchemeNone,
+		workload.MustByName("641.leela_s"), 1, fleetBudget)
+	bad.Config.FetchWidth = 0
+	enc, err := bad.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-coord.Board().Submit(enc)
+	good := experiment.NewCellSpec(sim.DefaultConfig(1), experiment.SchemeNone,
+		workload.MustByName("641.leela_s"), 1, fleetBudget)
+	if r := coord.RunCell(good); r.PerCore[0].IPC <= 0 {
+		t.Fatalf("the cell after the bad one returned a bogus result: %+v", r.PerCore[0])
+	}
+	stats := stop()
+	if stats.Cells != 2 || stats.Failed != 1 {
+		t.Fatalf("worker ran %d cells with %d failures, want 2 with 1", stats.Cells, stats.Failed)
+	}
+	if c := coord.Board().Counters(); c.Failures != 1 || c.Completions != 2 {
+		t.Fatalf("counters = %+v, want 2 completions, 1 of them failed", c)
+	}
+}
+
+// TestFleetFourCoreCell: a 4-core mix crosses the fabric like a 1-core
+// cell, and the worker's published result equals a local run's.
+func TestFleetFourCoreCell(t *testing.T) {
+	coord, stop := startFleet(t)
+	spec := experiment.CellSpec{
+		Config: sim.DefaultConfig(4),
+		Scheme: experiment.SchemePPF,
+		Cores:  experiment.Mix(workload.SPEC2017MemIntensive(), 4, 0),
+		Budget: fleetBudget,
+	}
+	got := coord.RunCell(spec)
+	if stats := stop(); stats.Cells != 1 || stats.Failed != 0 {
+		t.Fatalf("worker ran %d cells with %d failures, want 1 clean run", stats.Cells, stats.Failed)
+	}
+	if want := (experiment.Exec{}).Run(spec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet result differs from a local run\nfleet: %+v\nlocal: %+v", got, want)
 	}
 }

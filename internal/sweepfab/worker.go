@@ -107,19 +107,17 @@ func (w *workerConn) loop(stats *WorkerStats) error {
 // runCell simulates one leased cell through the Exec path. The run
 // cache attached to the Exec rechecks the shared store first (another
 // worker may have published the cell after an expired lease) and
-// publishes the result on a miss. A failure here is a spec problem
-// (unknown workload or scheme after version skew), reported to the
-// coordinator as a failed completion, not a worker crash.
+// publishes the result on a miss. DecodeCellSpec checks the spec before
+// anything simulates, so a bad spec (a field, config, workload or
+// scheme this build rejects) is reported to the coordinator as a failed
+// completion, not a worker crash.
 func (w *workerConn) runCell(specBytes []byte) (ok bool) {
 	spec, err := experiment.DecodeCellSpec(specBytes)
 	if err != nil {
-		log.Printf("sweepfab: worker %s: undecodable cell spec: %v", w.cfg.Name, err)
+		log.Printf("sweepfab: worker %s: bad cell spec: %v", w.cfg.Name, err)
 		return false
 	}
-	if _, err := spec.Run(w.cfg.Exec); err != nil {
-		log.Printf("sweepfab: worker %s: cell %s failed: %v", w.cfg.Name, spec.Key(), err)
-		return false
-	}
+	w.cfg.Exec.Run(spec)
 	return true
 }
 
